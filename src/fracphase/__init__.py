@@ -6,9 +6,6 @@ from .lattice import LatticeIFS, menger, project, sierpinski
 from .line_ifs import LineIFS, normalize, scale
 from .phase import (
     PhaseReport,
-    check_interval_sufficient,
-    check_no_interval,
-    check_positive_measure,
     extinction_probability,
     menger_disconnection_threshold,
     phase_report,
@@ -25,7 +22,6 @@ from .simulate import (
 from .slices import (
     PlaneParams,
     VerificationReport,
-    area3d,
     classify_region,
     ftilde,
     htilde,
@@ -61,10 +57,6 @@ __all__ = [
     "TypeSystem",
     "VerificationReport",
     "Word",
-    "area3d",
-    "check_interval_sufficient",
-    "check_no_interval",
-    "check_positive_measure",
     "classify_region",
     "column_sums",
     "compute_type_system",

@@ -46,7 +46,10 @@ def _load_ifs(source: str, direction: str | None, scale_factor: int | None) -> L
     if isinstance(obj, LatticeIFS):
         if direction is None:
             raise InputError("a lattice IFS needs --dir")
-        vec = [int(x) for x in direction.split(",")]
+        try:
+            vec = [int(x) for x in direction.split(",")]
+        except ValueError as exc:
+            raise InputError(f"--dir must be comma-separated integers, got {direction!r}") from exc
         obj = project_lattice(obj, vec)
     elif direction is not None:
         raise InputError("--dir only applies to lattice inputs")

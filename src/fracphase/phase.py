@@ -1,6 +1,6 @@
-"""Phase-condition checkers and the assembled phase report.
+"""Phase thresholds of one type system, assembled into a single report.
 
-Each checker decides a *sufficient* condition for one regime of the random
+Each threshold marks a *sufficient* condition for one regime of the random
 (coin-tossing) construction with retention parameter p:
 
 - interval containment: p * CS > 1 for every column sum CS of every digit
@@ -10,10 +10,12 @@ Each checker decides a *sufficient* condition for one regime of the random
   column sums exceeds 1 for every type U, plus a positive row in every
   single digit matrix.
 
-All verdicts are three-valued (holds / fails / boundary) because the
-underlying conditions are strict inequalities that say nothing at equality.
-Thresholds involving roots are kept as exact power predicates; floats appear
-only in rendered output.
+:func:`phase_report` computes every threshold and its witnesses once;
+:meth:`PhaseReport.verdict` decides each condition at a given p from the
+report alone.  Verdicts are three-valued (holds / fails / boundary) because
+the underlying conditions are strict inequalities that say nothing at
+equality.  Thresholds involving roots are kept as exact power predicates;
+floats appear only in rendered output.
 """
 
 from __future__ import annotations
@@ -23,8 +25,16 @@ from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .spectral import SpectralEnclosure, spectral_radius
-from .type_system import TypeSystem, Word, column_sums
+from .spectral import (
+    SpectralEnclosure,
+    char_poly,
+    dominates_rho,
+    poly_eval,
+    spectral_radius,
+)
+from .type_system import TypeSystem, Word, column_sums, pattern, pattern_mul
+
+_PATTERN_BUDGET = 10**6  # distinct zero-patterns the witness BFS may visit
 
 
 @dataclass(frozen=True)
@@ -52,52 +62,20 @@ class RootThreshold:
         return Fraction(p) ** self.root * self.base < 1
 
 
-@dataclass(frozen=True)
-class IntervalCheck:
-    verdict: str  # "holds" | "fails" | "boundary"
-    min_cs: int
-    row_witness: Word | None
-    inconclusive: bool  # witness search hit its budget
+def _has_positive_row(pat) -> bool:
+    return any(all(row) for row in pat)
 
 
-@dataclass(frozen=True)
-class NoIntervalCheck:
-    verdict: str
-    witness_digit: int | None
-    enclosures: tuple[SpectralEnclosure, ...]
-
-
-@dataclass(frozen=True)
-class PositiveMeasureCheck:
-    verdict: str
-    column_products: tuple[int, ...]  # prod over digits of CS_{a,U}, per U
-    exponent: int  # the L in p^L * product > 1
-    per_matrix_rows: tuple[bool, ...]  # digit a has a strictly positive row
-
-
-def positive_row_witness(ts: TypeSystem, max_patterns: int = 10**6):
+def positive_row_witness(ts: TypeSystem):
     """Shortest word w with a strictly positive row in A_w, by BFS.
 
     Works on the finite semigroup of boolean zero-patterns (at most 2^(N^2)
     elements), so either a witness is found, absence is certified
-    (semigroup exhausted), or the budget is hit.
+    (semigroup exhausted), or the pattern budget is hit.
 
     Returns (word_or_None, inconclusive_flag).
     """
-    N, L = ts.N, ts.L
-
-    def pattern(mat) -> tuple[tuple[bool, ...], ...]:
-        return tuple(tuple(x > 0 for x in row) for row in mat)
-
-    def has_positive_row(pat) -> bool:
-        return any(all(row) for row in pat)
-
-    def mul(p1, p2):
-        return tuple(
-            tuple(any(p1[i][k] and p2[k][j] for k in range(N)) for j in range(N))
-            for i in range(N)
-        )
-
+    L = ts.L
     gens = [pattern(A) for A in ts.matrices]
     seen = set()
     queue: deque[tuple[tuple, tuple[int, ...]]] = deque()
@@ -107,76 +85,16 @@ def positive_row_witness(ts: TypeSystem, max_patterns: int = 10**6):
             queue.append((gens[a], (a,)))
     while queue:
         pat, word = queue.popleft()
-        if has_positive_row(pat):
+        if _has_positive_row(pat):
             return Word(word, L), False
-        if len(seen) >= max_patterns:
+        if len(seen) >= _PATTERN_BUDGET:
             return None, True
         for a in range(L):
-            nxt = mul(pat, gens[a])
+            nxt = pattern_mul(pat, gens[a])
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append((nxt, word + (a,)))
     return None, False
-
-
-def check_interval_sufficient(
-    ts: TypeSystem, p, max_patterns: int = 10**6
-) -> IntervalCheck:
-    """Sufficient condition for the survived set to contain an interval."""
-    p = Fraction(p)
-    min_cs = min(min(column_sums(ts, a)) for a in range(ts.L))
-    witness, inconclusive = positive_row_witness(ts, max_patterns)
-    if p * min_cs == 1:
-        verdict = "boundary"
-    elif p * min_cs > 1 and witness is not None:
-        verdict = "holds"
-    elif inconclusive:
-        verdict = "boundary"  # cannot certify either way
-    else:
-        verdict = "fails"
-    return IntervalCheck(verdict, min_cs, witness, inconclusive)
-
-
-def check_no_interval(
-    ts: TypeSystem, p, tol: Fraction = Fraction(1, 10**9)
-) -> NoIntervalCheck:
-    """Sufficient condition for empty interior: rho(p * A_a) < 1 for some a."""
-    p = Fraction(p)
-    encs = tuple(spectral_radius(A, tol) for A in ts.matrices)
-    best = min(range(ts.L), key=lambda a: encs[a].upper)
-    if p * encs[best].upper < 1:
-        return NoIntervalCheck("holds", best, encs)
-    if all(p * e.lower > 1 for e in encs):
-        return NoIntervalCheck("fails", None, encs)
-    if all(p * e.lower >= 1 for e in encs):
-        # exact equality for the minimizing digit, or an enclosure pinned at 1
-        return NoIntervalCheck("boundary", None, encs)
-    return NoIntervalCheck("boundary", best, encs)
-
-
-def check_positive_measure(ts: TypeSystem, p) -> PositiveMeasureCheck:
-    """Sufficient condition for positive Lebesgue measure given survival."""
-    p = Fraction(p)
-    N, L = ts.N, ts.L
-    products = []
-    for U in range(N):
-        prod = 1
-        for a in range(L):
-            prod *= column_sums(ts, a)[U]
-        products.append(prod)
-    rows = tuple(
-        any(all(x > 0 for x in row) for row in A) for A in ts.matrices
-    )
-    pl = p**L
-    if any(pl * g < 1 for g in products):
-        verdict = "fails"
-    elif any(pl * g == 1 for g in products):
-        verdict = "boundary"
-    elif all(rows):
-        verdict = "holds"
-    else:
-        verdict = "fails"
-    return PositiveMeasureCheck(verdict, tuple(products), L, rows)
 
 
 def similarity_dimension(M: int, L: int, p: float) -> float:
@@ -220,6 +138,13 @@ def menger_disconnection_threshold() -> DisconnectionThreshold:
     return DisconnectionThreshold()
 
 
+def _compare(lhs, rhs) -> str:
+    """Verdict "holds" if lhs > rhs, "boundary" if they are equal, else "fails"."""
+    if lhs > rhs:
+        return "holds"
+    return "boundary" if lhs == rhs else "fails"
+
+
 @dataclass(frozen=True)
 class PhaseReport:
     """All p-thresholds derivable from one type system."""
@@ -231,10 +156,82 @@ class PhaseReport:
     interval_witness: Word | None
     interval_inconclusive: bool
     no_interval_threshold: SpectralEnclosure  # enclosure of 1 / min_a rho(A_a)
+    no_interval_digit: int  # digit with the least upper bound on rho(A_a)
     positive_measure_threshold: RootThreshold  # (min_U prod)^(-1/L)
     positive_measure_rows_ok: bool
     zero_measure_estimate: object | None = None
     notes: tuple[str, ...] = ()
+
+    def thresholds(self) -> list[tuple[str, str, object, Word | None]]:
+        """The ordered (name, theorem, value, witness) rows of the report.
+
+        A value is a ``Fraction``, a ``RootThreshold``, a
+        ``SpectralEnclosure``, a float for the zero-measure estimate, or None
+        when the condition cannot hold in this representation.  The
+        interval row is left out when some digit matrix has a zero column.
+        """
+        rows = [
+            ("extinction", "branching-process criticality", self.p_extinction, None),
+            ("dimension-one", "similarity dimension", self.p_dim1, None),
+        ]
+        if self.interval_threshold is not None:
+            rows.append(
+                ("interval-sufficient", "column-sum growth with positive-row product",
+                 self.interval_threshold, self.interval_witness)
+            )
+        rows.append(
+            ("no-interval", "spectral contraction of a digit matrix",
+             self.no_interval_threshold, None)
+        )
+        pos = self.positive_measure_threshold if self.positive_measure_rows_ok else None
+        rows.append(("positive-measure", "geometric-mean column growth", pos, None))
+        if self.zero_measure_estimate is not None:
+            rows.append(
+                ("zero-measure-estimate", "norm growth rate",
+                 self.zero_measure_estimate.b_hat, None)
+            )
+        return rows
+
+    def verdict(self, name: str, p) -> str:
+        """Exact three-valued verdict of the condition behind threshold ``name``.
+
+        "extinction" holds for p < 1/M and "dimension-one" for p > L/M.
+        "interval-sufficient" and "positive-measure" hold above their
+        thresholds and fail wherever their witness condition is certainly
+        unmet.  "no-interval" holds when p * rho(A_a) < 1 for some digit a,
+        decided on the characteristic polynomials without a tolerance.
+        "boundary" means equality, or an inconclusive witness search.
+        """
+        p = Fraction(p)
+        if name == "extinction":
+            return _compare(self.p_extinction, p)
+        if name == "dimension-one":
+            return _compare(p, self.p_dim1)
+        if name == "interval-sufficient":
+            if self.interval_threshold is None or (
+                self.interval_witness is None and not self.interval_inconclusive
+            ):
+                return "fails"
+            v = _compare(p, self.interval_threshold)
+            return "boundary" if v == "holds" and self.interval_inconclusive else v
+        if name == "no-interval":
+            if p <= 0:
+                return "holds"
+            # p * rho < 1  <=>  1/p >= rho and 1/p is not a root
+            x, at_equality = 1 / p, False
+            for A in self.ts.matrices:
+                coeffs = char_poly(A)
+                if dominates_rho(coeffs, x):
+                    if poly_eval(coeffs, x) != 0:
+                        return "holds"
+                    at_equality = True
+            return "boundary" if at_equality else "fails"
+        if name == "positive-measure":
+            if not self.positive_measure_rows_ok:
+                return "fails"
+            thr = self.positive_measure_threshold
+            return "holds" if thr.above(p) else "fails" if thr.below(p) else "boundary"
+        raise ValueError(f"no exact verdict for threshold {name!r}")
 
 
 def phase_report(ts: TypeSystem, zero_measure_estimate=None) -> PhaseReport:
@@ -259,9 +256,7 @@ def phase_report(ts: TypeSystem, zero_measure_estimate=None) -> PhaseReport:
             prod *= column_sums(ts, a)[U]
         products.append(prod)
     pos_thr = RootThreshold(min(products), L)
-    rows_ok = all(
-        any(all(x > 0 for x in row) for row in A) for A in ts.matrices
-    )
+    rows_ok = all(_has_positive_row(pattern(A)) for A in ts.matrices)
 
     notes = []
     if interval_threshold is None:
@@ -290,6 +285,7 @@ def phase_report(ts: TypeSystem, zero_measure_estimate=None) -> PhaseReport:
         interval_witness=witness,
         interval_inconclusive=inconclusive,
         no_interval_threshold=no_int,
+        no_interval_digit=encs.index(best),
         positive_measure_threshold=pos_thr,
         positive_measure_rows_ok=rows_ok,
         zero_measure_estimate=zero_measure_estimate,

@@ -28,7 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .type_system import TypeSystem
+from .type_system import TypeSystem, identity
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,7 @@ def _masses_exact_dfs(ts: TypeSystem, n: int):
             )
             yield from rec(nxt, depth + 1)
 
-    ident = tuple(tuple(1 if i == j else 0 for j in range(N)) for i in range(N))
-    yield from rec(ident, 0)
+    yield from rec(identity(N), 0)
 
 
 def pressure(

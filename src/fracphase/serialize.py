@@ -12,7 +12,8 @@ from fractions import Fraction
 from .errors import InputError
 from .lattice import LatticeIFS
 from .line_ifs import LineIFS
-from .phase import PhaseReport
+from .phase import PhaseReport, RootThreshold
+from .spectral import SpectralEnclosure
 from .type_system import TypeSystem
 
 
@@ -72,66 +73,43 @@ def type_system_to_json(ts: TypeSystem) -> dict:
     }
 
 
+# The Fraction test comes last: it goes through ABCMeta and is slow for
+# values of other types.
+
+
+def _exact_str(value) -> str | None:
+    """Exact rendering of a threshold value; None when it has none."""
+    if isinstance(value, RootThreshold):
+        return value.exact_str()
+    if isinstance(value, SpectralEnclosure):
+        return frac_str(value.lower) if value.is_exact else None
+    if isinstance(value, Fraction):
+        return frac_str(value)
+    return None
+
+
+def _float(value) -> float | None:
+    """Float rendering of a threshold value (an enclosure gives its midpoint)."""
+    if isinstance(value, RootThreshold):
+        return value.value_float
+    if isinstance(value, SpectralEnclosure):
+        return value.midpoint_float
+    if isinstance(value, Fraction):
+        return float(value)
+    return value
+
+
 def phase_report_to_json(report: PhaseReport) -> dict:
     thresholds = [
         {
-            "name": "extinction",
-            "theorem": "branching-process criticality",
-            "value_exact": frac_str(report.p_extinction),
-            "value_float": float(report.p_extinction),
-            "witness": None,
-        },
-        {
-            "name": "dimension-one",
-            "theorem": "similarity dimension",
-            "value_exact": frac_str(report.p_dim1),
-            "value_float": float(report.p_dim1),
-            "witness": None,
-        },
+            "name": name,
+            "theorem": theorem,
+            "value_exact": _exact_str(value),
+            "value_float": _float(value),
+            "witness": None if witness is None else str(witness),
+        }
+        for name, theorem, value, witness in report.thresholds()
     ]
-    if report.interval_threshold is not None:
-        thresholds.append(
-            {
-                "name": "interval-sufficient",
-                "theorem": "column-sum growth with positive-row product",
-                "value_exact": frac_str(report.interval_threshold),
-                "value_float": float(report.interval_threshold),
-                "witness": str(report.interval_witness)
-                if report.interval_witness is not None
-                else None,
-            }
-        )
-    enc = report.no_interval_threshold
-    thresholds.append(
-        {
-            "name": "no-interval",
-            "theorem": "spectral contraction of a digit matrix",
-            "value_exact": frac_str(enc.lower) if enc.is_exact else None,
-            "value_float": enc.midpoint_float,
-            "witness": None,
-        }
-    )
-    pos = report.positive_measure_threshold
-    thresholds.append(
-        {
-            "name": "positive-measure",
-            "theorem": "geometric-mean column growth",
-            "value_exact": pos.exact_str() if report.positive_measure_rows_ok else None,
-            "value_float": pos.value_float if report.positive_measure_rows_ok else None,
-            "witness": None,
-        }
-    )
-    zme = report.zero_measure_estimate
-    if zme is not None:
-        thresholds.append(
-            {
-                "name": "zero-measure-estimate",
-                "theorem": "norm growth rate",
-                "value_exact": None,
-                "value_float": zme.b_hat,
-                "witness": None,
-            }
-        )
     return {
         "ifs": line_ifs_to_json(report.ts.parent),
         "type_system": type_system_to_json(report.ts),

@@ -60,6 +60,8 @@ def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
         raise InputError("arity M must be >= 2")
     if depth < 0:
         raise InputError("depth must be >= 0")
+    if not 0 <= seed < _TWO64:
+        raise InputError("seed must be in [0, 2**64)")
     pf = Fraction(p)
     if not 0 <= pf <= 1:
         raise InputError("p must be in [0, 1]")

@@ -150,11 +150,6 @@ def ftilde(p: PlaneParams) -> Fraction:
     return (1 - c) ** 2 / (2 * a * b)  # case 8
 
 
-def area3d(p: PlaneParams) -> float:
-    """True (non-projected) slice area, floating point, for display only."""
-    return float(ftilde(p)) * float((1 + p.a**2 + p.b**2) ** Fraction(1, 2))
-
-
 def htilde(p: PlaneParams) -> Fraction:
     """The slack function; nonnegative on the whole admissible wedge."""
     _check_wedge(p)

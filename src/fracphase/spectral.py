@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, InvariantError
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def dominates_rho(coeffs: list[Fraction], x: Fraction) -> bool:
     return all(c >= 0 for c in _shifted_coeffs(coeffs, x))
 
 
-def _poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
+def poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
     acc = Fraction(0)
     for c in reversed(coeffs):
         acc = acc * x + c
@@ -109,7 +109,7 @@ def spectral_radius(matrix, tol: Fraction = Fraction(1, 10**9)) -> SpectralEnclo
     # smallest integer u with u >= rho
     lo_int, hi_int = 0, int(hi)
     if not dominates_rho(coeffs, Fraction(hi_int)):
-        raise AssertionError("column/row-sum bound failed to dominate rho")
+        raise InvariantError("column/row-sum bound failed to dominate rho")
     while lo_int < hi_int:
         mid = (lo_int + hi_int) // 2
         if dominates_rho(coeffs, Fraction(mid)):
@@ -117,7 +117,7 @@ def spectral_radius(matrix, tol: Fraction = Fraction(1, 10**9)) -> SpectralEnclo
         else:
             lo_int = mid + 1
     u = hi_int
-    if _poly_eval(coeffs, Fraction(u)) == 0:
+    if poly_eval(coeffs, Fraction(u)) == 0:
         # rho is exactly the integer u (monic integer polynomial: any
         # rational root is an integer, and u is the least integer >= rho)
         return SpectralEnclosure(Fraction(u), Fraction(u))

@@ -73,7 +73,8 @@ class TypeSystem:
 
 def mat_mul(A: Matrix, B: Matrix) -> Matrix:
     n, k, m = len(A), len(B), len(B[0])
-    assert len(A[0]) == k
+    if len(A[0]) != k:
+        raise InvariantError(f"cannot multiply {n}x{len(A[0])} by {k}x{m}")
     return tuple(
         tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m))
         for i in range(n)
@@ -82,6 +83,20 @@ def mat_mul(A: Matrix, B: Matrix) -> Matrix:
 
 def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def pattern(mat) -> tuple[tuple[bool, ...], ...]:
+    """Boolean zero-pattern of a nonnegative matrix."""
+    return tuple(tuple(x > 0 for x in row) for row in mat)
+
+
+def pattern_mul(P, Q) -> tuple[tuple[bool, ...], ...]:
+    """Boolean product of two square zero-patterns."""
+    n = len(P)
+    return tuple(
+        tuple(any(P[i][k] and Q[k][j] for k in range(n)) for j in range(n))
+        for i in range(n)
+    )
 
 
 def _candidate_matrices(ifs: LineIFS) -> tuple[list[list[list[int]]], list[int]]:
@@ -270,17 +285,12 @@ def _validate(ts: TypeSystem) -> None:
         if sum(A[i][j] * ts.nu[j] for j in range(N)) != M * ts.nu[i]:
             raise InvariantError("nu is not a fixed point of A / M")
     # primitivity of A within N^2 steps, on boolean patterns
-    pat = tuple(tuple(x > 0 for x in row) for row in A)
+    pat = pattern(A)
     cur = pat
     for _ in range(max(1, N * N)):
         if all(all(row) for row in cur):
             break
-        cur = tuple(
-            tuple(
-                any(cur[i][k] and pat[k][j] for k in range(N)) for j in range(N)
-            )
-            for i in range(N)
-        )
+        cur = pattern_mul(cur, pat)
     else:
         raise InvariantError("sum matrix A is not primitive")
 

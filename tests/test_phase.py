@@ -1,26 +1,46 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import normalize, scale
 from fracphase.phase import (
     RootThreshold,
-    check_interval_sufficient,
-    check_no_interval,
-    check_positive_measure,
     extinction_probability,
     menger_disconnection_threshold,
     phase_report,
     positive_row_witness,
     similarity_dimension,
 )
+from fracphase.spectral import spectral_radius
 from fracphase.type_system import compute_type_system
 
 
 @pytest.fixture(scope="module")
 def menger_ts():
     return compute_type_system(project(menger(), (1, 1, 1)))
+
+
+@pytest.fixture(scope="module")
+def menger_report(menger_ts):
+    return phase_report(menger_ts)
+
+
+@pytest.fixture(scope="module")
+def axis_report():
+    return phase_report(compute_type_system(scale(project(menger(), (1, 0, 0)), 3)))
+
+
+EXACT_VERDICTS = (
+    "extinction",
+    "dimension-one",
+    "interval-sufficient",
+    "no-interval",
+    "positive-measure",
+)
+unit_fractions = st.fractions(min_value=0, max_value=1, max_denominator=400)
 
 
 def test_menger_thresholds(menger_ts):
@@ -64,34 +84,63 @@ def test_root_threshold_predicates():
     assert RootThreshold(6, 1).exact_str() == "1/6"
 
 
-def test_interval_check_three_valued(menger_ts):
-    assert check_interval_sufficient(menger_ts, Fraction(1, 5)).verdict == "holds"
-    assert check_interval_sufficient(menger_ts, Fraction(1, 6)).verdict == "boundary"
-    assert check_interval_sufficient(menger_ts, Fraction(1, 7)).verdict == "fails"
+def test_interval_check_three_valued(menger_report):
+    rep = menger_report
+    assert rep.verdict("interval-sufficient", Fraction(1, 5)) == "holds"
+    assert rep.verdict("interval-sufficient", Fraction(1, 6)) == "boundary"
+    assert rep.verdict("interval-sufficient", Fraction(1, 7)) == "fails"
 
 
-def test_no_interval_check(menger_ts):
+def test_no_interval_check(menger_report):
+    rep = menger_report
     # min_a rho(A_a) = 6, so rho(p A_a) < 1 for some a iff p < 1/6
-    assert check_no_interval(menger_ts, Fraction(1, 7)).verdict == "holds"
-    chk = check_no_interval(menger_ts, Fraction(1, 5))
-    assert chk.verdict in ("fails", "boundary")
-    assert check_no_interval(menger_ts, Fraction(1, 7)).witness_digit in (0, 2)
+    assert rep.verdict("no-interval", Fraction(1, 7)) == "holds"
+    assert rep.verdict("no-interval", Fraction(1, 6)) == "boundary"
+    assert rep.verdict("no-interval", Fraction(1, 5)) == "fails"
+    assert rep.no_interval_digit in (0, 2)
 
 
-def test_checks_never_both_hold(menger_ts):
-    for k in range(1, 40):
-        p = Fraction(k, 40)
-        a = check_interval_sufficient(menger_ts, p).verdict
-        b = check_no_interval(menger_ts, p).verdict
-        assert not (a == "holds" and b == "holds")
+def test_no_interval_check_exact_for_irrational_radius():
+    # menger --dir 1,3,7 has N = 11 and an irrational min_a rho(A_a); a
+    # relative offset of 1e-11 from 1/rho_min is decided without a tolerance
+    rep = phase_report(compute_type_system(project(menger(), (1, 3, 7))))
+    encs = [spectral_radius(A, tol=Fraction(1, 10**30)) for A in rep.ts.matrices]
+    eps = Fraction(1, 10**11)
+    below = (1 - eps) / min(e.upper for e in encs)
+    above = (1 + eps) / min(e.lower for e in encs)
+    assert rep.verdict("no-interval", below) == "holds"
+    assert rep.verdict("no-interval", above) == "fails"
 
 
-def test_positive_measure_check(menger_ts):
+@settings(max_examples=50, deadline=None)
+@given(st.lists(unit_fractions, min_size=2, max_size=6))
+def test_verdicts_monotone_in_p(menger_report, axis_report, ps):
+    rank = {"fails": 0, "boundary": 1, "holds": 2}
+    for rep in (menger_report, axis_report):
+        # the exact rational thresholds exercise "boundary"
+        exact = {v for _, _, v, _ in rep.thresholds() if isinstance(v, Fraction)}
+        if rep.no_interval_threshold.is_exact:
+            exact.add(rep.no_interval_threshold.lower)
+        grid = sorted(set(ps) | exact)
+        for name in EXACT_VERDICTS:
+            ranks = [rank[rep.verdict(name, p)] for p in grid]
+            assert ranks == sorted(ranks) or ranks == sorted(ranks, reverse=True), name
+
+
+@settings(max_examples=100, deadline=None)
+@given(unit_fractions)
+def test_checks_never_both_hold(menger_report, p):
+    a = menger_report.verdict("interval-sufficient", p)
+    b = menger_report.verdict("no-interval", p)
+    assert not (a == "holds" and b == "holds")
+
+
+def test_positive_measure_check(menger_report):
     # min_U product of column sums is 6*8*6 = 288
-    chk = check_positive_measure(menger_ts, Fraction(16, 100))
-    assert chk.verdict == "holds"
-    assert min(chk.column_products) == 288
-    assert check_positive_measure(menger_ts, Fraction(15, 100)).verdict == "fails"
+    rep = menger_report
+    assert rep.verdict("positive-measure", Fraction(16, 100)) == "holds"
+    assert rep.positive_measure_threshold.base == 288
+    assert rep.verdict("positive-measure", Fraction(15, 100)) == "fails"
 
 
 def test_positive_row_witness_is_shortest(menger_ts):

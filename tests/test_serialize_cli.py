@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -64,6 +65,28 @@ def test_phase_report_json_shape():
     assert by_name["interval-sufficient"]["value_exact"] == "1/6"
     assert by_name["positive-measure"]["value_exact"] == "(288)^(-1/3)"
     assert json.loads(json.dumps(data)) == data  # JSON-serializable
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_analyze_matches_golden_outputs(tmp_path):
+    # the fixtures pin every byte analyze writes, floats and notes included
+    runner = CliRunner()
+    for direction in ("1,1,1", "1,3,7"):
+        result = runner.invoke(cli, ["analyze", "menger", "--dir", direction])
+        assert result.exit_code == 0
+        golden = DATA / f"menger_{direction.replace(',', '_')}.json"
+        assert result.stdout_bytes == golden.read_bytes()
+    csv_path, svg_path = tmp_path / "report.csv", tmp_path / "bands.svg"
+    result = runner.invoke(
+        cli,
+        ["analyze", "sierpinski", "--dir", "1,-1", "--format", "csv",
+         "--out", str(csv_path), "--svg", str(svg_path)],
+    )
+    assert result.exit_code == 0
+    assert csv_path.read_bytes() == (DATA / "sierpinski_1_-1.csv").read_bytes()
+    assert svg_path.read_bytes() == (DATA / "sierpinski_1_-1.svg").read_bytes()
 
 
 def test_phase_report_json_is_byte_stable():
@@ -179,11 +202,17 @@ def test_cli_exit_codes():
 def test_main_exit_codes(monkeypatch, capsys):
     import fracphase.cli as climod
 
-    monkeypatch.setattr("sys.argv", ["fracphase", "analyze", "menger"])
-    with pytest.raises(SystemExit) as exc:
-        climod.main()
-    assert exc.value.code == 2
-    assert "input error" in capsys.readouterr().err
+    for argv in (
+        ["analyze", "menger"],
+        ["analyze", "menger", "--dir", "1,x,1"],
+        ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1/2",
+         "--depth", "1", "--replicas", "1", "--seed", "-1"],
+    ):
+        monkeypatch.setattr("sys.argv", ["fracphase", *argv])
+        with pytest.raises(SystemExit) as exc:
+            climod.main()
+        assert exc.value.code == 2
+        assert "input error" in capsys.readouterr().err
     monkeypatch.setattr(
         "sys.argv", ["fracphase", "analyze", "menger", "--dir", "1,1,1"]
     )

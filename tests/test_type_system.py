@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fracphase.errors import InvariantError
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import normalize
 from fracphase.type_system import (
@@ -13,6 +14,7 @@ from fracphase.type_system import (
     compute_type_system,
     covering_cylinder_count,
     cylinder_measure,
+    mat_mul,
     matrix_product,
 )
 from oracles import brute_force_entry, random_small_ifs
@@ -55,6 +57,8 @@ def test_matrix_product(menger_ts):
         (27, 18, 18),
         (22, 18, 18),
     )
+    with pytest.raises(InvariantError):
+        mat_mul(((1, 2),), ((1, 2),))
 
 
 def test_column_sums(menger_ts):
