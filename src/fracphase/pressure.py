@@ -28,7 +28,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .type_system import TypeSystem, identity
+from .simulate import stream
+from .type_system import TypeSystem
+
+_WORD_BUDGET = 10**6  # most words exact enumeration visits
 
 
 @dataclass(frozen=True)
@@ -53,29 +56,50 @@ class LyapunovEstimate:
     first_level_mean: float  # E log||A_a||, a subadditivity proxy
 
 
-def _masses_exact_dfs(ts: TypeSystem, n: int):
-    """Yield m(w) = e^T A_w nu (a Fraction) for every word |w| = n."""
-    L, N = ts.L, ts.N
-    mats = ts.matrices
-    nu = ts.nu
+def _masses_exact_dfs(ts: TypeSystem, n: int, nu: list[int]):
+    """Yield e^T A_w nu (an integer) for every word |w| = n, in lexicographic order.
 
-    def rec(prod, depth):
-        if depth == n:
-            yield sum(
-                prod[i][j] * nu[j] for i in range(N) for j in range(N)
-            )
+    The depth-first walk carries the row vector e^T A_w of Python integers,
+    so it costs O(N^2) per node and O(n N) memory; the last digit is folded
+    into the precomputed columns A_a nu.
+    """
+    mats = [np.array(A, dtype=object) for A in ts.matrices]
+    ends = [A @ np.array(nu, dtype=object) for A in mats]
+
+    def rec(row, left):
+        if left == 1:
+            for v in ends:
+                yield row @ v
             return
-        for a in range(L):
-            A = mats[a]
-            nxt = tuple(
-                tuple(
-                    sum(prod[i][t] * A[t][j] for t in range(N)) for j in range(N)
-                )
-                for i in range(N)
-            )
-            yield from rec(nxt, depth + 1)
+        for A in mats:
+            yield from rec(row @ A, left - 1)
 
-    yield from rec(identity(N), 0)
+    yield from rec(np.ones(ts.N, dtype=object), n)
+
+
+def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight):
+    """log(e^T A_w weight) in floats for the words w = stream(seed, i), i < samples.
+
+    Each word walks a row vector from all-ones, renormalized per step, so
+    a step costs O(N^2); the float matrices are built once.
+    """
+    if n < 1 or samples < 1:
+        raise InputError("n and samples must be >= 1")
+    mats = np.array(ts.matrices, dtype=float)
+    out = np.full(samples, -math.inf)
+    for i in range(samples):
+        row = np.ones(ts.N)
+        acc = 0.0
+        for a in stream(seed, i).integers(0, ts.L, size=n):
+            row = row @ mats[a]
+            s = row.sum()
+            if s == 0:
+                break
+            acc += math.log(s)
+            row /= s
+        else:  # row sums to 1 and weight > 0, so the tail is positive
+            out[i] = acc + math.log(row @ weight)
+    return out
 
 
 def pressure(
@@ -83,42 +107,44 @@ def pressure(
     t: float,
     n: int,
     mode: str = "exact",
-    budget: int = 10**6,
     samples: int = 10000,
     seed: int = 0,
 ) -> PressureEstimate:
     """Finite-depth pressure P_n(t) by exact enumeration or Monte Carlo."""
     if n < 1:
         raise InputError("depth n must be >= 1")
+    if not math.isfinite(t):
+        raise InputError(f"t must be finite, got {t}")
     L = ts.L
     log_l = math.log(L)
     if mode == "exact":
-        if L**n > budget:
+        if L**n > _WORD_BUDGET:
             raise InputError(
-                f"exact enumeration needs {L**n} words, budget is {budget}"
+                f"exact enumeration needs {L**n} words, budget is {_WORD_BUDGET}"
             )
+        # m(w) = k / den with integer k, once nu is scaled to integers
+        den = math.lcm(*(x.denominator for x in ts.nu))
+        masses = _masses_exact_dfs(ts, n, [int(x * den) for x in ts.nu])
         if t == 0:
             total: Fraction | float = Fraction(L**n)
         elif t == 1:
-            total = sum(_masses_exact_dfs(ts, n), Fraction(0))
+            total = Fraction(sum(masses), den)
         else:
             total = 0.0
-            for mass in _masses_exact_dfs(ts, n):
-                if mass == 0:
+            for k in masses:
+                if k == 0:
                     if t < 0:
                         raise InputError("zero cylinder mass with negative t")
                     continue
-                total += math.exp(t * math.log(mass))
+                total += math.exp(t * math.log(k / den))
         value = math.log(total) / (n * log_l)
         return PressureEstimate(t, n, value, "exact-enumeration", total)
     if mode != "mc":
         raise InputError(f"unknown pressure mode {mode!r}")
     # Monte Carlo: total ~= L^n * mean(m(w)^t) over uniform words
-    vals = np.empty(samples)
-    for i in range(samples):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        word = rng.integers(0, L, size=n)
-        vals[i] = math.exp(t * _word_log_mass(ts, word))
+    nu = np.array([float(x) for x in ts.nu])
+    logs = _sampled_log_masses(ts, n, samples, seed, nu)
+    vals = np.array([math.exp(t * x) for x in logs])
     mean = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     total = (L**n) * mean
@@ -127,46 +153,10 @@ def pressure(
     return PressureEstimate(t, n, value, "monte-carlo", total, stderr)
 
 
-def _word_log_weighted(ts: TypeSystem, digits, weight) -> float:
-    """log(e^T A_w weight) in floats, with per-step renormalization."""
-    N = ts.N
-    mats = [np.array(A, dtype=float) for A in ts.matrices]
-    prod = np.eye(N)
-    acc = 0.0
-    for a in digits:
-        prod = prod @ mats[int(a)]
-        s = prod.sum()
-        if s == 0:
-            return float("-inf")
-        acc += math.log(s)
-        prod /= s
-    tail = float(prod.sum() if weight is None else prod.dot(weight).sum())
-    if tail == 0:
-        return float("-inf")
-    return acc + math.log(tail)
-
-
-def _word_log_norm(ts: TypeSystem, digits) -> float:
-    """log ||A_w|| with the all-ones norm."""
-    return _word_log_weighted(ts, digits, None)
-
-
-def _word_log_mass(ts: TypeSystem, digits) -> float:
-    """log(e^T A_w nu), the measure-weighted variant."""
-    nu = np.array([float(x) for x in ts.nu])
-    return _word_log_weighted(ts, digits, nu)
-
-
 def lyapunov(ts: TypeSystem, n: int, samples: int, seed: int = 0) -> LyapunovEstimate:
     """Monte Carlo estimate of the Lyapunov exponent of the norm cocycle."""
-    if n < 1 or samples < 1:
-        raise InputError("n and samples must be >= 1")
     L = ts.L
-    vals = np.empty(samples)
-    for i in range(samples):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
-        word = rng.integers(0, L, size=n)
-        vals[i] = _word_log_norm(ts, word) / n
+    vals = _sampled_log_masses(ts, n, samples, seed, np.ones(ts.N)) / n
     w_hat = float(vals.mean())
     se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     half = 1.959963984540054 * se  # 95% normal CI

@@ -128,6 +128,7 @@ def phase_report_to_csv(report_json: dict) -> str:
     return out.getvalue()
 
 
+_SVG_WIDTH, _SVG_HEIGHT = 640, 160
 _BAND_COLORS = {
     "extinction": "#888888",
     "dimension-one": "#4477aa",
@@ -138,9 +139,9 @@ _BAND_COLORS = {
 }
 
 
-def svg_band_chart(report_json: dict, width: int = 640, height: int = 160) -> str:
+def svg_band_chart(report_json: dict) -> str:
     """Standalone SVG with the p-axis and one labeled marker per threshold."""
-    margin = 40
+    width, height, margin = _SVG_WIDTH, _SVG_HEIGHT, 40
     axis_y = height - 50
     scale = width - 2 * margin
     parts = [

@@ -21,6 +21,19 @@ from .line_ifs import LineIFS
 from .phase import extinction_probability
 
 _TWO64 = 2**64
+_INTERFACE_CAP = 10**7  # population at which a replica counts as surviving
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < _TWO64:
+        raise InputError("seed must be in [0, 2**64)")
+
+
+def stream(seed: int, index: int) -> np.random.Generator:
+    """Monte Carlo draw ``index`` of ``seed``: Philox keyed by (seed, index)."""
+    _check_seed(seed)
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def _node_uniform(seed: int, address: tuple[int, ...]) -> Fraction:
@@ -60,8 +73,7 @@ def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
         raise InputError("arity M must be >= 2")
     if depth < 0:
         raise InputError("depth must be >= 0")
-    if not 0 <= seed < _TWO64:
-        raise InputError("seed must be in [0, 2**64)")
+    _check_seed(seed)
     pf = Fraction(p)
     if not 0 <= pf <= 1:
         raise InputError("p must be in [0, 1]")
@@ -143,7 +155,7 @@ class InterfaceStats:
 
 
 def interface_process(
-    p: float, depth: int, replicas: int, seed: int = 0, cap: int = 10**7
+    p: float, depth: int, replicas: int, seed: int = 0
 ) -> InterfaceStats:
     """Galton-Watson process with Binomial(8, p^2) offspring per individual.
 
@@ -152,13 +164,15 @@ def interface_process(
     """
     if not 0 <= p <= 1:
         raise InputError("p must be in [0, 1]")
+    if replicas < 1:
+        raise InputError("replicas must be >= 1")
     pp = p * p
     extinct = 0
     for i in range(replicas):
-        rng = np.random.Generator(np.random.Philox(key=[seed, i]))
+        rng = stream(seed, i)
         z = 1
         for _ in range(depth):
-            if z == 0 or z > cap:
+            if z == 0 or z > _INTERFACE_CAP:
                 break
             z = int(rng.binomial(8 * z, pp))
         if z == 0:

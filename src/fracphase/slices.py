@@ -31,6 +31,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError, InvariantError
+from .lattice import MENGER_REMOVED
 
 
 class WedgeError(InputError):
@@ -72,15 +73,7 @@ def reduce_to_wedge(p: PlaneParams) -> PlaneParams:
 
 
 # Lower-left corners of the 7 removed level-1 cubes, in units of 1/3.
-REMOVED_CORNERS: tuple[tuple[int, int, int], ...] = (
-    (0, 1, 1),
-    (1, 0, 1),
-    (1, 1, 0),
-    (1, 1, 1),
-    (2, 1, 1),
-    (1, 2, 1),
-    (1, 1, 2),
-)
+REMOVED_CORNERS: tuple[tuple[int, int, int], ...] = tuple(sorted(MENGER_REMOVED))
 
 
 def _check_wedge(p: PlaneParams) -> None:
@@ -177,6 +170,16 @@ def _in_domain(p: PlaneParams) -> bool:
     return 0 <= p.a <= p.b <= 1 and -(p.a + p.b) <= p.c <= 1
 
 
+# The analytic certificates, in the order classify_region tries them.
+_CERTIFICATES = (
+    (TAG_POSITIVE_C, lambda p: p.c > 0 and p.a + p.b + p.c <= 1),
+    (TAG_LARGE_C, lambda p: _THIRD <= p.c <= 1),
+    (TAG_SMALL_SUM, lambda p: p.a + p.b + p.c <= 2 * _THIRD),
+    (TAG_SMALL_SLOPES, lambda p: p.a + p.b <= 2 * _THIRD),
+    (TAG_SMALL_A, lambda p: p.a < _THIRD),
+)
+
+
 def classify_region(p: PlaneParams) -> str:
     """First analytic certificate covering the point, or "grid"."""
     if not _in_domain(p):
@@ -184,39 +187,24 @@ def classify_region(p: PlaneParams) -> str:
             f"({p.a}, {p.b}, {p.c}) outside the admissible region "
             "0 <= a <= b <= 1, -(a+b) <= c <= 1"
         )
-    a, b, c = p.a, p.b, p.c
-    if c > 0 and a + b + c <= 1:
-        return TAG_POSITIVE_C
-    if _THIRD <= c <= 1:
-        return TAG_LARGE_C
-    if a + b + c <= 2 * _THIRD:
-        return TAG_SMALL_SUM
-    if a + b <= 2 * _THIRD:
-        return TAG_SMALL_SLOPES
-    if a < _THIRD:
-        return TAG_SMALL_A
-    return TAG_GRID
-
-
-_REGION_PREDICATES = {
-    TAG_POSITIVE_C: lambda p: p.c > 0 and p.a + p.b + p.c <= 1,
-    TAG_LARGE_C: lambda p: _THIRD <= p.c <= 1,
-    TAG_SMALL_SUM: lambda p: p.a + p.b + p.c <= 2 * _THIRD,
-    TAG_SMALL_SLOPES: lambda p: p.a + p.b <= 2 * _THIRD,
-    TAG_SMALL_A: lambda p: p.a < _THIRD,
-    TAG_GRID: lambda p: classify_region(p) == TAG_GRID,
-    "all": lambda p: True,
-}
+    return next((tag for tag, holds in _CERTIFICATES if holds(p)), TAG_GRID)
 
 
 def sample_nonnegativity(region: str, count: int, seed: int) -> list:
     """Check htilde >= 0 at random rational points of a tagged region.
 
-    Returns the list of violations (expected empty).
+    A certificate tag samples its own inequality, "grid" the points no
+    certificate covers, and "all" the whole admissible region.  Returns the
+    list of violations (expected empty).
     """
-    if region not in _REGION_PREDICATES:
+    predicates = {
+        **dict(_CERTIFICATES),
+        TAG_GRID: lambda p: classify_region(p) == TAG_GRID,
+        "all": lambda p: True,
+    }
+    if region not in predicates:
         raise InputError(f"unknown region tag {region!r}")
-    predicate = _REGION_PREDICATES[region]
+    predicate = predicates[region]
     rng = np.random.Generator(np.random.Philox(seed))
     denom = 3600
     violations = []

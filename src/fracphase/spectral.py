@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, InvariantError
+from .type_system import identity
 
 
 @dataclass(frozen=True)
@@ -46,7 +47,7 @@ def char_poly(matrix) -> list[Fraction]:
         raise InputError("matrix must be square")
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    Mk = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    Mk = identity(n)
     for k in range(1, n + 1):
         # Mk <- A @ Mk
         Mk = [

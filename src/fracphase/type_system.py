@@ -21,6 +21,8 @@ from .line_ifs import LineIFS
 
 Matrix = tuple[tuple[int, ...], ...]
 
+_BRACKET_DEPTH = 12  # deepest level the bracketing fallback refines to
+
 
 @dataclass(frozen=True)
 class Word:
@@ -155,8 +157,8 @@ def _nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
     return basis
 
 
-def _bracket_basic(ifs: LineIFS, candidates: list[int], depth: int) -> set[int]:
-    """Candidates provably basic via interval bracketing up to ``depth``.
+def _bracket_basic(ifs: LineIFS, candidates: list[int]) -> set[int]:
+    """Candidates provably basic via interval bracketing up to ``_BRACKET_DEPTH``.
 
     A candidate c is basic once some composition image of the hull lands
     inside [c*L, (c+1)*L].  Positions are tracked as exact integers: after k
@@ -165,7 +167,7 @@ def _bracket_basic(ifs: LineIFS, candidates: list[int], depth: int) -> set[int]:
     L, nt = ifs.L, ifs.n_tilde
     basic: set[int] = set()
     level = {0}  # distinct position numerators Y at the current depth
-    for k in range(1, depth + 1):
+    for k in range(1, _BRACKET_DEPTH + 1):
         nxt = set()
         for Y in level:
             for t, _ in ifs.translations:
@@ -186,7 +188,7 @@ def _bracket_basic(ifs: LineIFS, candidates: list[int], depth: int) -> set[int]:
     return basic
 
 
-def compute_type_system(ifs: LineIFS, bracket_depth: int = 12) -> TypeSystem:
+def compute_type_system(ifs: LineIFS) -> TypeSystem:
     """Derive the basic types, transition matrices and measure vector.
 
     The basic offsets are computed as the support of the exact nonnegative
@@ -219,7 +221,7 @@ def compute_type_system(ifs: LineIFS, bracket_depth: int = 12) -> TypeSystem:
     if v is None:
         # Degenerate eigenspace: decide supports by bracketing, then re-solve
         # restricted to the provably-basic candidates.
-        basic = _bracket_basic(ifs, candidates, bracket_depth)
+        basic = _bracket_basic(ifs, candidates)
         if not basic:
             raise AmbiguityError(
                 "no candidate interval could be certified basic by bracketing"

@@ -202,11 +202,18 @@ def test_cli_exit_codes():
 def test_main_exit_codes(monkeypatch, capsys):
     import fracphase.cli as climod
 
+    pressure_argv = ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--n", "2"]
     for argv in (
         ["analyze", "menger"],
         ["analyze", "menger", "--dir", "1,x,1"],
         ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1/2",
          "--depth", "1", "--replicas", "1", "--seed", "-1"],
+        [*pressure_argv, "--t", "0.5", "--mode", "mc", "--samples", "0"],
+        [*pressure_argv, "--t", "nan"],
+        [*pressure_argv, "--t", "inf"],
+        [*pressure_argv, "--t", "0.5", "--mode", "mc", "--seed", "-1"],
+        [*pressure_argv, "--t", "0.5", "--mode", "mc",
+         "--seed", "18446744073709551616"],
     ):
         monkeypatch.setattr("sys.argv", ["fracphase", *argv])
         with pytest.raises(SystemExit) as exc:
