@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 ok, 2 input error, 3 analysis ambiguity, 4 internal invariant
-failure.
+failure or any other unexpected exception.
 """
 
 from __future__ import annotations
@@ -195,6 +195,9 @@ def main() -> None:
         sys.exit(3)
     except InvariantError as exc:
         click.echo(f"internal invariant failure: {exc}", err=True)
+        sys.exit(4)
+    except Exception as exc:  # a bug: report it on one line, like an invariant
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(4)
 
 

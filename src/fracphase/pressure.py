@@ -22,6 +22,7 @@ keyed by (seed, sample index) so results do not depend on scheduling.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -102,6 +103,14 @@ def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight)
     return out
 
 
+def _float_range_error(t: float) -> InputError:
+    """A sum over m(w)^t (or, in Monte Carlo, their spread) is not a float."""
+    return InputError(
+        f"sums of m(w)^t at t = {t} leave the float range "
+        f"(0, {sys.float_info.max:.6g}]; use a smaller |t|"
+    )
+
+
 def pressure(
     ts: TypeSystem,
     t: float,
@@ -131,12 +140,17 @@ def pressure(
             total = Fraction(sum(masses), den)
         else:
             total = 0.0
-            for k in masses:
-                if k == 0:
-                    if t < 0:
-                        raise InputError("zero cylinder mass with negative t")
-                    continue
-                total += math.exp(t * math.log(k / den))
+            try:
+                for k in masses:
+                    if k == 0:
+                        if t < 0:
+                            raise InputError("zero cylinder mass with negative t")
+                        continue
+                    total += math.exp(t * math.log(k / den))
+            except OverflowError:
+                raise _float_range_error(t) from None
+            if not 0 < total < math.inf:
+                raise _float_range_error(t)
         value = math.log(total) / (n * log_l)
         return PressureEstimate(t, n, value, "exact-enumeration", total)
     if mode != "mc":
@@ -144,12 +158,18 @@ def pressure(
     # Monte Carlo: total ~= L^n * mean(m(w)^t) over uniform words
     nu = np.array([float(x) for x in ts.nu])
     logs = _sampled_log_masses(ts, n, samples, seed, nu)
-    vals = np.array([math.exp(t * x) for x in logs])
-    mean = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    try:
+        with np.errstate(over="raise"):
+            vals = np.array([math.exp(t * x) for x in logs])
+            mean = float(vals.mean())
+            se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    except (OverflowError, FloatingPointError):
+        raise _float_range_error(t) from None
+    if mean == 0:
+        raise _float_range_error(t)
     total = (L**n) * mean
     value = (n * log_l + math.log(mean)) / (n * log_l)
-    stderr = se / (mean * n * log_l) if mean > 0 else None
+    stderr = se / (mean * n * log_l)
     return PressureEstimate(t, n, value, "monte-carlo", total, stderr)
 
 

@@ -18,11 +18,19 @@ comparison is squared so that everything stays rational).
 
 All certification arithmetic is exact.  The grid kernel maps each coordinate
 to an integer numerator over the common denominator ``D = 3 * denominator(d)``
-so the hot loop runs on int64 numpy arrays.
+and never visits the grid point by point.  Along a grid row (fixed a, b) the
+numerator of htilde is a signed sum of 64 truncated squares in c, so it is one
+integer quadratic on each of at most 65 pieces between sorted knots; the
+row's exact minimum over the grid's c values is found among each piece's end
+points and the two grid points next to its vertex.  The cost is O(1/d^2)
+rows of int64 numpy work instead of O(1/d^3) points.  Every knot, piece
+coefficient and piece value fits in int64 while ``D <= _MAX_D`` (about
+1.3e7; the derivation is at ``_MAX_D``); finer steps are rejected.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -32,6 +40,7 @@ import numpy as np
 
 from .errors import InputError, InvariantError
 from .lattice import MENGER_REMOVED
+from .simulate import _check_seed
 
 
 class WedgeError(InputError):
@@ -205,6 +214,7 @@ def sample_nonnegativity(region: str, count: int, seed: int) -> list:
     if region not in predicates:
         raise InputError(f"unknown region tag {region!r}")
     predicate = predicates[region]
+    _check_seed(seed)
     rng = np.random.Generator(np.random.Philox(seed))
     denom = 3600
     violations = []
@@ -247,81 +257,124 @@ class VerificationReport:
     workers: int
 
 
-def _ftilde_num(A, B, C, D: int):
-    """Numerator of ftilde over the common denominator 2*A*B.
+# With slopes A, B > 0 and all coordinates in units of 1/D, the ftilde
+# numerator n(X) = 2*A*B*ftilde(a, b, X/D) is a signed sum of truncated squares
+# sigma * (kappa - X)_+^2: the area of {a*x + b*y <= t} over the unit square is
+# such a sum in t, and ftilde is its difference at t = 1 - c and t = -c.  Rows
+# are (sigma, e, f, g) for the knot kappa = e*D + f*A + g*B.
+_SLICE_KNOTS = (
+    (1, 1, 0, 0), (-1, 1, -1, 0), (-1, 1, 0, -1), (1, 1, -1, -1),
+    (-1, 0, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1), (-1, 0, -1, -1),
+)
 
-    A, B are positive integer scalars (or arrays), C an int64 array, all in
-    units of 1/D.  Mirrors the top-down case dispatch of :func:`_case_of`.
+
+def _row_knots() -> np.ndarray:
+    """The 64 (w, e, f, g) of the htilde numerator along a grid row.
+
+    With X = 3C, 9 * (5*n(C) - sum over removed corners (u, v, w) of
+    n(3C + u*A + v*B - w*D)) = sum_j w_j * (K_j - X)_+^2 = 162*A*B*htilde with
+    K_j = e_j*D + f_j*A + g_j*B: the base plane gives knots 3*kappa of weight
+    5*sigma, each removed cube knots kappa - u*A - v*B + w*D of weight -9*sigma.
     """
-    A = np.int64(A)
-    B = np.int64(B)
-    C = np.asarray(C, dtype=np.int64)
-    S = A + B + C
-    two_ab = 2 * A * B
-    conds = [
-        (C >= D) | (S <= 0),
-        (C >= 0) & (S <= D),
-        (-(A + B) <= C) & (C <= -B),
-        (-B <= C) & (C <= -A),
-        (-A <= C) & (C <= np.minimum(np.int64(0), D - A - B)),
-        (A + B >= D) & (D - A - B <= C) & (C <= 0),
-        (np.maximum(np.int64(0), D - A - B) <= C) & (C <= D - B),
-        (D - B <= C) & (C <= D - A),
-        (D - A <= C) & (C <= D),
-    ]
-    vals = [
-        np.int64(0) * C,
-        two_ab + 0 * C,
-        S**2,
-        A * (A + 2 * B + 2 * C),
-        two_ab - C**2,
-        two_ab - C**2 - (S - D) ** 2,
-        two_ab - (S - D) ** 2,
-        A * (2 * D - 2 * C - A),
-        (D - C) ** 2,
-    ]
-    return np.select(conds, vals)
+    rows = [(5 * s, 3 * e, 3 * f, 3 * g) for s, e, f, g in _SLICE_KNOTS]
+    for u, v, w in REMOVED_CORNERS:
+        rows += [(-9 * s, e + w, f - u, g - v) for s, e, f, g in _SLICE_KNOTS]
+    return np.array(rows, dtype=np.int64).T
 
 
-def _htilde_block(A: int, B: int, C, D: int):
-    """5*n0 - sum(n_k): numerator of htilde over the denominator 18*A*B."""
-    C = np.asarray(C, dtype=np.int64)
-    k = C.shape[0]
-    # stack the base plane and the 7 renormalized planes into one dispatch
-    stacked = np.empty((8, k), dtype=np.int64)
-    stacked[0] = C
-    for idx, (u3, v3, w3) in enumerate(REMOVED_CORNERS, start=1):
-        stacked[idx] = A * u3 + B * v3 + 3 * C - w3 * D
-    nums = _ftilde_num(A, B, stacked.ravel(), D).reshape(8, k)
-    return 5 * nums[0] - nums[1:].sum(axis=0)
+_W, _E, _F, _G = _row_knots()
+_BLOCK = 128  # grid rows per kernel call; keeps its working set near 1 MiB
+_INT64_MAX = np.iinfo(np.int64).max
+# int64 range of the kernel.  0 < A <= B <= D puts every kappa in [-2D, D], so
+# |K| <= 6D (base knots 3*kappa; removed-cube knots lie in [-4D, 3D]), and the
+# grid's X = 3C lies in [-4D, D].  With sum |w| = 8*5 + 56*9 = 544, a piece's
+# alpha = sum w, beta = sum w*K, gamma = sum w*K^2 obey |alpha| <= 544,
+# |beta| <= 3264*D, |gamma| <= 19584*D^2, so (alpha*X - 2*beta)*X + gamma
+# stays within (544*4 + 2*3264)*4*D^2 + 19584*D^2 = 54400*D^2; the vertex
+# numerator beta - alpha*X is within 5440*D.  Everything fits for D <= _MAX_D.
+_MAX_D = math.isqrt(_INT64_MAX // 54400)
+
+
+def _row_minima(A: int, B: np.ndarray, D: int, S: int, y: int):
+    """Exact minimum of htilde over C along the grid rows (A, B[i]).
+
+    In X = 3C the numerator N = 162*A*B*htilde = sum_j w_j * (K_j - X)_+^2 is
+    the integer quadratic alpha*X^2 - 2*beta*X + gamma on each of the 65 pieces
+    between the sorted knots, with alpha, beta, gamma the sums of w, w*K, w*K^2
+    over the knots above the piece.  Over the grid points X = x0 + T*j of a
+    piece, the quadratic is smallest at the piece's first or last point or,
+    when alpha > 0, at one of the two points around its vertex beta/alpha;
+    every smallest-j minimizer is among these.  Returns, per row, the minimum
+    of N and the smallest j attaining it.
+    """
+    x0 = (3 * (2 * y - A - B))[:, None]  # X at the row's first grid point
+    T = 3 * S
+    last = ((A + B - y) // S)[:, None]  # j of the row's last grid point
+    # sort the knots, carrying each one's table index in the low 6 bits
+    K = (_E * D + _F * A + _G * B[:, None]) * 64 + np.arange(64)
+    K.sort(axis=1)
+    w = _W[K & 63]
+    K >>= 6
+
+    def above(v):  # piece i gets the sum of v over sorted knots i..63
+        p = np.cumsum(v, axis=1)
+        return np.concatenate([p[:, -1:], p[:, -1:] - p], axis=1)
+
+    alpha = above(w)
+    w *= K
+    beta = above(w)
+    w *= K
+    gamma = above(w)
+    # piece i spans knots i-1 .. i; its grid points are j = lo .. hi
+    K -= x0
+    lo = np.concatenate([np.zeros_like(last), -(-K // T)], axis=1)
+    hi = np.concatenate([K // T, last], axis=1)
+    del K, w  # freed before the (rows, 65, 4) candidate arrays
+    np.maximum(lo, 0, out=lo)
+    np.minimum(hi, last, out=hi)
+    valid = lo <= hi
+    np.minimum(lo, last, out=lo)  # keep every candidate on the row
+    np.maximum(hi, 0, out=hi)
+    convex = alpha > 0
+    vertex = np.where(convex, (beta - alpha * x0) // np.where(convex, alpha * T, 1), lo)
+    X = np.stack([lo, hi, vertex, vertex + 1], axis=2)
+    np.clip(X, lo[..., None], hi[..., None], out=X)
+    X *= T
+    X += x0[..., None]
+    vals = alpha[..., None] * X
+    vals -= 2 * beta[..., None]
+    vals *= X
+    vals += gamma[..., None]
+    np.copyto(vals, _INT64_MAX, where=~valid[..., None])
+    m = vals.min(axis=(1, 2))
+    np.copyto(X, _INT64_MAX, where=vals != m[:, None, None])
+    return m, (X.min(axis=(1, 2)) - x0[:, 0]) // T
 
 
 def _slice_min(args):
     """Exact minimum of htilde over one a-slice of the grid.
 
-    Returns (num, den, A, B, C, count): the slice minimum num/den, its grid
-    point in 1/D units, and the number of points scanned.
+    Returns (value, A, B, C, count): the slice minimum, its lexicographically
+    smallest grid point in 1/D units, and the number of grid points.
     """
     A, D, S, y = args
-    best = None  # (Fraction, A, B, C, num, den)
+    best = None  # (N, B, j) with value N / (162*A*B)
     count = 0
     n_b = (D - A) // S + 1
-    for B in range(A, A + n_b * S, S):
-        c0 = 2 * y - A - B
-        n_c = (A + B - y) // S + 1
-        C = c0 + S * np.arange(n_c, dtype=np.int64)
-        count += n_c
-        nums = _htilde_block(A, B, C, D)
-        j = int(np.argmin(nums))
-        den = 18 * A * B
-        val = Fraction(int(nums[j]), den)
-        if best is None or val < best[0]:
-            best = (val, A, B, int(C[j]))
-    return best[0], best[1], best[2], best[3], count
+    for start in range(0, n_b, _BLOCK):
+        B = A + S * np.arange(start, min(start + _BLOCK, n_b), dtype=np.int64)
+        count += int(((A + B - y) // S + 1).sum())
+        m, j = _row_minima(A, B, D, S, y)
+        # rows ascend in B, so the strict comparison keeps the smallest B
+        for row in zip(m.tolist(), B.tolist(), j.tolist()):
+            if best is None or row[0] * best[1] < best[0] * row[1]:
+                best = row
+    N, B, j = best
+    return Fraction(N, 162 * A * B), A, B, 2 * y - A - B + S * j, count
 
 
 def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
-    """Evaluate htilde exactly on the certification grid of step d_hat.
+    """Exact minimum of htilde on the certification grid of step d_hat.
 
     The grid is a from 1/3 stepping d_hat while it stays <= 1; b from a the
     same way; c from 2/3 - (a + b) stepping d_hat while it stays <= 1/3.
@@ -333,16 +386,17 @@ def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
         raise InputError(f"grid step must be in (0, 1/3], got {d}")
     if workers < 1:
         raise InputError("workers must be >= 1")
-    start = time.monotonic()
     y = d.denominator
     D = 3 * y  # common denominator of all grid coordinates
+    if D > _MAX_D:
+        raise InputError(
+            f"grid step denominator {y} exceeds {_MAX_D // 3}, the largest the "
+            "int64 grid kernel evaluates exactly"
+        )
+    start = time.monotonic()
     S = 3 * d.numerator  # grid step in units of 1/D
-    # recurrence: start at 1/3 = y/D, step S while the next value stays <= D
-    a_values = [y]
-    while a_values[-1] + S <= D:
-        a_values.append(a_values[-1] + S)
-
-    tasks = [(A, D, S, y) for A in a_values]
+    # a runs from 1/3 = y/D in steps of S while it stays <= 1
+    tasks = [(A, D, S, y) for A in range(y, D + 1, S)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_slice_min, tasks, chunksize=4))

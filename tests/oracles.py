@@ -1,13 +1,16 @@
 """Independent oracles used by the test suite.
 
 Kept deliberately dumb and slow: exact rational polygon clipping for slice
-areas, and exhaustive word enumeration for transition-matrix entries.
+areas, a point-by-point scan of the slice certification grid, and exhaustive
+word enumeration for transition-matrix entries.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+
+import numpy as np
 
 from fracphase.line_ifs import LineIFS, normalize
 
@@ -63,17 +66,89 @@ def clip_area(a, b, c) -> Fraction:
     return _shoelace(poly)
 
 
+# lower-left corners of the 7 removed level-1 Menger cubes, in units of 1/3
+REMOVED = [
+    (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1),
+    (2, 1, 1), (1, 2, 1), (1, 1, 2),
+]
+
+
 def htilde_oracle(a, b, c) -> Fraction:
     """The slack function evaluated purely through the clipping oracle."""
     a, b, c = Fraction(a), Fraction(b), Fraction(c)
-    corners = [
-        (0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1),
-        (2, 1, 1), (1, 2, 1), (1, 1, 2),
-    ]
     total = 5 * clip_area(a, b, c)
-    for u3, v3, w3 in corners:
+    for u3, v3, w3 in REMOVED:
         total -= clip_area(a, b, a * u3 + b * v3 + 3 * c - w3)
     return total / 9
+
+
+def _ftilde_num(A, B, C, D: int):
+    """Numerator of ftilde over 2*A*B by the nine-case dispatch, per point.
+
+    A, B are positive integer scalars, C an int64 array, all in units of 1/D.
+    """
+    A = np.int64(A)
+    B = np.int64(B)
+    S = A + B + C
+    two_ab = 2 * A * B
+    conds = [
+        (C >= D) | (S <= 0),
+        (C >= 0) & (S <= D),
+        (-(A + B) <= C) & (C <= -B),
+        (-B <= C) & (C <= -A),
+        (-A <= C) & (C <= np.minimum(np.int64(0), D - A - B)),
+        (A + B >= D) & (D - A - B <= C) & (C <= 0),
+        (np.maximum(np.int64(0), D - A - B) <= C) & (C <= D - B),
+        (D - B <= C) & (C <= D - A),
+        (D - A <= C) & (C <= D),
+    ]
+    vals = [
+        np.int64(0) * C,
+        two_ab + 0 * C,
+        S**2,
+        A * (A + 2 * B + 2 * C),
+        two_ab - C**2,
+        two_ab - C**2 - (S - D) ** 2,
+        two_ab - (S - D) ** 2,
+        A * (2 * D - 2 * C - A),
+        (D - C) ** 2,
+    ]
+    return np.select(conds, vals)
+
+
+def _htilde_num(A: int, B: int, C, D: int):
+    """5*n0 - sum(n_k): numerator of htilde over 18*A*B at every C."""
+    # stack the base plane and the 7 renormalized planes into one dispatch
+    stacked = np.empty((8, len(C)), dtype=np.int64)
+    stacked[0] = C
+    for idx, (u3, v3, w3) in enumerate(REMOVED, start=1):
+        stacked[idx] = A * u3 + B * v3 + 3 * C - w3 * D
+    nums = _ftilde_num(A, B, stacked.ravel(), D).reshape(8, len(C))
+    return 5 * nums[0] - nums[1:].sum(axis=0)
+
+
+def grid_scan(d: Fraction):
+    """(minimum, argmin, point_count, certified) of the slice grid of step d.
+
+    Evaluates htilde at every grid point; the argmin is the lexicographically
+    smallest minimizer (a, b, c).
+    """
+    y = d.denominator
+    D = 3 * y
+    S = 3 * d.numerator
+    best = None
+    count = 0
+    for A in range(y, D + 1, S):
+        for B in range(A, D + 1, S):
+            C = np.arange(2 * y - A - B, y + 1, S, dtype=np.int64)
+            count += len(C)
+            nums = _htilde_num(A, B, C, D)
+            j = int(np.argmin(nums))  # first, so the smallest C
+            val = Fraction(int(nums[j]), 18 * A * B)
+            if best is None or val < best[0]:
+                best = (val, (Fraction(A, D), Fraction(B, D), Fraction(int(C[j]), D)))
+    minimum, argmin = best
+    return minimum, argmin, count, minimum > 0 and minimum**2 > 675 * d**2
 
 
 def compose_interval(ifs: LineIFS, translations, k: int):

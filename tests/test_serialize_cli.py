@@ -214,6 +214,10 @@ def test_main_exit_codes(monkeypatch, capsys):
         [*pressure_argv, "--t", "0.5", "--mode", "mc", "--seed", "-1"],
         [*pressure_argv, "--t", "0.5", "--mode", "mc",
          "--seed", "18446744073709551616"],
+        ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "1000", "--n", "3"],
+        ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "-1000", "--n", "3"],
+        [*pressure_argv, "--t", "1000", "--mode", "mc", "--samples", "50"],
+        ["verify-slice", "--step", "1/5000000"],
     ):
         monkeypatch.setattr("sys.argv", ["fracphase", *argv])
         with pytest.raises(SystemExit) as exc:
@@ -225,3 +229,18 @@ def test_main_exit_codes(monkeypatch, capsys):
     )
     climod.main()  # success path: returns normally
     assert '"interval-sufficient"' in capsys.readouterr().out
+
+
+def test_main_maps_unexpected_exceptions_to_4(monkeypatch, capsys):
+    import fracphase.cli as climod
+
+    def broken(ifs):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(climod, "compute_type_system", broken)
+    monkeypatch.setattr("sys.argv", ["fracphase", "analyze", "menger", "--dir", "1,1,1"])
+    with pytest.raises(SystemExit) as exc:
+        climod.main()
+    assert exc.value.code == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: ZeroDivisionError: division by zero\n"

@@ -3,7 +3,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fracphase import slices
 from fracphase.errors import InputError
 from fracphase.slices import (
     TAG_GRID,
@@ -12,6 +15,8 @@ from fracphase.slices import (
     TAG_SMALL_A,
     TAG_SMALL_SUM,
     WedgeError,
+    _SLICE_KNOTS,
+    _row_knots,
     classify_region,
     ftilde,
     htilde,
@@ -20,7 +25,7 @@ from fracphase.slices import (
     sample_nonnegativity,
     verify_grid,
 )
-from oracles import clip_area, htilde_oracle
+from oracles import clip_area, grid_scan, htilde_oracle
 
 
 def _random_wedge_point(rng, denom=720):
@@ -138,6 +143,46 @@ def test_sample_nonnegativity_empty():
         sample_nonnegativity("bogus", 10, seed=0)
 
 
+def test_sample_nonnegativity_seeds(monkeypatch):
+    drawn = []
+    real = slices.htilde
+    monkeypatch.setattr(slices, "htilde", lambda p: drawn.append((p.a, p.b, p.c)) or real(p))
+    sample_nonnegativity("all", 3, seed=0)
+    sample_nonnegativity(TAG_GRID, 3, seed=2**64 - 1)
+    # pinned: seeded samples are part of the reproducibility contract
+    pinned = [
+        ("1/72", "61/450", "61/75"),
+        ("58/225", "1391/3600", "-2107/3600"),
+        ("1033/1800", "47/48", "-887/720"),
+        ("1429/3600", "1759/1800", "-163/1800"),
+        ("1441/3600", "491/600", "-193/450"),
+        ("403/900", "917/1200", "-1337/3600"),
+    ]
+    assert drawn == [tuple(Fraction(x) for x in point) for point in pinned]
+    for seed in (-1, 2**64):
+        with pytest.raises(InputError):
+            sample_nonnegativity("all", 3, seed=seed)
+
+
+def _truncated_squares(rows, a, b, x):
+    """Sum of weight * (e + f*a + g*b - x)_+^2 over rows (weight, e, f, g)."""
+    return sum(s * max(e + f * a + g * b - x, 0) ** 2 for s, e, f, g in rows)
+
+
+positive_slopes = st.fractions(min_value=0, max_value=1, max_denominator=48).filter(bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(positive_slopes, positive_slopes, st.fractions(-3, 2, max_denominator=48))
+def test_truncated_square_forms_match_oracles(a, b, c):
+    # the knot tables of the grid kernel, in units where D = 1
+    a, b = min(a, b), max(a, b)
+    n = _truncated_squares(_SLICE_KNOTS, a, b, c)
+    assert n == 2 * a * b * ftilde(plane(a, b, c)) == 2 * a * b * clip_area(a, b, c)
+    row = _truncated_squares(_row_knots().T.tolist(), a, b, 3 * c)
+    assert row == 162 * a * b * htilde_oracle(a, b, c)
+
+
 def test_lipschitz_spot_check():
     # |htilde(p) - htilde(q)| <= 15 * euclidean distance, sampled
     rng = random.Random(5)
@@ -172,6 +217,8 @@ def test_verify_grid_coarse_matches_pure_fractions():
             best = (v, (a, b, c))
     assert report.point_count == count
     assert report.minimum == best[0]
+    # points ascend lexicographically, so best holds the smallest minimizer
+    assert report.argmin == best[1]
     assert report.minimum > 0
     # 1/12 is far too coarse for the Lipschitz certificate
     assert not report.certified
@@ -194,6 +241,35 @@ def test_verify_grid_rejects_bad_step():
         verify_grid(Fraction(0))
     with pytest.raises(InputError):
         verify_grid(Fraction(1, 12), workers=0)
+    with pytest.raises(InputError):  # beyond the int64 range of the kernel
+        verify_grid(Fraction(1, 5_000_000))
+
+
+@pytest.mark.parametrize("step", ["1/6", "1/12"])
+def test_slice_minima_take_the_smallest_tied_point(step):
+    # both steps have slices whose minimum is attained more than once in a
+    # row; at 1/6 the slice a = 1/2 also attains it in two rows (b = 5/6, 1)
+    d = Fraction(step)
+    y, S = d.denominator, 3 * d.numerator
+    D = 3 * y
+    for A in range(y, D + 1, S):
+        points = [
+            (A, B, C)
+            for B in range(A, D + 1, S)
+            for C in range(2 * y - A - B, y + 1, S)
+        ]
+        values = [htilde(plane(*(Fraction(x, D) for x in p))) for p in points]
+        best = min(values)
+        expected = (best, *points[values.index(best)], len(points))
+        assert slices._slice_min((A, D, S, y)) == expected
+
+
+@pytest.mark.parametrize("step", ["1/30", "1/37", "1/64", "1/100", "2/75", "2/101"])
+def test_verify_grid_matches_grid_scan(step):
+    d = Fraction(step)
+    report = verify_grid(d)
+    got = (report.minimum, report.argmin, report.point_count, report.certified)
+    assert got == grid_scan(d)
 
 
 def test_verify_grid_parallel_agrees():
