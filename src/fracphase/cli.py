@@ -63,7 +63,7 @@ def _emit(text: str, out: str | None) -> None:
         with open(out, "w") as fh:
             fh.write(text)
     else:
-        click.echo(text, nl=not text.endswith("\n"))
+        click.echo(text, file=sys.stdout, nl=not text.endswith("\n"))
 
 
 @click.group()
@@ -188,16 +188,16 @@ def main() -> None:
     except click.Abort:
         sys.exit(1)
     except InputError as exc:
-        click.echo(f"input error: {exc}", err=True)
+        click.echo(f"input error: {exc}", file=sys.stderr)
         sys.exit(2)
     except AmbiguityError as exc:
-        click.echo(f"ambiguous analysis: {exc}", err=True)
+        click.echo(f"ambiguous analysis: {exc}", file=sys.stderr)
         sys.exit(3)
     except InvariantError as exc:
-        click.echo(f"internal invariant failure: {exc}", err=True)
+        click.echo(f"internal invariant failure: {exc}", file=sys.stderr)
         sys.exit(4)
     except Exception as exc:  # a bug: report it on one line, like an invariant
-        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(4)
 
 

@@ -104,23 +104,36 @@ def similarity_dimension(M: int, L: int, p: float) -> float:
     return math.log(M * p) / math.log(L)
 
 
-def extinction_probability(M: int, p: float, tol: float = 1e-12) -> float:
-    """Smallest root in [0, 1] of q = (1 - p + p*q)^M.
+def extinction_probability(M: int, p: float) -> float:
+    """Smallest root in [0, 1] of q = (1 - p + p*q)^M, to within 1e-12.
 
-    Uses the monotone fixed-point iteration q <- (1 - p + p*q)^M from 0,
-    which increases to the smallest fixed point.
+    For M p <= 1 it is exactly 1.  Otherwise h(q) = (1 - p + p q)^M - q is
+    convex with h(0) > 0 > h(q_m) at its minimizer q_m, so bisection on
+    [0, q_m] down to adjacent floats brackets the root.  Near criticality the
+    two terms of h nearly cancel close to q = 1, so h is evaluated from
+    x = 1 - q as expm1(M log1p(-p x)) + x, which keeps its accuracy there.
     """
     if not 0 <= p <= 1:
         raise ValueError("p must be in [0, 1]")
     if M * p <= 1:
         return 1.0
-    q = 0.0
-    for _ in range(10**6):
-        nxt = (1 - p + p * q) ** M
-        if nxt - q < tol:
-            return nxt
-        q = nxt
-    return q
+    if p == 1:  # h(q) = q^M - q
+        return 0.0
+
+    def h(q: float) -> float:
+        x = 1 - q
+        return math.expm1(M * math.log1p(-p * x)) + x
+
+    # 1 - p + p q_m = (M p)^(-1/(M-1)), where h'(q_m) = 0
+    lo, hi = 0.0, 1 + math.expm1(-math.log(M * p) / (M - 1)) / p
+    while True:
+        mid = (lo + hi) / 2
+        if not lo < mid < hi:
+            return lo
+        if h(mid) < 0:
+            hi = mid
+        else:
+            lo = mid
 
 
 @dataclass(frozen=True)

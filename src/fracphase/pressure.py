@@ -81,26 +81,28 @@ def _masses_exact_dfs(ts: TypeSystem, n: int, nu: list[int]):
 def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight):
     """log(e^T A_w weight) in floats for the words w = stream(seed, i), i < samples.
 
-    Each word walks a row vector from all-ones, renormalized per step, so
-    a step costs O(N^2); the float matrices are built once.
+    All samples walk together: a (samples, N) block of row vectors starts at
+    all-ones, and each step multiplies every row by the matrix of its own
+    digit and renormalizes it to sum 1, so a step costs O(N^2) per sample.
+    A row that reaches 0 stays 0; its word comes out -inf.
     """
     if n < 1 or samples < 1:
         raise InputError("n and samples must be >= 1")
     mats = np.array(ts.matrices, dtype=float)
-    out = np.full(samples, -math.inf)
+    words = np.empty((samples, n), dtype=np.min_scalar_type(ts.L - 1))
     for i in range(samples):
-        row = np.ones(ts.N)
-        acc = 0.0
-        for a in stream(seed, i).integers(0, ts.L, size=n):
-            row = row @ mats[a]
-            s = row.sum()
-            if s == 0:
-                break
-            acc += math.log(s)
-            row /= s
-        else:  # row sums to 1 and weight > 0, so the tail is positive
-            out[i] = acc + math.log(row @ weight)
-    return out
+        words[i] = stream(seed, i).integers(0, ts.L, size=n)
+    rows = np.ones((samples, ts.N))
+    acc = np.zeros(samples)
+    for digits in words.T:
+        rows = np.einsum("si,sij->sj", rows, mats[digits])
+        s = rows.sum(axis=1)
+        s[s == 0] = 1.0  # a dead row stays 0 and keeps acc finite
+        acc += np.log(s)
+        rows /= s[:, None]
+    # live rows sum to 1 and weight > 0, so only dead rows give log(0)
+    with np.errstate(divide="ignore"):
+        return acc + np.log(rows @ weight)
 
 
 def _float_range_error(t: float) -> InputError:
@@ -160,7 +162,7 @@ def pressure(
     logs = _sampled_log_masses(ts, n, samples, seed, nu)
     try:
         with np.errstate(over="raise"):
-            vals = np.array([math.exp(t * x) for x in logs])
+            vals = np.exp(t * logs)
             mean = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     except (OverflowError, FloatingPointError):

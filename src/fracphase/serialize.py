@@ -46,6 +46,13 @@ def lattice_to_json(lat: LatticeIFS) -> dict:
     }
 
 
+def _json_int(x, what: str) -> int:
+    """An integer field of IFS JSON; floats, bools and strings are rejected."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InputError(f"{what} must be an integer, got {x!r}")
+    return x
+
+
 def ifs_from_json(data: dict):
     """Parse either IFS schema; returns LineIFS or LatticeIFS."""
     if not isinstance(data, dict) or "kind" not in data:
@@ -54,12 +61,17 @@ def ifs_from_json(data: dict):
     try:
         if kind == "line":
             translations = tuple(
-                (int(t), int(n)) for t, n in data["translations"]
+                (_json_int(t, "translation"), _json_int(n, "multiplicity"))
+                for t, n in data["translations"]
             )
-            return LineIFS(L=int(data["L"]), translations=translations)
+            return LineIFS(L=_json_int(data["L"], "L"), translations=translations)
         if kind == "lattice":
-            cells = frozenset(tuple(int(x) for x in c) for c in data["cells"])
-            return LatticeIFS(d=int(data["d"]), L=int(data["L"]), cells=cells)
+            cells = frozenset(
+                tuple(_json_int(x, "cell coordinate") for x in c) for c in data["cells"]
+            )
+            return LatticeIFS(
+                d=_json_int(data["d"], "d"), L=_json_int(data["L"], "L"), cells=cells
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {kind!r} IFS JSON: {exc}") from exc
     raise InputError(f"unknown IFS kind {kind!r}")

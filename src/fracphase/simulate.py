@@ -5,6 +5,12 @@ probability p.  The coin for a child is derived from a keyed hash of the
 child's address, so a realization is a pure function of (seed, parameters):
 identical across runs and worker counts, and monotone in p when the seed is
 shared (child kept iff its uniform draw is below p).
+
+Address-hash scheme: the child with address ``(a_1, ..., a_k)`` hashes the
+message ``"a_1,...,a_k"`` (decimal digits, comma-joined, ASCII) with
+``blake2b(digest_size=8, key=seed.to_bytes(8, "little"))``.  Its digest read
+as a little-endian integer h gives the uniform h / 2^64, and the child is kept
+iff h / 2^64 < p, i.e. h * q < num * 2^64 for p = num / q.
 """
 
 from __future__ import annotations
@@ -34,14 +40,6 @@ def stream(seed: int, index: int) -> np.random.Generator:
     _check_seed(seed)
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _node_uniform(seed: int, address: tuple[int, ...]) -> Fraction:
-    """Deterministic uniform in [0, 1) attached to one tree node."""
-    key = seed.to_bytes(8, "little", signed=False)
-    msg = ",".join(str(d) for d in address).encode()
-    h = blake2b(msg, digest_size=8, key=key).digest()
-    return Fraction(int.from_bytes(h, "little"), _TWO64)
 
 
 @dataclass(frozen=True)
@@ -77,15 +75,24 @@ def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
     pf = Fraction(p)
     if not 0 <= pf <= 1:
         raise InputError("p must be in [0, 1]")
+    # h / 2^64 < p  <=>  h < ceil(p * 2^64), as h is an integer
+    bound = -((-pf.numerator << 64) // pf.denominator)
+    keyed = blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
+    labels = [str(i).encode() for i in range(M)]
     levels: list[frozenset[tuple[int, ...]]] = [frozenset({()})]
-    current: set[tuple[int, ...]] = {()}
+    current: dict[tuple[int, ...], bytes] = {(): b""}  # word -> its message
     for _ in range(depth):
-        nxt: set[tuple[int, ...]] = set()
-        for word in current:
-            for i in range(M):
-                child = word + (i,)
-                if _node_uniform(seed, child) < pf:
-                    nxt.add(child)
+        nxt: dict[tuple[int, ...], bytes] = {}
+        for word, msg in current.items():
+            parent = keyed.copy()  # then fed the parent's message and a comma
+            if word:
+                msg += b","
+                parent.update(msg)
+            for i, label in enumerate(labels):
+                h = parent.copy()
+                h.update(label)
+                if int.from_bytes(h.digest(), "little") < bound:
+                    nxt[word + (i,)] = msg + label
         levels.append(frozenset(nxt))
         current = nxt
     return SurvivalSet(M=M, p=pf, depth=depth, seed=seed, levels=tuple(levels))

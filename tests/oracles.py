@@ -1,18 +1,23 @@
 """Independent oracles used by the test suite.
 
 Kept deliberately dumb and slow: exact rational polygon clipping for slice
-areas, a point-by-point scan of the slice certification grid, and exhaustive
-word enumeration for transition-matrix entries.
+areas, a point-by-point scan of the slice certification grid, exhaustive
+word enumeration for transition-matrix entries, one hash per simulator node,
+one cocycle walk per sampled word, and exact rational bisection for the
+extinction probability.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
+from hashlib import blake2b
 
 import numpy as np
 
 from fracphase.line_ifs import LineIFS, normalize
+from fracphase.simulate import stream
 
 UNIT_SQUARE = [
     (Fraction(0), Fraction(0)),
@@ -205,3 +210,71 @@ def random_small_ifs(rng: random.Random) -> LineIFS:
         if total <= 6:
             raw = [t for t, n in pairs for _ in range(n)]
             return normalize(L, raw)
+
+
+def node_hash(seed: int, address) -> int:
+    """h of one tree node: blake2b of the comma-joined decimal address, keyed
+    by the seed as 8 little-endian bytes, digest read as 8 little-endian bytes."""
+    msg = ",".join(str(a) for a in address).encode()
+    digest = blake2b(msg, digest_size=8, key=seed.to_bytes(8, "little")).digest()
+    return int.from_bytes(digest, "little")
+
+
+def node_kept(seed: int, address, p) -> bool:
+    """The node's coin: kept iff h / 2^64 < p = num / q, i.e. h q < num 2^64."""
+    p = Fraction(p)
+    return node_hash(seed, address) * p.denominator < p.numerator << 64
+
+
+def survival_levels(M: int, p, depth: int, seed: int):
+    """Retained words level by level, one node_kept call per child."""
+    levels = [frozenset({()})]
+    for _ in range(depth):
+        levels.append(frozenset(
+            w + (i,) for w in levels[-1] for i in range(M) if node_kept(seed, w + (i,), p)
+        ))
+    return tuple(levels)
+
+
+def sampled_log_masses(ts, n: int, samples: int, seed: int, weight):
+    """log(e^T A_w weight) for w = stream(seed, i), walking one sample at a time."""
+    mats = np.array(ts.matrices, dtype=float)
+    out = np.full(samples, -math.inf)
+    for i in range(samples):
+        row = np.ones(ts.N)
+        acc = 0.0
+        for a in stream(seed, i).integers(0, ts.L, size=n):
+            row = row @ mats[a]
+            s = row.sum()
+            if s == 0:
+                break
+            acc += math.log(s)
+            row /= s
+        else:
+            out[i] = acc + math.log(row @ weight)
+    return out
+
+
+def extinction_root(M: int, p) -> Fraction:
+    """Smallest root in [0, 1] of q = (1 - p + p q)^M by exact rational bisection.
+
+    For M p > 1, h(q) = (1 - p + p q)^M - q has h(0) > 0, and since
+    h(1) = 0, h'(1) = M p - 1 and h'' <= M (M - 1) p^2, h(1 - eps) < 0 at
+    eps = (M p - 1) / (M (M - 1) p^2).  The result is within 2^-60.
+    """
+    p = Fraction(p)
+    if M * p <= 1:
+        return Fraction(1)
+
+    def h(q):
+        return (1 - p + p * q) ** M - q
+
+    lo, hi = Fraction(0), 1 - (M * p - 1) / (M * (M - 1) * p * p)
+    assert h(lo) >= 0 > h(hi)
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if h(mid) < 0:
+            hi = mid
+        else:
+            lo = mid
+    return (lo + hi) / 2

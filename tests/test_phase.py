@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import extinction_root
 
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import normalize, scale
@@ -170,6 +171,21 @@ def test_extinction_probability():
     assert abs((1 - 0.1 + 0.1 * q) ** 20 - q) < 1e-9
     # deeper supercritical regime pushes extinction towards 0
     assert extinction_probability(20, 0.5) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "M, p",
+    [
+        (20, 0.050001),  # M p - 1 = 2e-5: the fixed-point iteration stalled here
+        (20, 0.05 * (1 + 1e-9)),
+        (8, 0.125 * (1 + 1e-7)),
+        (20, 0.1), (20, 0.15), (8, 0.2),  # acceptance 6(b)
+        (8, 0.36),  # interface_process at p = 0.6
+        (2, 0.75), (20, 0.5), (20, 0.9), (20, 1.0),
+    ],
+)
+def test_extinction_probability_matches_exact_root(M, p):
+    assert abs(Fraction(extinction_probability(M, p)) - extinction_root(M, p)) <= 1e-12
 
 
 def test_disconnection_threshold():

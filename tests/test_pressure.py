@@ -1,15 +1,19 @@
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import sampled_log_masses
 
 from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import normalize
 from fracphase.pressure import (
+    _sampled_log_masses,
     lyapunov,
     pressure,
     zero_measure_threshold_estimate,
@@ -87,6 +91,42 @@ def test_float_walker_matches_exact_products(systems, seed, n, name):
     )
     value = pressure(ts, 1, n, mode="mc", samples=1, seed=seed).value
     assert n * math.log(L) * (value - 1) == pytest.approx(math.log(mass), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("name", ["menger", "menger-137"])
+def test_batched_walker_matches_per_sample_loop(systems, name, seed):
+    ts = systems[name]
+    for weight in (np.ones(ts.N), np.array([float(x) for x in ts.nu])):
+        for n, samples in ((1, 7), (60, 40)):
+            got = _sampled_log_masses(ts, n, samples, seed, weight)
+            want = sampled_log_masses(ts, n, samples, seed, weight)
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+# digit 1 is nilpotent (A_1^2 = 0), so every word with two consecutive 1s
+# has a zero row vector and log mass -inf
+NILPOTENT = SimpleNamespace(
+    L=2, N=2, nu=(Fraction(1, 3), Fraction(2, 3)),
+    matrices=(((1, 1), (1, 1)), ((0, 1), (0, 0))),
+)
+
+
+@pytest.mark.parametrize("seed", [3, 2**64 - 1])
+def test_batched_walker_keeps_dead_words(seed):
+    weight = np.array([1.0, 2.0])
+    got = _sampled_log_masses(NILPOTENT, 8, 64, seed, weight)
+    want = sampled_log_masses(NILPOTENT, 8, 64, seed, weight)
+    dead = np.isneginf(want)
+    assert 0 < dead.sum() < 64
+    assert (np.isneginf(got) == dead).all()
+    assert got[~dead] == pytest.approx(want[~dead], rel=1e-12, abs=0)
+    # Monte Carlo pressure over the same words: dead words contribute 0
+    nu = np.array([float(x) for x in NILPOTENT.nu])
+    vals = [math.exp(0.5 * x) for x in sampled_log_masses(NILPOTENT, 8, 64, seed, nu)]
+    est = pressure(NILPOTENT, 0.5, 8, mode="mc", samples=64, seed=seed)
+    mean = sum(vals) / 64
+    assert est.value == pytest.approx(1 + math.log(mean) / (8 * math.log(2)), rel=1e-12)
 
 
 def test_pressure_monotone_and_convex(systems):

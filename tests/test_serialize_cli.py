@@ -45,6 +45,28 @@ def test_ifs_json_round_trip():
         ifs_from_json({"kind": "line", "L": 3})
 
 
+# integer fields that int() used to truncate or coerce
+NON_INTEGER_IFS = [
+    {"kind": "line", "L": 1.7, "translations": [[0, 1], [1, 1]]},
+    {"kind": "line", "L": True, "translations": [[0, 1], [1, 1]]},
+    {"kind": "line", "L": "3", "translations": [[0, 1], [2, 1]]},
+    {"kind": "line", "L": 3, "translations": [[0, 1], [1.7, 1], [2, 1]]},
+    {"kind": "line", "L": 3, "translations": [[0.9, 1], [1, 1], [2, 1]]},
+    {"kind": "line", "L": 3, "translations": [[0, True], [1, 1], [2, 1]]},
+    {"kind": "line", "L": 3, "translations": [[0, 1.5], [1, 1], [2, 1]]},
+    {"kind": "lattice", "d": True, "L": 3, "cells": [[0], [2]]},
+    {"kind": "lattice", "d": 2, "L": 3.0, "cells": [[0, 0], [2, 2]]},
+    {"kind": "lattice", "d": 2, "L": 3, "cells": [[0, 0], [1.7, 0], [2, 2]]},
+    {"kind": "lattice", "d": 2, "L": 3, "cells": [[0, 0], [0.9, True], [2, 2]]},
+]
+
+
+@pytest.mark.parametrize("data", NON_INTEGER_IFS)
+def test_ifs_from_json_rejects_non_integers(data):
+    with pytest.raises(InputError, match="must be an integer"):
+        ifs_from_json(data)
+
+
 def _menger_report_json():
     ts = compute_type_system(project(menger(), (1, 1, 1)))
     return phase_report_to_json(phase_report(ts))
@@ -199,11 +221,18 @@ def test_cli_exit_codes():
     assert isinstance(result2.exception, InputError)
 
 
-def test_main_exit_codes(monkeypatch, capsys):
+def test_main_exit_codes(monkeypatch, capsys, tmp_path):
     import fracphase.cli as climod
 
     pressure_argv = ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--n", "2"]
+    json_argvs = []
+    for k, data in enumerate(NON_INTEGER_IFS):
+        path = tmp_path / f"non_integer_{k}.json"
+        path.write_text(json.dumps(data))
+        direction = ["--dir", "1,1"] if data["kind"] == "lattice" else []
+        json_argvs.append(["analyze", str(path), *direction])
     for argv in (
+        *json_argvs,
         ["analyze", "menger"],
         ["analyze", "menger", "--dir", "1,x,1"],
         ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1/2",
@@ -229,6 +258,35 @@ def test_main_exit_codes(monkeypatch, capsys):
     )
     climod.main()  # success path: returns normally
     assert '"interval-sufficient"' in capsys.readouterr().out
+
+
+def test_in_process_invocations_do_not_retain_output():
+    # click caches a wrapper per sys.stdout object unless echo gets file=;
+    # under CliRunner each invocation's stdout is new, so the cache kept every
+    # output buffer alive
+    import gc
+    import tracemalloc
+
+    runner = CliRunner()
+    argv = ["analyze", "menger", "--dir", "1,1,1"]
+
+    def invoke(times):
+        for _ in range(times):
+            result = runner.invoke(cli, argv)
+            assert result.exit_code == 0
+        return len(result.stdout_bytes)
+
+    invoke(5)
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        out_len = invoke(40)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 10 * out_len  # retaining 40 outputs would be >= 40 * out_len
 
 
 def test_main_maps_unexpected_exceptions_to_4(monkeypatch, capsys):

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from oracles import node_hash, survival_levels
 
 from fracphase.errors import InputError
 from fracphase.lattice import menger
@@ -58,6 +59,29 @@ def test_level_counts_match_branching_mean():
     mean = sum(counts) / reps
     var = sum((c - mean) ** 2 for c in counts) / (reps - 1)
     assert abs(mean - mean_target) <= 3 * math.sqrt(var / reps)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 1, 2**64 - 1])
+@pytest.mark.parametrize("p", [0, Fraction(1, 3), Fraction(3, 10), 1])
+@pytest.mark.parametrize("M, depth", [(8, 4), (20, 3)])
+def test_sample_survival_matches_node_oracle(M, depth, p, seed):
+    assert sample_survival(M, p, depth, seed).levels == survival_levels(M, p, depth, seed)
+
+
+def test_node_coin_boundary():
+    # a depth-2 node whose parent hashes lower: at p = h / 2^64 the node is
+    # dropped (h / 2^64 < p fails); at (h + 1/2) / 2^64 and above it is kept
+    seed, M = 2**63 + 1, 20
+    node = next(
+        (i, j) for i in range(M) for j in range(M)
+        if node_hash(seed, (i,)) < node_hash(seed, (i, j))
+    )
+    h = node_hash(seed, node)
+    dropped = sample_survival(M, Fraction(h, 2**64), 2, seed)
+    assert node[:1] in dropped.levels[1]
+    assert node not in dropped.levels[2]
+    for p in (Fraction(2 * h + 1, 2**65), Fraction(h + 1, 2**64)):
+        assert node in sample_survival(M, p, 2, seed).levels[2]
 
 
 def test_input_validation():
