@@ -118,6 +118,8 @@ def project(source, direction, out) -> None:
 @click.option("--out", default=None)
 def simulate(source, direction, p, depth, replicas, seed, out) -> None:
     """Run seeded replicas and emit per-replica statistics as CSV."""
+    if replicas < 1:
+        raise InputError(f"--replicas must be >= 1, got {replicas}")
     ifs = _load_ifs(source, direction, None)
     pf = parse_frac(p)
     rows = ["replica,retained_count,proj_measure,longest_run,extinct_level"]

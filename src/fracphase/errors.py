@@ -14,7 +14,7 @@ class InputError(FracphaseError):
 
 
 class AmbiguityError(FracphaseError):
-    """An analysis could not be decided (e.g. basic-type extraction)."""
+    """An analysis could not be decided."""
 
 
 class InvariantError(FracphaseError):

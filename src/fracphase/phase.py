@@ -32,7 +32,14 @@ from .spectral import (
     poly_eval,
     spectral_radius,
 )
-from .type_system import TypeSystem, Word, column_sums, pattern, pattern_mul
+from .type_system import (
+    TypeSystem,
+    Word,
+    column_sums,
+    pattern,
+    pattern_mul,
+    positive_rows,
+)
 
 _PATTERN_BUDGET = 10**6  # distinct zero-patterns the witness BFS may visit
 
@@ -62,10 +69,6 @@ class RootThreshold:
         return Fraction(p) ** self.root * self.base < 1
 
 
-def _has_positive_row(pat) -> bool:
-    return any(all(row) for row in pat)
-
-
 def positive_row_witness(ts: TypeSystem):
     """Shortest word w with a strictly positive row in A_w, by BFS.
 
@@ -85,7 +88,7 @@ def positive_row_witness(ts: TypeSystem):
             queue.append((gens[a], (a,)))
     while queue:
         pat, word = queue.popleft()
-        if _has_positive_row(pat):
+        if positive_rows(pat):
             return Word(word, L), False
         if len(seen) >= _PATTERN_BUDGET:
             return None, True
@@ -250,7 +253,8 @@ class PhaseReport:
 def phase_report(ts: TypeSystem, zero_measure_estimate=None) -> PhaseReport:
     """Assemble every threshold with its witnesses and enclosures."""
     M, L = ts.M, ts.L
-    min_cs = min(min(column_sums(ts, a)) for a in range(ts.L))
+    cs = [column_sums(ts, a) for a in range(L)]
+    min_cs = min(map(min, cs))
     witness, inconclusive = positive_row_witness(ts)
     interval_threshold = Fraction(1, min_cs) if min_cs > 0 else None
 
@@ -262,14 +266,9 @@ def phase_report(ts: TypeSystem, zero_measure_estimate=None) -> PhaseReport:
     hi = min(cap, 1 / best.lower) if best.lower > 0 else cap
     no_int = SpectralEnclosure(lo, hi)
 
-    products = []
-    for U in range(ts.N):
-        prod = 1
-        for a in range(L):
-            prod *= column_sums(ts, a)[U]
-        products.append(prod)
-    pos_thr = RootThreshold(min(products), L)
-    rows_ok = all(_has_positive_row(pattern(A)) for A in ts.matrices)
+    # product over digits of the U-th column sums, for every type U
+    pos_thr = RootThreshold(min(math.prod(col) for col in zip(*cs)), L)
+    rows_ok = all(positive_rows(pattern(A)) for A in ts.matrices)
 
     notes = []
     if interval_threshold is None:

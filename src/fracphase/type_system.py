@@ -2,7 +2,8 @@
 
 For a normalized :class:`~fracphase.line_ifs.LineIFS` the attractor's natural
 measure nu lives on L-adic intervals ``J^k = [k*L, (k+1)*L]``.  The *basic
-types* are the candidates ``k`` with ``nu(J^k) > 0``; they index a family of
+types* are the candidates ``k`` with ``nu(J^k) > 0``, which are the candidates
+reachable from candidate 0 under the maps; they index a family of
 ``N x N`` nonnegative integer transition matrices ``A_a`` (one per child
 digit ``a`` in ``[L]``) whose ``(l, k)`` entry counts, with multiplicity, the
 maps sending ``J^k`` onto the ``a``-th L-adic child of ``J^l``.
@@ -13,15 +14,16 @@ Everything in this module is exact: arbitrary-precision integers and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
-from .errors import AmbiguityError, InvariantError
+from .errors import InvariantError
 from .line_ifs import LineIFS
 
 Matrix = tuple[tuple[int, ...], ...]
-
-_BRACKET_DEPTH = 12  # deepest level the bracketing fallback refines to
 
 
 @dataclass(frozen=True)
@@ -50,7 +52,6 @@ class TypeSystem:
     basic_offsets: tuple[int, ...]
     matrices: tuple[Matrix, ...]  # one N x N matrix per digit a in [L]
     nu: tuple[Fraction, ...]
-    undecided: tuple[int, ...] = field(default=())
 
     @property
     def N(self) -> int:
@@ -87,185 +88,115 @@ def identity(n: int) -> Matrix:
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
-def pattern(mat) -> tuple[tuple[bool, ...], ...]:
-    """Boolean zero-pattern of a nonnegative matrix."""
-    return tuple(tuple(x > 0 for x in row) for row in mat)
+def pattern(mat) -> tuple[int, ...]:
+    """Zero-pattern of a nonnegative matrix: bit j of row i is set iff entry > 0."""
+    return tuple(sum(1 << j for j, x in enumerate(row) if x > 0) for row in mat)
 
 
-def pattern_mul(P, Q) -> tuple[tuple[bool, ...], ...]:
-    """Boolean product of two square zero-patterns."""
-    n = len(P)
+def pattern_mul(P, Q) -> tuple[int, ...]:
+    """Boolean product of two square zero-patterns.
+
+    Row i of P*Q is the OR of Q's rows k over the set bits k of P's row i.
+    """
     return tuple(
-        tuple(any(P[i][k] and Q[k][j] for k in range(n)) for j in range(n))
-        for i in range(n)
+        reduce(or_, (q for k, q in enumerate(Q) if row >> k & 1), 0) for row in P
     )
 
 
-def _candidate_matrices(ifs: LineIFS) -> tuple[list[list[list[int]]], list[int]]:
+def positive_rows(pat) -> int:
+    """Number of strictly positive rows (all N bits set) of a square zero-pattern."""
+    return pat.count((1 << len(pat)) - 1)
+
+
+def _candidate_matrices(ifs: LineIFS) -> list[list[list[int]]]:
     """Transition counts over *all* candidate offsets 0..n_tilde-1.
 
-    Returns (hat_A, candidates) where hat_A[a][c2][c] accumulates the
-    multiplicity of maps sending candidate interval c into the a-th child of
-    candidate interval c2.
+    hat[a][c2][c] accumulates the multiplicity of maps sending candidate
+    interval c into the a-th child of candidate interval c2.
     """
     L = ifs.L
-    candidates = list(range(ifs.n_tilde)) if ifs.n_tilde >= 1 else [0]
-    nc = len(candidates)
+    nc = max(ifs.n_tilde, 1)
     hat = [[[0] * nc for _ in range(nc)] for _ in range(L)]
-    for ci, c in enumerate(candidates):
+    for c in range(nc):
         for t, n in ifs.translations:
             c2, a = divmod(c + t, L)
             if not 0 <= c2 < nc:
                 raise InvariantError(
                     f"candidate image offset {c2} escapes the candidate range"
                 )
-            hat[a][c2][ci] += n
-    return hat, candidates
+            hat[a][c2][c] += n
+    return hat
 
 
-def _nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the nullspace of a rational matrix, via Gauss-Jordan."""
-    if not rows:
-        return []
-    nrows, ncols = len(rows), len(rows[0])
-    mat = [row[:] for row in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if mat[i][c] != 0), None)
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -mat[pr][fc]
-        basis.append(vec)
-    return basis
+def _fixed_measure(matrices: tuple[Matrix, ...], M: int) -> tuple[Fraction, ...]:
+    """The probability vector spanning the kernel of ``A - M*I``, A = sum of A_a.
 
-
-def _bracket_basic(ifs: LineIFS, candidates: list[int]) -> set[int]:
-    """Candidates provably basic via interval bracketing up to ``_BRACKET_DEPTH``.
-
-    A candidate c is basic once some composition image of the hull lands
-    inside [c*L, (c+1)*L].  Positions are tracked as exact integers: after k
-    symbols the image of the hull is [Y, Y + n_tilde*L] in units of L^{1-k}.
+    Fraction-free Gauss-Jordan in Python ints: every eliminated row is divided
+    by its content, the free entry is set to the lcm of the pivots so that the
+    back-substitution stays integral, and the vector is normalized once.
     """
-    L, nt = ifs.L, ifs.n_tilde
-    basic: set[int] = set()
-    level = {0}  # distinct position numerators Y at the current depth
-    for k in range(1, _BRACKET_DEPTH + 1):
-        nxt = set()
-        for Y in level:
-            for t, _ in ifs.translations:
-                nxt.add(Y * L + t)
-        level = nxt
-        for c in candidates:
-            if c in basic:
-                continue
-            # image interval: [Y, Y + nt] in units of L^{1-k};
-            # candidate interval: [c*L, (c+1)*L] = [c*L*L^{k-1}, (c+1)*L*L^{k-1}]
-            # in the same units.
-            lo = c * L * L ** (k - 1)
-            hi = (c + 1) * L * L ** (k - 1)
-            if any(lo <= Y and Y + nt <= hi for Y in level):
-                basic.add(c)
-        if len(basic) == len(candidates):
-            break
-    return basic
+    N = len(matrices[0])
+    rows = [
+        [sum(m[i][j] for m in matrices) - (M if i == j else 0) for j in range(N)]
+        for i in range(N)
+    ]
+    pivots: list[int] = []
+    for c in range(N):
+        r = len(pivots)
+        i = next((i for i in range(r, N) if rows[i][c]), None)
+        if i is None:
+            continue
+        rows[r], rows[i] = rows[i], rows[r]
+        p = rows[r][c]
+        for k in range(N):
+            if k != r and rows[k][c]:
+                f = rows[k][c]
+                row = [p * x - f * y for x, y in zip(rows[k], rows[r])]
+                g = math.gcd(*row)
+                rows[k] = [x // g for x in row] if g else row
+        pivots.append(c)
+    free = [c for c in range(N) if c not in pivots]
+    if len(free) != 1:
+        raise InvariantError(
+            f"A - M*I has {len(free)} free columns; its kernel must be a line"
+        )
+    (fc,) = free
+    scale = math.lcm(*(rows[r][c] for r, c in enumerate(pivots)))
+    v = [0] * N
+    v[fc] = scale
+    for r, c in enumerate(pivots):
+        v[c] = -rows[r][fc] * scale // rows[r][c]
+    total = sum(v)
+    return tuple(Fraction(x, total) for x in v)
 
 
 def compute_type_system(ifs: LineIFS) -> TypeSystem:
     """Derive the basic types, transition matrices and measure vector.
 
-    The basic offsets are computed as the support of the exact nonnegative
-    solution of ``v = (1/M) * hat_A * v`` with ``sum(v) = 1`` over all
-    candidate offsets.  When that linear system is degenerate (solution space
-    of dimension > 1, or a sign-mixed solution) we fall back to interval
-    bracketing and raise :class:`AmbiguityError` if candidates remain
-    undecided.
+    Under c -> (c + t) // L, with t_0 = 0, every candidate reaches candidate 0,
+    and ``hat_A / M`` is the column-stochastic transition matrix of that
+    chain.  Its one closed class is the set of candidates reachable from 0,
+    which is exactly the support of the stationary vector: these are the
+    basic offsets.  ``nu`` spans the kernel of ``A - M*I`` for the restricted
+    sum matrix ``A``, solved once in integers.
     """
-    hat, candidates = _candidate_matrices(ifs)
-    L, M = ifs.L, ifs.M
-    nc = len(candidates)
-    # hat_sum - M*I, as a rational matrix
-    rows = [
-        [
-            Fraction(sum(hat[a][i][j] for a in range(L)) - (M if i == j else 0))
-            for j in range(nc)
-        ]
-        for i in range(nc)
-    ]
-    basis = _nullspace(rows)
-    v: list[Fraction] | None = None
-    if len(basis) == 1:
-        cand = basis[0]
-        total = sum(cand)
-        if total != 0:
-            cand = [x / total for x in cand]
-            if all(x >= 0 for x in cand):
-                v = cand
-    if v is None:
-        # Degenerate eigenspace: decide supports by bracketing, then re-solve
-        # restricted to the provably-basic candidates.
-        basic = _bracket_basic(ifs, candidates)
-        if not basic:
-            raise AmbiguityError(
-                "no candidate interval could be certified basic by bracketing"
-            )
-        idx = sorted(candidates.index(c) for c in basic)
-        closed = all(
-            all(hat[a][i][j] == 0 for a in range(L) for i in range(nc) if i not in idx)
-            for j in idx
-        )
-        sub = [
-            [
-                Fraction(
-                    sum(hat[a][idx[i]][idx[j]] for a in range(L))
-                    - (M if i == j else 0)
-                )
-                for j in range(len(idx))
-            ]
-            for i in range(len(idx))
-        ]
-        sub_basis = _nullspace(sub)
-        if not closed or len(sub_basis) != 1:
-            undecided = [candidates[i] for i in range(nc) if i not in idx]
-            raise AmbiguityError(
-                f"basic-type extraction is ambiguous; certified basic: "
-                f"{sorted(candidates[i] for i in idx)}, undecided: {undecided}"
-            )
-        w = sub_basis[0]
-        total = sum(w)
-        w = [x / total for x in w]
-        if any(x <= 0 for x in w):
-            raise AmbiguityError("restricted measure solution is not positive")
-        v = [Fraction(0)] * nc
-        for i, x in zip(idx, w):
-            v[i] = x
-
-    support = [i for i in range(nc) if v[i] > 0]
-    basic_offsets = tuple(candidates[i] for i in support)
+    hat = _candidate_matrices(ifs)
+    L = ifs.L
+    basic, todo = {0}, [0]
+    while todo:
+        c = todo.pop()
+        for t, _ in ifs.translations:
+            c2 = (c + t) // L
+            if c2 not in basic:
+                basic.add(c2)
+                todo.append(c2)
+    support = sorted(basic)
     matrices = tuple(
         tuple(tuple(hat[a][i][j] for j in support) for i in support)
         for a in range(L)
     )
-    nu = tuple(v[i] for i in support)
-    ts = TypeSystem(parent=ifs, basic_offsets=basic_offsets,
-                    matrices=matrices, nu=nu)
+    ts = TypeSystem(parent=ifs, basic_offsets=tuple(support),
+                    matrices=matrices, nu=_fixed_measure(matrices, ifs.M))
     _validate(ts)
     return ts
 
@@ -290,7 +221,7 @@ def _validate(ts: TypeSystem) -> None:
     pat = pattern(A)
     cur = pat
     for _ in range(max(1, N * N)):
-        if all(all(row) for row in cur):
+        if positive_rows(cur) == N:
             break
         cur = pattern_mul(cur, pat)
     else:

@@ -2,9 +2,9 @@
 
 Kept deliberately dumb and slow: exact rational polygon clipping for slice
 areas, a point-by-point scan of the slice certification grid, exhaustive
-word enumeration for transition-matrix entries, one hash per simulator node,
-one cocycle walk per sampled word, and exact rational bisection for the
-extinction probability.
+word enumeration for transition-matrix entries, a Fraction nullspace over
+all candidate intervals, one hash per simulator node, one cocycle walk per
+sampled word, and exact rational bisection for the extinction probability.
 """
 
 from __future__ import annotations
@@ -189,6 +189,41 @@ def brute_force_entry(ifs: LineIFS, offsets, word, ell: int, k: int) -> int:
         if digits == target and cur == offsets[ell]:
             count += 1
     return count
+
+
+def candidate_kernel(ifs: LineIFS) -> list[list[Fraction]]:
+    """Nullspace basis of hat_sum - M*I over all candidates 0..n_tilde-1.
+
+    hat_sum(c2, c) counts, with multiplicity, the maps t sending candidate
+    interval c into candidate interval c2 = (c + t) div L.  The basis comes
+    from Gauss-Jordan in Fractions, one basis vector per free column.
+    """
+    nc = max(ifs.n_tilde, 1)
+    mat = [[Fraction(-ifs.M if i == j else 0) for j in range(nc)] for i in range(nc)]
+    for c in range(nc):
+        for t, n in ifs.translations:
+            mat[(c + t) // ifs.L][c] += n
+    pivots: list[int] = []
+    for c in range(nc):
+        r = len(pivots)
+        pivot = next((i for i in range(r, nc) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        mat[r] = [x / mat[r][c] for x in mat[r]]
+        for i in range(nc):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
+        pivots.append(c)
+    basis = []
+    for fc in (c for c in range(nc) if c not in pivots):
+        vec = [Fraction(0)] * nc
+        vec[fc] = Fraction(1)
+        for pr, pc in enumerate(pivots):
+            vec[pc] = -mat[pr][fc]
+        basis.append(vec)
+    return basis
 
 
 def random_small_ifs(rng: random.Random) -> LineIFS:

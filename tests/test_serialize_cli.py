@@ -237,6 +237,10 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
         ["analyze", "menger", "--dir", "1,x,1"],
         ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1/2",
          "--depth", "1", "--replicas", "1", "--seed", "-1"],
+        ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1/2",
+         "--replicas", "0"],
+        ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1/2",
+         "--replicas", "-3"],
         [*pressure_argv, "--t", "0.5", "--mode", "mc", "--samples", "0"],
         [*pressure_argv, "--t", "nan"],
         [*pressure_argv, "--t", "inf"],

@@ -2,14 +2,15 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracphase.errors import InvariantError
 from fracphase.lattice import menger, project, sierpinski
-from fracphase.line_ifs import normalize
+from fracphase.line_ifs import normalize, scale
 from fracphase.type_system import (
     Word,
+    _fixed_measure,
     column_sums,
     compute_type_system,
     covering_cylinder_count,
@@ -17,7 +18,7 @@ from fracphase.type_system import (
     mat_mul,
     matrix_product,
 )
-from oracles import brute_force_entry, random_small_ifs
+from oracles import brute_force_entry, candidate_kernel, random_small_ifs
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +143,36 @@ def test_brute_force_equivalence_menger_depth2(menger_ts):
                 assert Aw[ell][k] == brute_force_entry(
                     ifs, menger_ts.basic_offsets, word, ell, k
                 )
+
+
+@st.composite
+def line_systems(draw):
+    """random_small_ifs, or a scaled menger/carpet projection."""
+    kind = draw(st.sampled_from(["random", "menger", "sierpinski"]))
+    if kind == "random":
+        return random_small_ifs(random.Random(draw(st.integers(0, 10**6))))
+    lat = menger() if kind == "menger" else sierpinski()
+    v = draw(st.lists(st.integers(-4, 4), min_size=lat.d, max_size=lat.d))
+    assume(any(v))
+    return scale(project(lat, v), draw(st.sampled_from([1, 2, 3, 5])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ifs=line_systems())
+def test_candidate_kernel_is_the_reachable_measure(ifs):
+    # the fact behind reachability from candidate 0: over all candidates,
+    # hat_sum - M*I has a one-dimensional kernel, it is nonnegative, and it
+    # is positive exactly on the basic offsets
+    basis = candidate_kernel(ifs)
+    assert len(basis) == 1
+    v = [x / sum(basis[0]) for x in basis[0]]
+    assert all(x >= 0 for x in v)
+    ts = compute_type_system(ifs)
+    assert tuple(i for i, x in enumerate(v) if x > 0) == ts.basic_offsets
+    assert tuple(v[i] for i in ts.basic_offsets) == ts.nu
+
+
+def test_integer_solve_rejects_a_plane_kernel():
+    # A = M*I with N = 2: both columns of A - M*I are free
+    with pytest.raises(InvariantError):
+        _fixed_measure((((2, 0), (0, 2)),), 2)
