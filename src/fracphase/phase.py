@@ -24,6 +24,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .spectral import (
     SpectralEnclosure,
@@ -235,8 +236,7 @@ class PhaseReport:
                 return "holds"
             # p * rho < 1  <=>  1/p >= rho and 1/p is not a root
             x, at_equality = 1 / p, False
-            for A in self.ts.matrices:
-                coeffs = char_poly(A)
+            for coeffs in self._char_polys:
                 if dominates_rho(coeffs, x):
                     if poly_eval(coeffs, x) != 0:
                         return "holds"
@@ -248,6 +248,10 @@ class PhaseReport:
             thr = self.positive_measure_threshold
             return "holds" if thr.above(p) else "fails" if thr.below(p) else "boundary"
         raise ValueError(f"no exact verdict for threshold {name!r}")
+
+    @cached_property
+    def _char_polys(self) -> list[list[Fraction]]:
+        return [char_poly(A) for A in self.ts.matrices]
 
 
 def phase_report(ts: TypeSystem, zero_measure_estimate=None) -> PhaseReport:

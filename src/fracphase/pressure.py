@@ -15,8 +15,13 @@ bound) under uniform digits; ``exp(-w)`` estimates the zero-measure threshold
 of the percolation parameter.
 
 Mass sums are exact rationals whenever t is 0 or 1; logs are taken in double
-precision at the end.  Monte Carlo sampling uses a counter-based generator
-keyed by (seed, sample index) so results do not depend on scheduling.
+precision at the end.  Sampled-word scheme: Monte Carlo word i of a seed is
+``simulate.stream(seed, i).integers(0, L, size=n)``.  One Philox, rekeyed to
+key (seed, i), counter 0 and an empty buffer, gives ``random_raw(ceil(n/2))``;
+digit j is Lemire's ``(u L) >> 32`` of the j-th 32-bit half u (low half first),
+as in ``Generator.integers``.  A word that reaches Lemire's rejection branch
+``(u L) mod 2^32 < (2^32 - L) mod L`` (probability about n L / 2^32) is drawn
+again through ``stream``.
 """
 
 from __future__ import annotations
@@ -29,10 +34,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InputError
-from .simulate import stream
+from .simulate import _check_seed, stream
 from .type_system import TypeSystem
 
 _WORD_BUDGET = 10**6  # most words exact enumeration visits
+_DRAW_BUDGET = 10**7  # most digits (samples * n) one Monte Carlo estimate draws
+_BLOCK = 2**20  # most digits or gathered matrix entries one block of samples holds
 
 
 @dataclass(frozen=True)
@@ -78,31 +85,55 @@ def _masses_exact_dfs(ts: TypeSystem, n: int, nu: list[int]):
     yield from rec(np.ones(ts.N, dtype=object), n)
 
 
+def _sampled_words(L: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:
+    """Words i of the sampled-word scheme for start <= i < stop (L <= 2^32)."""
+    _check_seed(seed)
+    bits, key = np.random.Philox(0), [seed, 0]  # lists convert faster than arrays
+    state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
+             "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    raw = np.empty((stop - start, (n + 1) // 2), dtype="<u8")
+    for row in range(len(raw)):
+        key[1] = start + row
+        bits.state = state
+        raw[row] = bits.random_raw(raw.shape[1])
+    prod = raw.view("<u4")[:, :n].astype("<u8")
+    prod *= L  # u L < 2^64; its little-endian halves are the remainder, then the digit
+    halves = prod.view("<u4")
+    words = halves[:, 1::2].astype(np.min_scalar_type(L - 1))
+    for row in np.flatnonzero((halves[:, 0::2] < (2**32 - L) % L).any(axis=1)):
+        words[row] = stream(seed, start + row).integers(0, L, size=n)
+    return words
+
+
 def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight):
     """log(e^T A_w weight) in floats for the words w = stream(seed, i), i < samples.
 
-    All samples walk together: a (samples, N) block of row vectors starts at
+    Samples walk together in blocks: a block of row vectors starts at
     all-ones, and each step multiplies every row by the matrix of its own
     digit and renormalizes it to sum 1, so a step costs O(N^2) per sample.
     A row that reaches 0 stays 0; its word comes out -inf.
     """
     if n < 1 or samples < 1:
         raise InputError("n and samples must be >= 1")
+    if samples * n > _DRAW_BUDGET:
+        raise InputError(f"{samples} samples of {n} digits exceed the budget {_DRAW_BUDGET}")
     mats = np.array(ts.matrices, dtype=float)
-    words = np.empty((samples, n), dtype=np.min_scalar_type(ts.L - 1))
-    for i in range(samples):
-        words[i] = stream(seed, i).integers(0, ts.L, size=n)
-    rows = np.ones((samples, ts.N))
-    acc = np.zeros(samples)
-    for digits in words.T:
-        rows = np.einsum("si,sij->sj", rows, mats[digits])
-        s = rows.sum(axis=1)
-        s[s == 0] = 1.0  # a dead row stays 0 and keeps acc finite
-        acc += np.log(s)
-        rows /= s[:, None]
-    # live rows sum to 1 and weight > 0, so only dead rows give log(0)
-    with np.errstate(divide="ignore"):
-        return acc + np.log(rows @ weight)
+    out = np.empty(samples)
+    block = max(1, _BLOCK // max(n, ts.N**2))
+    for start in range(0, samples, block):
+        words = _sampled_words(ts.L, n, seed, start, min(samples, start + block))
+        rows = np.ones((len(words), ts.N))
+        acc = np.zeros(len(words))
+        for digits in words.T:
+            rows = np.einsum("si,sij->sj", rows, mats[digits])
+            s = rows.sum(axis=1)
+            s[s == 0] = 1.0  # a dead row stays 0 and keeps acc finite
+            acc += np.log(s)
+            rows /= s[:, None]
+        # live rows sum to 1 and weight > 0, so only dead rows give log(0)
+        with np.errstate(divide="ignore"):
+            out[start:start + len(words)] = acc + np.log(rows @ weight)
+    return out
 
 
 def _float_range_error(t: float) -> InputError:

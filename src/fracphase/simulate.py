@@ -28,6 +28,7 @@ from .phase import extinction_probability
 
 _TWO64 = 2**64
 _INTERFACE_CAP = 10**7  # population at which a replica counts as surviving
+_NODE_BUDGET = 10**6  # most nodes one realization hashes, at 1-3 us a node
 
 
 def _check_seed(seed: int) -> None:
@@ -81,7 +82,11 @@ def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
     labels = [str(i).encode() for i in range(M)]
     levels: list[frozenset[tuple[int, ...]]] = [frozenset({()})]
     current: dict[tuple[int, ...], bytes] = {(): b""}  # word -> its message
+    hashed = 0
     for _ in range(depth):
+        hashed += M * len(current)
+        if hashed > _NODE_BUDGET:
+            raise InputError(f"the realization hashes more than {_NODE_BUDGET} nodes")
         nxt: dict[tuple[int, ...], bytes] = {}
         for word, msg in current.items():
             parent = keyed.copy()  # then fed the parent's message and a comma
@@ -124,23 +129,23 @@ def project_survival(ifs, s: SurvivalSet) -> CoverageStats:
         raise InputError(f"arity mismatch: ifs.M = {ifs.M}, survival M = {s.M}")
     L, nt, n = ifs.L, ifs.n_tilde, s.depth
     maps = ifs.map_translations()
-    total_cells = max(nt, 1) * L**n if nt >= 1 else 0
-    covered: set[int] = set()
+    total_cells = nt * L**n
+    # left endpoints of the f_w(hull) in units of L^{1-n}; each covers [X, X + nt)
+    starts = set()
     for word in s.retained:
-        # left endpoint of f_w(hull) in units of L^{1-n}
         X = 0
         for i in word:
             X = X * L + maps[i]
-        covered.update(range(X, X + nt))
-    count = len(covered)
+        starts.add(X)
+    runs: list[list[int]] = []  # maximal runs [lo, hi) of covered cells
+    for X in sorted(starts) if nt else ():
+        if runs and X <= runs[-1][1]:
+            runs[-1][1] = X + nt
+        else:
+            runs.append([X, X + nt])
+    count = sum(hi - lo for lo, hi in runs)
     measure = Fraction(count, L ** (n - 1)) if n >= 1 else Fraction(count * L)
-    longest = 0
-    run = 0
-    prev = None
-    for cell in sorted(covered):
-        run = run + 1 if prev is not None and cell == prev + 1 else 1
-        longest = max(longest, run)
-        prev = cell
+    longest = max((hi - lo for lo, hi in runs), default=0)
     return CoverageStats(
         depth=n,
         covered_cells=count,

@@ -3,8 +3,10 @@
 Kept deliberately dumb and slow: exact rational polygon clipping for slice
 areas, a point-by-point scan of the slice certification grid, exhaustive
 word enumeration for transition-matrix entries, a Fraction nullspace over
-all candidate intervals, one hash per simulator node, one cocycle walk per
-sampled word, and exact rational bisection for the extinction probability.
+all candidate intervals, one hash per simulator node, the set of every
+covered cell of a projected realization, one Generator per sampled word,
+one cocycle walk per sampled word, and exact rational bisection for the
+extinction probability.
 """
 
 from __future__ import annotations
@@ -271,14 +273,39 @@ def survival_levels(M: int, p, depth: int, seed: int):
     return tuple(levels)
 
 
+def coverage(ifs: LineIFS, retained, depth: int):
+    """(covered_cells, longest_run) from the set of every covered cell.
+
+    The word w covers the cells [X_w, X_w + n_tilde) in units of L^{1-n},
+    where X_w is the left endpoint of f_w(hull).
+    """
+    maps = ifs.map_translations()
+    covered = set()
+    for word in retained:
+        X = 0
+        for i in word:
+            X = X * ifs.L + maps[i]
+        covered.update(range(X, X + ifs.n_tilde))
+    longest = run = 0
+    for cell in sorted(covered):
+        run = run + 1 if cell - 1 in covered else 1
+        longest = max(longest, run)
+    return len(covered), longest
+
+
+def sampled_words(L: int, n: int, samples: int, seed: int):
+    """Word i is stream(seed, i).integers(0, L, size=n): one Generator per word."""
+    return np.array([stream(seed, i).integers(0, L, size=n) for i in range(samples)])
+
+
 def sampled_log_masses(ts, n: int, samples: int, seed: int, weight):
     """log(e^T A_w weight) for w = stream(seed, i), walking one sample at a time."""
     mats = np.array(ts.matrices, dtype=float)
     out = np.full(samples, -math.inf)
-    for i in range(samples):
+    for i, word in enumerate(sampled_words(ts.L, n, samples, seed)):
         row = np.ones(ts.N)
         acc = 0.0
-        for a in stream(seed, i).integers(0, ts.L, size=n):
+        for a in word:
             row = row @ mats[a]
             s = row.sum()
             if s == 0:

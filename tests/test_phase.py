@@ -15,7 +15,7 @@ from fracphase.phase import (
     positive_row_witness,
     similarity_dimension,
 )
-from fracphase.spectral import spectral_radius
+from fracphase.spectral import char_poly, spectral_radius
 from fracphase.type_system import compute_type_system
 
 
@@ -99,6 +99,25 @@ def test_no_interval_check(menger_report):
     assert rep.verdict("no-interval", Fraction(1, 6)) == "boundary"
     assert rep.verdict("no-interval", Fraction(1, 5)) == "fails"
     assert rep.no_interval_digit in (0, 2)
+
+
+def test_no_interval_verdict_computes_char_polys_once_per_report(monkeypatch):
+    import fracphase.phase as phase_mod
+
+    calls = []
+
+    def counting(A):
+        calls.append(A)
+        return char_poly(A)
+
+    monkeypatch.setattr(phase_mod, "char_poly", counting)
+    ts = compute_type_system(project(menger(), (1, 1, 1)))
+    rep = phase_report(ts)
+    for p in (Fraction(1, 7), Fraction(1, 6), Fraction(1, 5), Fraction(1, 7)):
+        rep.verdict("no-interval", p)
+    assert len(calls) == ts.L
+    phase_report(ts).verdict("no-interval", Fraction(1, 7))
+    assert len(calls) == 2 * ts.L  # a new report computes its own
 
 
 def test_no_interval_check_exact_for_irrational_radius():

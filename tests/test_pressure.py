@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from fractions import Fraction
@@ -7,13 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sampled_log_masses
+from oracles import sampled_log_masses, sampled_words
 
 from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import normalize
 from fracphase.pressure import (
     _sampled_log_masses,
+    _sampled_words,
     lyapunov,
     pressure,
     zero_measure_threshold_estimate,
@@ -25,6 +27,10 @@ from fracphase.type_system import (
     covering_cylinder_count,
     cylinder_measure,
 )
+
+
+# the package exports the function pressure under the submodule's name
+pressure_mod = importlib.import_module("fracphase.pressure")
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +108,47 @@ def test_batched_walker_matches_per_sample_loop(systems, name, seed):
             got = _sampled_log_masses(ts, n, samples, seed, weight)
             want = sampled_log_masses(ts, n, samples, seed, weight)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("L", [2, 3, 5, 7, 2**31 + 1, 2**32 - 1])
+def test_sampled_words_match_one_generator_per_word(L, seed):
+    for n in (1, 2, 7, 20):
+        want = sampled_words(L, n, 30, seed)
+        assert (_sampled_words(L, n, seed, 0, 30) == want).all()
+        assert (_sampled_words(L, n, seed, 11, 30) == want[11:]).all()
+
+
+def test_sampled_words_rejection_branch_is_exercised():
+    # at L = 2^31 + 1 about half of the 32-bit draws fall in Lemire's
+    # rejection branch, so most words are drawn again through stream
+    L, n, seed = 2**31 + 1, 3, 5
+    rejected = 0
+    for i in range(200):
+        raw = np.random.Philox(key=np.array([seed, i], dtype=np.uint64)).random_raw(2)
+        draws = [int(x) >> s & 0xFFFFFFFF for x in raw for s in (0, 32)][:n]
+        rejected += any(u * L % 2**32 < (2**32 - L) % L for u in draws)
+    assert 100 < rejected < 200
+    assert (_sampled_words(L, n, seed, 0, 200) == sampled_words(L, n, 200, seed)).all()
+
+
+def test_blocked_walk_matches_per_sample_loop(systems, monkeypatch):
+    # blocks of 4 samples (the floor of _BLOCK / max(n, N^2) for N = 3, n = 9)
+    monkeypatch.setattr(pressure_mod, "_BLOCK", 40)
+    ts = systems["menger"]
+    weight = np.ones(ts.N)
+    got = _sampled_log_masses(ts, 9, 13, 7, weight)
+    assert got == pytest.approx(sampled_log_masses(ts, 9, 13, 7, weight), rel=1e-12, abs=0)
+
+
+def test_sampled_digit_budget(systems):
+    ts = systems["menger"]
+    budget = pressure_mod._DRAW_BUDGET
+    for samples, n in ((budget + 1, 1), (10**12, 20), (2, budget // 2 + 1)):
+        with pytest.raises(InputError, match="budget"):
+            lyapunov(ts, n, samples)
+        with pytest.raises(InputError, match="budget"):
+            pressure(ts, 0.5, n, mode="mc", samples=samples)
 
 
 # digit 1 is nilpotent (A_1^2 = 0), so every word with two consecutive 1s

@@ -250,6 +250,11 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
         ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "1000", "--n", "3"],
         ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "-1000", "--n", "3"],
         [*pressure_argv, "--t", "1000", "--mode", "mc", "--samples", "50"],
+        [*pressure_argv, "--t", "0.5", "--mode", "mc", "--samples", "1000000000000"],
+        ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "3/10",
+         "--depth", "60", "--replicas", "1"],
+        ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1",
+         "--depth", "9", "--replicas", "1"],
         ["verify-slice", "--step", "1/5000000"],
     ):
         monkeypatch.setattr("sys.argv", ["fracphase", *argv])

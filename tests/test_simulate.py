@@ -2,11 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracles import node_hash, survival_levels
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import coverage, node_hash, survival_levels
 
+from fracphase import simulate
 from fracphase.errors import InputError
-from fracphase.lattice import menger
-from fracphase.line_ifs import normalize
+from fracphase.lattice import menger, project, sierpinski
+from fracphase.line_ifs import LineIFS, normalize
 from fracphase.simulate import (
     empirical_box_dimension,
     interface_process,
@@ -101,6 +104,47 @@ def test_project_survival_full_tree_covers_hull():
     assert stats.full_cover
     assert stats.covered_cells == stats.total_cells == 3 * 3**2
     assert stats.measure == Fraction(9)  # hull [0, 9] in units of L^(1-n)
+
+
+COVERAGE_SYSTEMS = {
+    8: [project(sierpinski(), (1, -1)), project(sierpinski(), (1, 2)),
+        LineIFS(L=3, translations=((0, 8),))],  # the last has n_tilde = 0
+    20: [MENGER_111, project(menger(), (1, 3, 7))],
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    M=st.sampled_from([8, 20]),
+    k=st.integers(0, 2),
+    p=st.fractions(0, 1, max_denominator=20),
+    depth=st.integers(0, 4),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_project_survival_matches_cell_set_oracle(M, k, p, depth, seed):
+    ifs = COVERAGE_SYSTEMS[M][k % len(COVERAGE_SYSTEMS[M])]
+    if M == 20 and depth == 4:
+        p = min(p, Fraction(1, 2))  # keeps the tree at a few thousand words
+    s = sample_survival(M, p, depth, seed)
+    stats = project_survival(ifs, s)
+    covered, longest = coverage(ifs, s.retained, depth)
+    total = ifs.n_tilde * ifs.L**depth
+    assert (stats.covered_cells, stats.longest_run, stats.total_cells) == (
+        covered, longest, total
+    )
+    assert stats.measure == Fraction(covered * ifs.L, ifs.L**depth)
+    assert stats.full_cover == (covered == total > 0)
+
+
+def test_sample_survival_node_budget(monkeypatch):
+    # p = 1, M = 20: levels 0 and 1 hash 20 + 400 nodes, level 2 hashes 8000
+    monkeypatch.setattr(simulate, "_NODE_BUDGET", 420)
+    assert len(sample_survival(20, 1, 2, seed=0).retained) == 400
+    with pytest.raises(InputError, match="420 nodes"):
+        sample_survival(20, 1, 3, seed=0)
+    monkeypatch.setattr(simulate, "_NODE_BUDGET", 419)
+    with pytest.raises(InputError):
+        sample_survival(20, 1, 2, seed=0)
 
 
 def test_project_survival_lattice_pair_form():
