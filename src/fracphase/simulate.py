@@ -70,8 +70,8 @@ def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
     """Draw one realization of the retention tree down to ``depth``."""
     if M < 2:
         raise InputError("arity M must be >= 2")
-    if depth < 0:
-        raise InputError("depth must be >= 0")
+    if not 0 <= depth <= _NODE_BUDGET:  # deeper, only a dead tree fits the budget
+        raise InputError(f"depth must be in [0, {_NODE_BUDGET}]")
     _check_seed(seed)
     pf = Fraction(p)
     if not 0 <= pf <= 1:
@@ -83,7 +83,7 @@ def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
     levels: list[frozenset[tuple[int, ...]]] = [frozenset({()})]
     current: dict[tuple[int, ...], bytes] = {(): b""}  # word -> its message
     hashed = 0
-    for _ in range(depth):
+    while current and len(levels) <= depth:
         hashed += M * len(current)
         if hashed > _NODE_BUDGET:
             raise InputError(f"the realization hashes more than {_NODE_BUDGET} nodes")
@@ -100,6 +100,7 @@ def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
                     nxt[word + (i,)] = msg + label
         levels.append(frozenset(nxt))
         current = nxt
+    levels += [levels[-1]] * (depth + 1 - len(levels))  # extinct: one empty level
     return SurvivalSet(M=M, p=pf, depth=depth, seed=seed, levels=tuple(levels))
 
 

@@ -2,12 +2,13 @@
 
 For the plane ``z = a*x + b*y + c`` and the unit cube ``Q``, the function
 ``ftilde(a, b, c)`` is the area of the (x, y)-projection of the slice
-``Q & {z = ax+by+c}``; it is piecewise quadratic in (a, b, c) with nine
-closed-form cases.  The slack function
+``Q & {z = ax+by+c}``.  Over the common denominator of (a, b, c) it is one
+signed sum of eight truncated squares, the table ``_SLICE_KNOTS``, which the
+grid kernel below evaluates too.  The slack function
 
     htilde = (5/9) * ftilde(a, b, c)
-             - (1/9) * sum over the 7 removed-cube corners (u, v, w) of
-               ftilde(a, b, 3*(a*u + b*v + c - w))
+             - (1/9) * sum over the 7 removed cubes, corners (u, v, w) / 3, of
+               ftilde(a, b, a*u + b*v + 3*c - w)
 
 is nonnegative everywhere on the admissible wedge; part of that statement is
 analytic (see :func:`classify_region`), and the remaining parameter region is
@@ -31,6 +32,7 @@ coefficient and piece value fits in int64 while ``D <= _MAX_D`` (about
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, InvariantError
+from .errors import InputError
 from .lattice import MENGER_REMOVED
 from .simulate import _check_seed
 
@@ -93,63 +95,38 @@ def _check_wedge(p: PlaneParams) -> None:
         )
 
 
-def _case_of(a: Fraction, b: Fraction, c: Fraction) -> int:
-    """First matching slice case, checked top-down (0..8).
-
-    The cases tile the whole real line in c for every (a, b) in the wedge,
-    agreeing on shared boundaries.  Note the case-2 region is
-    ``-(a+b) <= c <= -b`` (the region between cases 0 and 3).
-    """
-    s = a + b + c
-    if c >= 1 or s <= 0:
-        return 0
-    if c >= 0 and s <= 1:
-        return 1
-    if -(a + b) <= c <= -b:
-        return 2
-    if -b <= c <= -a:
-        return 3
-    if -a <= c and c <= min(Fraction(0), 1 - (a + b)):
-        return 4
-    if a + b >= 1 and 1 - (a + b) <= c <= 0:
-        return 5
-    if max(Fraction(0), 1 - (a + b)) <= c <= 1 - b:
-        return 6
-    if 1 - b <= c <= 1 - a:
-        return 7
-    if 1 - a <= c <= 1:
-        return 8
-    raise InvariantError(f"slice cases do not cover (a, b, c) = ({a}, {b}, {c})")
+# With slopes A, B > 0 and all coordinates in units of 1/D, the ftilde
+# numerator n(X) = 2*A*B*ftilde(a, b, X/D) is a signed sum of truncated squares
+# sigma * (kappa - X)_+^2: the area of {a*x + b*y <= t} over the unit square is
+# such a sum in t, and ftilde is its difference at t = 1 - c and t = -c.  Rows
+# are (sigma, e, f, g) for the knot kappa = e*D + f*A + g*B.
+_SLICE_KNOTS = (
+    (1, 1, 0, 0), (-1, 1, -1, 0), (-1, 1, 0, -1), (1, 1, -1, -1),
+    (-1, 0, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1), (-1, 0, -1, -1),
+)
 
 
 def ftilde(p: PlaneParams) -> Fraction:
-    """Projected slice area, exact rational, for wedge parameters."""
+    """Projected slice area, exact rational, for wedge parameters.
+
+    Evaluates n(C) / (2*A*B) over the rows of _SLICE_KNOTS in integers; at
+    A = 0 its limit in A, a sum of truncated linear terms over B.  The
+    horizontal plane (B = 0) counts the open slab 0 < c < 1: the closed slab
+    0 <= c <= 1 of the clipping oracle would make htilde(0, 0, 1/3) = -1/9.
+    """
     _check_wedge(p)
-    a, b, c = p.a, p.b, p.c
-    case = _case_of(a, b, c)
-    if case == 0:
-        return Fraction(0)
-    if case == 1:
-        return Fraction(1)
-    # cases 3 and 7 divide by b only; the rest divide by a*b.  With the
-    # top-down dispatch, degenerate slopes never reach a vanishing divisor
-    # (they are absorbed by cases 0 and 1), so this is an invariant.
-    if b == 0 or (a == 0 and case not in (3, 7)):
-        raise InvariantError(f"division case {case} reached with a*b = 0")
-    s = a + b + c
-    if case == 2:
-        return s**2 / (2 * a * b)
-    if case == 3:
-        return (a + 2 * b + 2 * c) / (2 * b)
-    if case == 4:
-        return 1 - c**2 / (2 * a * b)
-    if case == 5:
-        return 1 - (c**2 + (s - 1) ** 2) / (2 * a * b)
-    if case == 6:
-        return 1 - (s - 1) ** 2 / (2 * a * b)
-    if case == 7:
-        return (2 - 2 * c - a) / (2 * b)
-    return (1 - c) ** 2 / (2 * a * b)  # case 8
+    D = math.lcm(p.a.denominator, p.b.denominator, p.c.denominator)
+    A, B, C = (x.numerator * (D // x.denominator) for x in (p.a, p.b, p.c))
+    if not B:
+        return Fraction(0 < C < D)
+    if not A:
+        return Fraction(
+            sum(s * f * max(e * D + g * B - C, 0) for s, e, f, g in _SLICE_KNOTS), B
+        )
+    return Fraction(
+        sum(s * max(e * D + f * A + g * B - C, 0) ** 2 for s, e, f, g in _SLICE_KNOTS),
+        2 * A * B,
+    )
 
 
 def htilde(p: PlaneParams) -> Fraction:
@@ -157,9 +134,8 @@ def htilde(p: PlaneParams) -> Fraction:
     _check_wedge(p)
     a, b, c = p.a, p.b, p.c
     total = 5 * ftilde(p)
-    for u3, v3, w3 in REMOVED_CORNERS:
-        c_prime = 3 * (a * Fraction(u3, 3) + b * Fraction(v3, 3) + c) - 3 * Fraction(w3, 3)
-        total -= ftilde(PlaneParams(a, b, c_prime))
+    for u, v, w in REMOVED_CORNERS:
+        total -= ftilde(PlaneParams(a, b, a * u + b * v + 3 * c - w))
     return total / 9
 
 
@@ -255,17 +231,6 @@ class VerificationReport:
     certified: bool
     wall_time: float
     workers: int
-
-
-# With slopes A, B > 0 and all coordinates in units of 1/D, the ftilde
-# numerator n(X) = 2*A*B*ftilde(a, b, X/D) is a signed sum of truncated squares
-# sigma * (kappa - X)_+^2: the area of {a*x + b*y <= t} over the unit square is
-# such a sum in t, and ftilde is its difference at t = 1 - c and t = -c.  Rows
-# are (sigma, e, f, g) for the knot kappa = e*D + f*A + g*B.
-_SLICE_KNOTS = (
-    (1, 1, 0, 0), (-1, 1, -1, 0), (-1, 1, 0, -1), (1, 1, -1, -1),
-    (-1, 0, 0, 0), (1, 0, -1, 0), (1, 0, 0, -1), (-1, 0, -1, -1),
-)
 
 
 def _row_knots() -> np.ndarray:
@@ -379,13 +344,15 @@ def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
     The grid is a from 1/3 stepping d_hat while it stays <= 1; b from a the
     same way; c from 2/3 - (a + b) stepping d_hat while it stays <= 1/3.
     Certifies global nonnegativity on the grid-covered region iff the exact
-    minimum m satisfies m > 0 and m^2 > 675 * d_hat^2.
+    minimum m satisfies m > 0 and m^2 > 675 * d_hat^2.  ``workers`` runs
+    a-slices in that many processes, at most ``os.cpu_count()``.
     """
     d = Fraction(d_hat)
     if not 0 < d <= _THIRD:
         raise InputError(f"grid step must be in (0, 1/3], got {d}")
-    if workers < 1:
-        raise InputError("workers must be >= 1")
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:  # the pool starts every worker at once
+        raise InputError(f"workers must be in [1, {cpus}] (the CPU count), got {workers}")
     y = d.denominator
     D = 3 * y  # common denominator of all grid coordinates
     if D > _MAX_D:

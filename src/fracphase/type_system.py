@@ -20,10 +20,11 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from .errors import InvariantError
+from .errors import InputError, InvariantError
 from .line_ifs import LineIFS
 
 Matrix = tuple[tuple[int, ...], ...]
+_CANDIDATE_BUDGET = 10**5  # most candidate transition entries, L * n_tilde^2
 
 
 @dataclass(frozen=True)
@@ -180,8 +181,14 @@ def compute_type_system(ifs: LineIFS) -> TypeSystem:
     basic offsets.  ``nu`` spans the kernel of ``A - M*I`` for the restricted
     sum matrix ``A``, solved once in integers.
     """
-    hat = _candidate_matrices(ifs)
     L = ifs.L
+    entries = L * max(ifs.n_tilde, 1) ** 2
+    if entries > _CANDIDATE_BUDGET:
+        raise InputError(
+            f"the type system needs {entries} candidate transition entries, "
+            f"more than {_CANDIDATE_BUDGET}"
+        )
+    hat = _candidate_matrices(ifs)
     basic, todo = {0}, [0]
     while todo:
         c = todo.pop()

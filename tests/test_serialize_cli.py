@@ -19,6 +19,7 @@ from fracphase.serialize import (
     phase_report_to_json,
     svg_band_chart,
 )
+from fracphase import type_system
 from fracphase.type_system import compute_type_system
 
 
@@ -58,6 +59,13 @@ NON_INTEGER_IFS = [
     {"kind": "lattice", "d": 2, "L": 3.0, "cells": [[0, 0], [2, 2]]},
     {"kind": "lattice", "d": 2, "L": 3, "cells": [[0, 0], [1.7, 0], [2, 2]]},
     {"kind": "lattice", "d": 2, "L": 3, "cells": [[0, 0], [0.9, True], [2, 2]]},
+]
+
+
+# L * n_tilde^2 = 2 * 10^10 and 10^9 candidate transition entries
+OVERSIZED_IFS = [
+    {"kind": "line", "L": 2, "translations": [[0, 1], [100000, 1]]},
+    {"kind": "line", "L": 10**9, "translations": [[0, 1], [10**9 - 1, 1]]},
 ]
 
 
@@ -224,6 +232,13 @@ def test_cli_exit_codes():
 def test_main_exit_codes(monkeypatch, capsys, tmp_path):
     import fracphase.cli as climod
 
+    def exits_with_input_error(argv):
+        monkeypatch.setattr("sys.argv", ["fracphase", *argv])
+        with pytest.raises(SystemExit) as exc:
+            climod.main()
+        assert exc.value.code == 2
+        assert "input error" in capsys.readouterr().err
+
     pressure_argv = ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--n", "2"]
     json_argvs = []
     for k, data in enumerate(NON_INTEGER_IFS):
@@ -257,11 +272,15 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
          "--depth", "9", "--replicas", "1"],
         ["verify-slice", "--step", "1/5000000"],
     ):
-        monkeypatch.setattr("sys.argv", ["fracphase", *argv])
-        with pytest.raises(SystemExit) as exc:
-            climod.main()
-        assert exc.value.code == 2
-        assert "input error" in capsys.readouterr().err
+        exits_with_input_error(argv)
+    # over the candidate budget the type system is refused before it is built
+    with monkeypatch.context() as m:
+        m.setattr(type_system, "_candidate_matrices",
+                  lambda ifs: pytest.fail("candidate matrices built over budget"))
+        for k, data in enumerate(OVERSIZED_IFS):
+            path = tmp_path / f"oversized_{k}.json"
+            path.write_text(json.dumps(data))
+            exits_with_input_error(["analyze", str(path)])
     monkeypatch.setattr(
         "sys.argv", ["fracphase", "analyze", "menger", "--dir", "1,1,1"]
     )

@@ -147,6 +147,15 @@ def test_sample_survival_node_budget(monkeypatch):
         sample_survival(20, 1, 2, seed=0)
 
 
+def test_dead_realization_stops_hashing():
+    s = sample_survival(8, 0, simulate._NODE_BUDGET, 0)
+    assert s.extinct_level == 1
+    assert len(s.levels) == simulate._NODE_BUDGET + 1
+    assert s.levels[-1] == frozenset()
+    with pytest.raises(InputError):
+        sample_survival(8, 0, simulate._NODE_BUDGET + 1, 0)
+
+
 def test_project_survival_lattice_pair_form():
     s = sample_survival(20, Fraction(1, 2), 2, seed=3)
     via_pair = project_survival((menger(), (1, 1, 1)), s)

@@ -1,9 +1,10 @@
 import math
+import os
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from fracphase import slices
@@ -42,6 +43,7 @@ def test_ftilde_simple_cases():
     assert ftilde(plane(Fraction(1, 2), Fraction(1, 2), 2)) == 0  # misses
     assert ftilde(plane(0, 0, Fraction(1, 2))) == 1  # horizontal plane
     assert ftilde(plane(0, 0, 2)) == 0
+    assert ftilde(plane(0, 0, 0)) == ftilde(plane(0, 0, 1)) == 0  # open slab
     # one point per quadratic case, against the clipping oracle
     half = Fraction(1, 2)
     for c in (
@@ -72,6 +74,18 @@ def test_ftilde_boundary_continuity():
     a, b = Fraction(2, 5), Fraction(3, 5)
     for c in (-(a + b), -b, -a, Fraction(0), 1 - (a + b), 1 - b, 1 - a, Fraction(1)):
         assert ftilde(plane(a, b, c)) == clip_area(a, b, c)
+
+
+slopes = st.one_of(st.just(Fraction(0)), st.fractions(0, 1, max_denominator=48))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slopes, slopes, st.fractions(-3, 2, max_denominator=48))
+def test_ftilde_matches_oracle_with_degenerate_slopes(a, b, c):
+    # a = 0 comes up often, a = b = 0 about a quarter of the time
+    a, b = min(a, b), max(a, b)
+    assume(b or c not in (0, 1))  # the slab is open, the oracle's closed
+    assert ftilde(plane(a, b, c)) == clip_area(a, b, c)
 
 
 def test_ftilde_rejects_outside_wedge():
@@ -109,6 +123,10 @@ def test_htilde_frozen_values():
     # height 1/2 fully covers the middle slab, where five of the seven
     # removed cubes live: 5*1 - 5*1 = 0 exactly
     assert htilde(plane(0, 0, Fraction(1, 2))) == 0
+    # height 1/3 only touches faces of six removed cubes: the open slab
+    # counts none of them, the oracle's closed slab all six, giving 5 - 6
+    assert htilde(plane(0, 0, Fraction(1, 3))) == Fraction(5, 9)
+    assert htilde_oracle(0, 0, Fraction(1, 3)) == Fraction(-1, 9)
 
 
 def test_htilde_matches_oracle_random():
@@ -234,13 +252,18 @@ def test_verify_grid_certificate_logic():
     )  # certificate constant is (15 sqrt 3)^2
 
 
-def test_verify_grid_rejects_bad_step():
+def test_verify_grid_rejects_bad_step(monkeypatch):
+    def no_pool(*args, **kwargs):
+        pytest.fail("a process pool was started")
+
+    monkeypatch.setattr(slices, "ProcessPoolExecutor", no_pool)
     with pytest.raises(InputError):
         verify_grid(Fraction(1, 2))
     with pytest.raises(InputError):
         verify_grid(Fraction(0))
-    with pytest.raises(InputError):
-        verify_grid(Fraction(1, 12), workers=0)
+    for workers in (0, os.cpu_count() + 1, 10**6):  # the pool forks them all
+        with pytest.raises(InputError):
+            verify_grid(Fraction(1, 12), workers=workers)
     with pytest.raises(InputError):  # beyond the int64 range of the kernel
         verify_grid(Fraction(1, 5_000_000))
 
