@@ -82,13 +82,7 @@ def cli() -> None:
 def analyze(source, direction, scale_factor, out, fmt, svg_path) -> None:
     """Full pipeline: normalize -> type system -> phase report."""
     ifs = _load_ifs(source, direction, scale_factor)
-    ts = compute_type_system(ifs)
-    report_json = phase_report_to_json(phase_report(ts))
-    if ifs.applied_factor != 1:
-        report_json["notes"].append(
-            f"translations were conjugated by factor {ifs.applied_factor} "
-            "to repair divisibility"
-        )
+    report_json = phase_report_to_json(phase_report(compute_type_system(ifs)))
     if svg_path:
         with open(svg_path, "w") as fh:
             fh.write(svg_band_chart(report_json))

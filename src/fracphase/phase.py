@@ -176,16 +176,15 @@ class PhaseReport:
     no_interval_digit: int  # digit with the least upper bound on rho(A_a)
     positive_measure_threshold: RootThreshold  # (min_U prod)^(-1/L)
     positive_measure_rows_ok: bool
-    zero_measure_estimate: object | None = None
     notes: tuple[str, ...] = ()
 
     def thresholds(self) -> list[tuple[str, str, object, Word | None]]:
         """The ordered (name, theorem, value, witness) rows of the report.
 
         A value is a ``Fraction``, a ``RootThreshold``, a
-        ``SpectralEnclosure``, a float for the zero-measure estimate, or None
-        when the condition cannot hold in this representation.  The
-        interval row is left out when some digit matrix has a zero column.
+        ``SpectralEnclosure``, or None when the condition cannot hold in this
+        representation.  The interval row is left out when some digit
+        matrix has a zero column.
         """
         rows = [
             ("extinction", "branching-process criticality", self.p_extinction, None),
@@ -202,11 +201,6 @@ class PhaseReport:
         )
         pos = self.positive_measure_threshold if self.positive_measure_rows_ok else None
         rows.append(("positive-measure", "geometric-mean column growth", pos, None))
-        if self.zero_measure_estimate is not None:
-            rows.append(
-                ("zero-measure-estimate", "norm growth rate",
-                 self.zero_measure_estimate.b_hat, None)
-            )
         return rows
 
     def verdict(self, name: str, p) -> str:
@@ -254,7 +248,7 @@ class PhaseReport:
         return [char_poly(A) for A in self.ts.matrices]
 
 
-def phase_report(ts: TypeSystem, zero_measure_estimate=None) -> PhaseReport:
+def phase_report(ts: TypeSystem) -> PhaseReport:
     """Assemble every threshold with its witnesses and enclosures."""
     M, L = ts.M, ts.L
     cs = [column_sums(ts, a) for a in range(L)]
@@ -292,6 +286,11 @@ def phase_report(ts: TypeSystem, zero_measure_estimate=None) -> PhaseReport:
         )
     if inconclusive:
         notes.append("positive-row witness search hit its pattern budget")
+    if ts.parent.applied_factor != 1:
+        notes.append(
+            f"translations were conjugated by factor {ts.parent.applied_factor} "
+            "to repair divisibility"
+        )
 
     return PhaseReport(
         ts=ts,
@@ -304,6 +303,5 @@ def phase_report(ts: TypeSystem, zero_measure_estimate=None) -> PhaseReport:
         no_interval_digit=encs.index(best),
         positive_measure_threshold=pos_thr,
         positive_measure_rows_ok=rows_ok,
-        zero_measure_estimate=zero_measure_estimate,
         notes=tuple(notes),
     )

@@ -147,7 +147,6 @@ _BAND_COLORS = {
     "no-interval": "#ee6677",
     "positive-measure": "#228833",
     "interval-sufficient": "#ccbb44",
-    "zero-measure-estimate": "#aa3377",
 }
 
 

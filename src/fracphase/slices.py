@@ -370,21 +370,12 @@ def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
     else:
         results = [_slice_min(t) for t in tasks]
 
-    best_val = None
-    best_point = None
-    total = 0
-    for val, A, B, C, count in results:
-        total += count
-        point = (A, B, C)
-        if best_val is None or val < best_val or (val == best_val and point < best_point):
-            best_val = val
-            best_point = point
-    A, B, C = best_point
+    best_val, A, B, C, _ = min(results, key=lambda r: r[:4])  # ties: least (A, B, C)
     argmin = (Fraction(A, D), Fraction(B, D), Fraction(C, D))
     certified = best_val > 0 and best_val**2 > 675 * d**2
     return VerificationReport(
         d_hat=d,
-        point_count=total,
+        point_count=sum(r[4] for r in results),
         minimum=best_val,
         argmin=argmin,
         certified=certified,

@@ -97,12 +97,12 @@ def poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
 def spectral_radius(matrix, tol: Fraction = Fraction(1, 10**9)) -> SpectralEnclosure:
     """Certified enclosure of the Perron root of a nonnegative matrix."""
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise InputError("matrix must be square")
+    if not n or any(len(row) != n for row in matrix):
+        raise InputError("matrix must be square and nonempty")
     if any(x < 0 for row in matrix for x in row):
         raise InputError("matrix must be nonnegative")
-    if all(x == 0 for row in matrix for x in row):
-        return SpectralEnclosure(Fraction(0), Fraction(0))
+    if tol <= 0:
+        raise InputError(f"tolerance must be positive, got {tol}")
     coeffs = char_poly(matrix)
     max_col = max(sum(matrix[i][j] for i in range(n)) for j in range(n))
     max_row = max(sum(row) for row in matrix)

@@ -6,7 +6,8 @@ types* are the candidates ``k`` with ``nu(J^k) > 0``, which are the candidates
 reachable from candidate 0 under the maps; they index a family of
 ``N x N`` nonnegative integer transition matrices ``A_a`` (one per child
 digit ``a`` in ``[L]``) whose ``(l, k)`` entry counts, with multiplicity, the
-maps sending ``J^k`` onto the ``a``-th L-adic child of ``J^l``.
+maps sending ``J^k`` onto the ``a``-th L-adic child of ``J^l``.  The basic
+types are closed under the maps, so the matrices are built over them alone.
 
 Everything in this module is exact: arbitrary-precision integers and
 ``fractions.Fraction`` only.
@@ -24,7 +25,7 @@ from .errors import InputError, InvariantError
 from .line_ifs import LineIFS
 
 Matrix = tuple[tuple[int, ...], ...]
-_CANDIDATE_BUDGET = 10**5  # most candidate transition entries, L * n_tilde^2
+_CANDIDATE_BUDGET = 10**5  # most L * max(n_tilde, 1)^2, which also bounds L * N^2
 
 
 @dataclass(frozen=True)
@@ -109,26 +110,6 @@ def positive_rows(pat) -> int:
     return pat.count((1 << len(pat)) - 1)
 
 
-def _candidate_matrices(ifs: LineIFS) -> list[list[list[int]]]:
-    """Transition counts over *all* candidate offsets 0..n_tilde-1.
-
-    hat[a][c2][c] accumulates the multiplicity of maps sending candidate
-    interval c into the a-th child of candidate interval c2.
-    """
-    L = ifs.L
-    nc = max(ifs.n_tilde, 1)
-    hat = [[[0] * nc for _ in range(nc)] for _ in range(L)]
-    for c in range(nc):
-        for t, n in ifs.translations:
-            c2, a = divmod(c + t, L)
-            if not 0 <= c2 < nc:
-                raise InvariantError(
-                    f"candidate image offset {c2} escapes the candidate range"
-                )
-            hat[a][c2][c] += n
-    return hat
-
-
 def _fixed_measure(matrices: tuple[Matrix, ...], M: int) -> tuple[Fraction, ...]:
     """The probability vector spanning the kernel of ``A - M*I``, A = sum of A_a.
 
@@ -175,11 +156,12 @@ def compute_type_system(ifs: LineIFS) -> TypeSystem:
     """Derive the basic types, transition matrices and measure vector.
 
     Under c -> (c + t) // L, with t_0 = 0, every candidate reaches candidate 0,
-    and ``hat_A / M`` is the column-stochastic transition matrix of that
+    and the candidate transition counts divided by M form a column-stochastic
     chain.  Its one closed class is the set of candidates reachable from 0,
     which is exactly the support of the stationary vector: these are the
-    basic offsets.  ``nu`` spans the kernel of ``A - M*I`` for the restricted
-    sum matrix ``A``, solved once in integers.
+    basic offsets.  That set is closed under the maps, so each ``A_a`` is
+    built directly over it, and ``nu`` spans the kernel of ``A - M*I`` for
+    the sum matrix ``A``, solved once in integers.
     """
     L = ifs.L
     entries = L * max(ifs.n_tilde, 1) ** 2
@@ -188,7 +170,6 @@ def compute_type_system(ifs: LineIFS) -> TypeSystem:
             f"the type system needs {entries} candidate transition entries, "
             f"more than {_CANDIDATE_BUDGET}"
         )
-    hat = _candidate_matrices(ifs)
     basic, todo = {0}, [0]
     while todo:
         c = todo.pop()
@@ -198,10 +179,13 @@ def compute_type_system(ifs: LineIFS) -> TypeSystem:
                 basic.add(c2)
                 todo.append(c2)
     support = sorted(basic)
-    matrices = tuple(
-        tuple(tuple(hat[a][i][j] for j in support) for i in support)
-        for a in range(L)
-    )
+    index = {c: i for i, c in enumerate(support)}
+    A = [[[0] * len(support) for _ in support] for _ in range(L)]
+    for c in support:
+        for t, n in ifs.translations:
+            c2, a = divmod(c + t, L)
+            A[a][index[c2]][index[c]] += n
+    matrices = tuple(tuple(map(tuple, rows)) for rows in A)
     ts = TypeSystem(parent=ifs, basic_offsets=tuple(support),
                     matrices=matrices, nu=_fixed_measure(matrices, ifs.M))
     _validate(ts)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from fracphase.serialize import (
     phase_report_to_json,
     svg_band_chart,
 )
-from fracphase import type_system
+from fracphase.line_ifs import normalize
 from fracphase.type_system import compute_type_system
 
 
@@ -179,6 +180,17 @@ def test_cli_project_and_json_input(tmp_path):
     assert any("zero column" in n for n in data["notes"])
 
 
+def test_conjugation_note_ends_the_report_notes(tmp_path):
+    # normalize(3, [0, 1]) conjugates by 2; the lattice {0, 1} projects to it
+    note = "translations were conjugated by factor 2 to repair divisibility"
+    assert phase_report(compute_type_system(normalize(3, [0, 1]))).notes[-1] == note
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps({"kind": "lattice", "d": 1, "L": 3, "cells": [[0], [1]]}))
+    result = CliRunner().invoke(cli, ["analyze", str(path), "--dir", "1"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["notes"].count(note) == 1
+
+
 def test_cli_simulate_csv():
     runner = CliRunner()
     result = runner.invoke(
@@ -273,14 +285,18 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
         ["verify-slice", "--step", "1/5000000"],
     ):
         exits_with_input_error(argv)
-    # over the candidate budget the type system is refused before it is built
-    with monkeypatch.context() as m:
-        m.setattr(type_system, "_candidate_matrices",
-                  lambda ifs: pytest.fail("candidate matrices built over budget"))
-        for k, data in enumerate(OVERSIZED_IFS):
-            path = tmp_path / f"oversized_{k}.json"
-            path.write_text(json.dumps(data))
+    # over the candidate budget the type system is refused before it is built:
+    # building either one would allocate far more than 1 MiB
+    for k, data in enumerate(OVERSIZED_IFS):
+        path = tmp_path / f"oversized_{k}.json"
+        path.write_text(json.dumps(data))
+        tracemalloc.start()
+        try:
             exits_with_input_error(["analyze", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
     monkeypatch.setattr(
         "sys.argv", ["fracphase", "analyze", "menger", "--dir", "1,1,1"]
     )
@@ -293,7 +309,6 @@ def test_in_process_invocations_do_not_retain_output():
     # under CliRunner each invocation's stdout is new, so the cache kept every
     # output buffer alive
     import gc
-    import tracemalloc
 
     runner = CliRunner()
     argv = ["analyze", "menger", "--dir", "1,1,1"]

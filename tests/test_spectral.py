@@ -45,8 +45,10 @@ def test_irrational_radius_enclosed():
 
 
 def test_zero_matrix():
-    enc = spectral_radius([[0, 0], [0, 0]])
-    assert enc.is_exact and enc.lower == 0
+    # the zero matrix and a nilpotent one take the general path to (0, 0)
+    for matrix in ([[0, 0], [0, 0]], [[0, 1], [0, 0]]):
+        enc = spectral_radius(matrix)
+        assert enc.is_exact and enc.lower == 0
 
 
 def test_char_poly_companion():
@@ -66,6 +68,15 @@ def test_rejects_bad_matrices():
         spectral_radius([[1, 2], [3]])
     with pytest.raises(InputError):
         spectral_radius([[1, -1], [0, 1]])
+    with pytest.raises(InputError):
+        spectral_radius([])
+
+
+@pytest.mark.parametrize("tol", [0, -1])
+def test_rejects_nonpositive_tolerance(tol):
+    # bisection down to a width <= 0 would never end on an irrational root
+    with pytest.raises(InputError, match="tolerance"):
+        spectral_radius([[1, 1], [1, 0]], tol=tol)
 
 
 @settings(max_examples=60, deadline=None)

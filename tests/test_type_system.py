@@ -170,6 +170,13 @@ def test_candidate_kernel_is_the_reachable_measure(ifs):
     ts = compute_type_system(ifs)
     assert tuple(i for i, x in enumerate(v) if x > 0) == ts.basic_offsets
     assert tuple(v[i] for i in ts.basic_offsets) == ts.nu
+    # each A_a, built directly over the basic offsets, against the word oracle
+    for a, A in enumerate(ts.matrices):
+        for ell in range(ts.N):
+            for k in range(ts.N):
+                assert A[ell][k] == brute_force_entry(
+                    ifs, ts.basic_offsets, (a,), ell, k
+                )
 
 
 def test_integer_solve_rejects_a_plane_kernel():
