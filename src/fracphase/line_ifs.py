@@ -44,6 +44,8 @@ class LineIFS:
             raise InputError("translations must be strictly increasing")
         if any(n < 1 for n in ns):
             raise InputError("multiplicities must be >= 1")
+        if self.applied_factor < 1:
+            raise InputError(f"applied factor must be >= 1, got {self.applied_factor}")
         if ts[-1] % (self.L - 1) != 0:
             raise InputError(
                 f"(L-1) = {self.L - 1} does not divide t_max = {ts[-1]}; "

@@ -21,7 +21,6 @@ floats appear only in rendered output.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -38,11 +37,10 @@ from .type_system import (
     Word,
     column_sums,
     pattern,
-    pattern_mul,
-    positive_rows,
+    row_mul,
 )
 
-_PATTERN_BUDGET = 10**6  # distinct zero-patterns the witness BFS may visit
+_ROW_BUDGET = 10**6  # distinct zero-pattern rows the witness BFS may visit
 
 
 @dataclass(frozen=True)
@@ -71,33 +69,32 @@ class RootThreshold:
 
 
 def positive_row_witness(ts: TypeSystem):
-    """Shortest word w with a strictly positive row in A_w, by BFS.
+    """Lexicographically least shortest word w with a strictly positive row in A_w.
 
-    Works on the finite semigroup of boolean zero-patterns (at most 2^(N^2)
-    elements), so either a witness is found, absence is certified
-    (semigroup exhausted), or the pattern budget is hit.
+    A BFS over single zero-pattern rows (N-bit ints, at most 2^N states): row
+    i of A_w A_a depends only on row i of A_w, and a row already seen at an
+    earlier word has the same continuations there.  Either a witness is found,
+    absence is certified, or the budget of distinct rows is exceeded.
 
     Returns (word_or_None, inconclusive_flag).
     """
-    L = ts.L
     gens = [pattern(A) for A in ts.matrices]
-    seen = set()
-    queue: deque[tuple[tuple, tuple[int, ...]]] = deque()
-    for a in range(L):
-        if gens[a] not in seen:
-            seen.add(gens[a])
-            queue.append((gens[a], (a,)))
-    while queue:
-        pat, word = queue.popleft()
-        if positive_rows(pat):
-            return Word(word, L), False
-        if len(seen) >= _PATTERN_BUDGET:
-            return None, True
-        for a in range(L):
-            nxt = pattern_mul(pat, gens[a])
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append((nxt, word + (a,)))
+    full = (1 << ts.N) - 1
+    seen: set[int] = set()
+    level = [((), [1 << i for i in range(ts.N)])]  # the empty word's rows
+    while level:
+        nxt = []
+        for word, rows in level:
+            for a, gen in enumerate(gens):
+                new = {row_mul(row, gen) for row in rows} - seen
+                if full in new:
+                    return Word(word + (a,), ts.L), False
+                if new:
+                    seen |= new
+                    nxt.append((word + (a,), new))
+            if len(seen) > _ROW_BUDGET:
+                return None, True
+        level = nxt
     return None, False
 
 
@@ -266,7 +263,7 @@ def phase_report(ts: TypeSystem) -> PhaseReport:
 
     # product over digits of the U-th column sums, for every type U
     pos_thr = RootThreshold(min(math.prod(col) for col in zip(*cs)), L)
-    rows_ok = all(positive_rows(pattern(A)) for A in ts.matrices)
+    rows_ok = all((1 << ts.N) - 1 in pattern(A) for A in ts.matrices)
 
     notes = []
     if interval_threshold is None:
@@ -285,7 +282,7 @@ def phase_report(ts: TypeSystem) -> PhaseReport:
             "positive-measure condition cannot hold in this representation"
         )
     if inconclusive:
-        notes.append("positive-row witness search hit its pattern budget")
+        notes.append("positive-row witness search hit its row budget")
     if ts.parent.applied_factor != 1:
         notes.append(
             f"translations were conjugated by factor {ts.parent.applied_factor} "

@@ -188,12 +188,14 @@ def pressure(
         return PressureEstimate(t, n, value, "exact-enumeration", total)
     if mode != "mc":
         raise InputError(f"unknown pressure mode {mode!r}")
-    # Monte Carlo: total ~= L^n * mean(m(w)^t) over uniform words
+    # Monte Carlo: total ~= L^n * mean(m(w)^t) over uniform words, with 0^0 = 1
     nu = np.array([float(x) for x in ts.nu])
     logs = _sampled_log_masses(ts, n, samples, seed, nu)
+    if t < 0 and np.isneginf(logs).any():
+        raise InputError("zero cylinder mass with negative t")
     try:
         with np.errstate(over="raise"):
-            vals = np.exp(t * logs)
+            vals = np.exp(t * logs) if t else np.ones(samples)
             mean = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     except (OverflowError, FloatingPointError):
@@ -207,15 +209,15 @@ def pressure(
 
 
 def lyapunov(ts: TypeSystem, n: int, samples: int, seed: int = 0) -> LyapunovEstimate:
-    """Monte Carlo estimate of the Lyapunov exponent of the norm cocycle."""
+    """Monte Carlo estimate of the Lyapunov exponent of the norm cocycle (-inf if a word dies)."""
     L = ts.L
     vals = _sampled_log_masses(ts, n, samples, seed, np.ones(ts.N)) / n
     w_hat = float(vals.mean())
-    se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+    live = samples > 1 and w_hat > -math.inf
+    se = float(vals.std(ddof=1) / math.sqrt(samples)) if live else 0.0
     half = 1.959963984540054 * se  # 95% normal CI
-    first = sum(
-        math.log(sum(sum(row) for row in A)) for A in ts.matrices
-    ) / L
+    norms = [sum(sum(row) for row in A) for A in ts.matrices]
+    first = sum(map(math.log, norms)) / L if all(norms) else -math.inf
     return LyapunovEstimate(
         n=n,
         samples=samples,

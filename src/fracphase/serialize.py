@@ -30,10 +30,12 @@ def parse_frac(s: str) -> Fraction:
 
 
 def line_ifs_to_json(ifs: LineIFS) -> dict:
+    factor = {"applied_factor": ifs.applied_factor} if ifs.applied_factor != 1 else {}
     return {
         "kind": "line",
         "L": ifs.L,
         "translations": [[t, n] for t, n in ifs.translations],
+        **factor,
     }
 
 
@@ -64,7 +66,9 @@ def ifs_from_json(data: dict):
                 (_json_int(t, "translation"), _json_int(n, "multiplicity"))
                 for t, n in data["translations"]
             )
-            return LineIFS(L=_json_int(data["L"], "L"), translations=translations)
+            factor = _json_int(data.get("applied_factor", 1), "applied_factor")
+            return LineIFS(L=_json_int(data["L"], "L"), translations=translations,
+                           applied_factor=factor)
         if kind == "lattice":
             cells = frozenset(
                 tuple(_json_int(x, "cell coordinate") for x in c) for c in data["cells"]

@@ -95,19 +95,12 @@ def pattern(mat) -> tuple[int, ...]:
     return tuple(sum(1 << j for j, x in enumerate(row) if x > 0) for row in mat)
 
 
-def pattern_mul(P, Q) -> tuple[int, ...]:
-    """Boolean product of two square zero-patterns.
+def row_mul(row: int, pat) -> int:
+    """One row of a boolean product: the OR of ``pat``'s rows k over the set bits k of ``row``.
 
-    Row i of P*Q is the OR of Q's rows k over the set bits k of P's row i.
+    Row i of P*Q is ``row_mul(P[i], Q)``; it depends on row i of P alone.
     """
-    return tuple(
-        reduce(or_, (q for k, q in enumerate(Q) if row >> k & 1), 0) for row in P
-    )
-
-
-def positive_rows(pat) -> int:
-    """Number of strictly positive rows (all N bits set) of a square zero-pattern."""
-    return pat.count((1 << len(pat)) - 1)
+    return reduce(or_, (q for k, q in enumerate(pat) if row >> k & 1), 0)
 
 
 def _fixed_measure(matrices: tuple[Matrix, ...], M: int) -> tuple[Fraction, ...]:
@@ -212,9 +205,9 @@ def _validate(ts: TypeSystem) -> None:
     pat = pattern(A)
     cur = pat
     for _ in range(max(1, N * N)):
-        if positive_rows(cur) == N:
+        if cur.count((1 << N) - 1) == N:
             break
-        cur = pattern_mul(cur, pat)
+        cur = tuple(row_mul(row, pat) for row in cur)
     else:
         raise InvariantError("sum matrix A is not primitive")
 

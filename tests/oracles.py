@@ -3,16 +3,19 @@
 Kept deliberately dumb and slow: exact rational polygon clipping for slice
 areas, a point-by-point scan of the slice certification grid, exhaustive
 word enumeration for transition-matrix entries, a Fraction nullspace over
-all candidate intervals, one hash per simulator node, the set of every
-covered cell of a projected realization, one Generator per sampled word,
-one cocycle walk per sampled word, and exact rational bisection for the
-extinction probability.
+all candidate intervals, a BFS over whole zero-patterns for positive-row
+witnesses, one hash per simulator node, the set of every covered cell of a
+projected realization, one Generator per sampled word, one cocycle walk per
+sampled word, and exact rational bisection for the extinction probability.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import random
+from collections import deque
 from fractions import Fraction
 from hashlib import blake2b
 
@@ -20,6 +23,7 @@ import numpy as np
 
 from fracphase.line_ifs import LineIFS, normalize
 from fracphase.simulate import stream
+from fracphase.type_system import Word, pattern
 
 UNIT_SQUARE = [
     (Fraction(0), Fraction(0)),
@@ -226,6 +230,38 @@ def candidate_kernel(ifs: LineIFS) -> list[list[Fraction]]:
             vec[pc] = -mat[pr][fc]
         basis.append(vec)
     return basis
+
+
+def pattern_witness(ts, budget: int):
+    """(word, inconclusive) from a BFS over whole N x N zero-patterns of A_w.
+
+    Patterns are popped in (length, lex) order of their first word, so a found
+    word is the lexicographically least shortest one; the search gives up once
+    ``budget`` distinct patterns are seen.
+    """
+    gens = [pattern(A) for A in ts.matrices]
+    full = (1 << ts.N) - 1
+
+    def mul(P, Q):
+        return tuple(
+            functools.reduce(operator.or_, (q for k, q in enumerate(Q) if row >> k & 1), 0)
+            for row in P
+        )
+
+    seen = set(gens)
+    queue = deque((g, (a,)) for a, g in enumerate(gens) if gens.index(g) == a)
+    while queue:
+        pat, word = queue.popleft()
+        if full in pat:
+            return Word(word, ts.L), False
+        if len(seen) >= budget:
+            return None, True
+        for a in range(ts.L):
+            nxt = mul(pat, gens[a])
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append((nxt, word + (a,)))
+    return None, False
 
 
 def random_small_ifs(rng: random.Random) -> LineIFS:

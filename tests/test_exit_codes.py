@@ -1,10 +1,11 @@
 """The exit-code contract under fuzzed input.
 
-Every argv of every subcommand, and every JSON file given to ``analyze``,
-exits with 0 (ok), 2 (input), 3 (ambiguity) or 4 (invariant), and never
-prints a traceback.  Depth, replicas, samples, n and the grid step are capped
-so that each example runs well under a second; ``--threads`` stays at most 1
-so that no example starts a process pool.
+Every argv of every subcommand, every JSON file given to ``analyze``, and
+every normal-form line IFS given to ``pressure`` exits with 0 (ok), 2 (input)
+or 3 (ambiguity), and never prints a traceback: exit 4 (invariant) is a bug.
+Depth, replicas, samples, n and the grid step are capped so that each
+example runs well under a second; ``--threads`` stays at most 1 so that no
+example starts a process pool.
 """
 
 import contextlib
@@ -95,7 +96,7 @@ def run(argv) -> tuple[int, str]:
 def check(argv) -> None:
     code, err = run(argv)
     event(f"{argv[0] if argv else '(none)'} exit {code}")
-    assert code in (0, 2, 3, 4), (argv, code, err)
+    assert code in (0, 2, 3), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
 
 
@@ -167,3 +168,14 @@ def test_fuzzed_analyze_json_keeps_the_exit_code_contract(tmp_path_factory, text
     path = tmp_path_factory.getbasetemp() / "fuzzed_ifs.json"
     path.write_text(text, encoding="utf-8")
     check(["analyze", str(path)] + ([] if direction is None else ["--dir", direction]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=normal_lines())
+def test_fuzzed_pressure_keeps_the_exit_code_contract(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "fuzzed_line.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    for mode in ("exact", "mc"):
+        for t in ("0", "-1", "0.5"):
+            check(["pressure", "--ifs", str(path), "--t", t, "--n", "3", "--mode", mode,
+                   "--samples", "50"])

@@ -1,10 +1,13 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import extinction_root
+from oracles import extinction_root, pattern_witness
+from test_type_system import line_systems
 
+from fracphase import phase
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import normalize, scale
 from fracphase.phase import (
@@ -16,7 +19,7 @@ from fracphase.phase import (
     similarity_dimension,
 )
 from fracphase.spectral import char_poly, spectral_radius
-from fracphase.type_system import compute_type_system
+from fracphase.type_system import Word, compute_type_system
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +174,39 @@ def test_positive_row_witness_is_shortest(menger_ts):
     ts = compute_type_system(scale(project(menger(), (1, 0, 0)), 3))
     word2, inconclusive2 = positive_row_witness(ts)
     assert word2 is None and not inconclusive2
+    # N = 20: the zero-pattern semigroup outgrew a million patterns, while
+    # the reachable rows are few
+    ts = compute_type_system(normalize(3, [0, 10, 38, 42]))
+    assert ts.N == 20
+    tracemalloc.start()
+    try:
+        assert positive_row_witness(ts) == (None, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_row_budget_leaves_the_interval_verdict_open(monkeypatch):
+    ts = compute_type_system(project(menger(), (3, 2, 0)))
+    assert positive_row_witness(ts) == (Word((0, 0), 3), False)
+    monkeypatch.setattr(phase, "_ROW_BUDGET", 1)
+    rep = phase_report(ts)
+    assert (rep.interval_witness, rep.interval_inconclusive) == (None, True)
+    assert rep.notes[-1] == "positive-row witness search hit its row budget"
+    assert rep.interval_threshold < Fraction(1, 2)
+    assert rep.verdict("interval-sufficient", Fraction(1, 2)) == "boundary"
+
+
+@settings(max_examples=60, deadline=None)
+@given(ifs=line_systems())
+def test_row_search_matches_the_pattern_search(ifs):
+    # the pattern BFS gives the least shortest word; where it decides within
+    # its budget, the row BFS must give the same word, or also certify none
+    ts = compute_type_system(ifs)
+    expected = pattern_witness(ts, budget=2000)
+    if not expected[1]:
+        assert positive_row_witness(ts) == expected
 
 
 def test_similarity_dimension():

@@ -12,7 +12,7 @@ from oracles import sampled_log_masses, sampled_words
 
 from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
-from fracphase.line_ifs import normalize
+from fracphase.line_ifs import LineIFS, normalize
 from fracphase.pressure import (
     _sampled_log_masses,
     _sampled_words,
@@ -174,6 +174,22 @@ def test_batched_walker_keeps_dead_words(seed):
     est = pressure(NILPOTENT, 0.5, 8, mode="mc", samples=64, seed=seed)
     mean = sum(vals) / 64
     assert est.value == pytest.approx(1 + math.log(mean) / (8 * math.log(2)), rel=1e-12)
+
+
+# A_1 = 0, so every sampled word with a digit 1 has mass 0
+DEAD_DIGIT_IFS = [LineIFS(3, ((0, 1), (2, 1))), LineIFS(2, ((0, 1),))]
+
+
+@pytest.mark.parametrize("ifs", DEAD_DIGIT_IFS)
+def test_dead_words_weigh_as_in_exact_enumeration(ifs):
+    ts = compute_type_system(ifs)
+    assert not any(map(any, ts.matrices[1]))
+    for mode in ("exact", "mc"):
+        assert pressure(ts, 0, 3, mode=mode, samples=50).value == 1.0
+        with pytest.raises(InputError, match="zero cylinder mass"):
+            pressure(ts, -1, 3, mode=mode, samples=50)
+    est = lyapunov(ts, 5, 20)
+    assert est.w_hat == est.ci_low == est.ci_high == est.first_level_mean == -math.inf
 
 
 def test_pressure_monotone_and_convex(systems):

@@ -35,8 +35,9 @@ def test_frac_round_trip():
 
 
 def test_ifs_json_round_trip():
-    line = project(menger(), (1, 1, 1))
-    assert ifs_from_json(line_ifs_to_json(line)) == line
+    for line in (project(menger(), (1, 1, 1)), normalize(3, [0, 1])):
+        assert ifs_from_json(line_ifs_to_json(line)) == line
+    assert "applied_factor" not in line_ifs_to_json(project(menger(), (1, 1, 1)))
     lat = sierpinski()
     assert ifs_from_json(lattice_to_json(lat)) == lat
     with pytest.raises(InputError):
@@ -63,10 +64,23 @@ NON_INTEGER_IFS = [
 ]
 
 
+# conjugation factors that are not integers >= 1
+BAD_FACTOR_IFS = [
+    {"kind": "line", "L": 3, "translations": [[0, 1], [2, 1]], "applied_factor": f}
+    for f in (0, -2, 1.5, True, "2", None)
+]
+
+
 # L * n_tilde^2 = 2 * 10^10 and 10^9 candidate transition entries
 OVERSIZED_IFS = [
     {"kind": "line", "L": 2, "translations": [[0, 1], [100000, 1]]},
     {"kind": "line", "L": 10**9, "translations": [[0, 1], [10**9 - 1, 1]]},
+]
+
+
+DEAD_DIGIT_IFS = [
+    {"kind": "line", "L": 3, "translations": [[0, 1], [2, 1]]},
+    {"kind": "line", "L": 2, "translations": [[0, 1]]},
 ]
 
 
@@ -186,7 +200,15 @@ def test_conjugation_note_ends_the_report_notes(tmp_path):
     assert phase_report(compute_type_system(normalize(3, [0, 1]))).notes[-1] == note
     path = tmp_path / "pair.json"
     path.write_text(json.dumps({"kind": "lattice", "d": 1, "L": 3, "cells": [[0], [1]]}))
-    result = CliRunner().invoke(cli, ["analyze", str(path), "--dir", "1"])
+    runner = CliRunner()
+    result = runner.invoke(cli, ["analyze", str(path), "--dir", "1"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["notes"].count(note) == 1
+    # the projected JSON carries the factor, so analyzing it keeps the note
+    projected = tmp_path / "projected.json"
+    result = runner.invoke(cli, ["project", str(path), "--dir", "1", "--out", str(projected)])
+    assert result.exit_code == 0
+    result = runner.invoke(cli, ["analyze", str(projected)])
     assert result.exit_code == 0
     assert json.loads(result.output)["notes"].count(note) == 1
 
@@ -253,11 +275,19 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
 
     pressure_argv = ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--n", "2"]
     json_argvs = []
-    for k, data in enumerate(NON_INTEGER_IFS):
+    for k, data in enumerate(NON_INTEGER_IFS + BAD_FACTOR_IFS):
         path = tmp_path / f"non_integer_{k}.json"
         path.write_text(json.dumps(data))
         direction = ["--dir", "1,1"] if data["kind"] == "lattice" else []
         json_argvs.append(["analyze", str(path), *direction])
+    # A_1 = 0: sampled words of mass 0 at negative t, as in exact mode
+    dead_digit_argvs = []
+    for k, data in enumerate(DEAD_DIGIT_IFS):
+        path = tmp_path / f"dead_digit_{k}.json"
+        path.write_text(json.dumps(data))
+        for mode in ("exact", "mc"):
+            dead_digit_argvs.append(["pressure", "--ifs", str(path), "--t", "-1", "--n", "3",
+                                     "--mode", mode, "--samples", "50"])
     for argv in (
         *json_argvs,
         ["analyze", "menger"],
@@ -278,6 +308,7 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
         ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "-1000", "--n", "3"],
         [*pressure_argv, "--t", "1000", "--mode", "mc", "--samples", "50"],
         [*pressure_argv, "--t", "0.5", "--mode", "mc", "--samples", "1000000000000"],
+        *dead_digit_argvs,
         ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "3/10",
          "--depth", "60", "--replicas", "1"],
         ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1",
