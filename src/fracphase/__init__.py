@@ -1,5 +1,10 @@
 """Phase analysis, simulation and certified verification for coin-tossing
-self-similar sets on the line."""
+self-similar sets on the line.
+
+The exact pipeline never imports numpy: ``pressure`` and ``simulate`` import
+it inside their float functions, and the names from ``slices`` (numpy and a
+process pool) are resolved on first use.
+"""
 
 from .errors import AmbiguityError, FracphaseError, InputError, InvariantError
 from .lattice import LatticeIFS, menger, project, sierpinski
@@ -18,17 +23,6 @@ from .simulate import (
     interface_process,
     project_survival,
     sample_survival,
-)
-from .slices import (
-    PlaneParams,
-    VerificationReport,
-    classify_region,
-    ftilde,
-    htilde,
-    plane,
-    reduce_to_wedge,
-    sample_nonnegativity,
-    verify_grid,
 )
 from .spectral import SpectralEnclosure, spectral_radius
 from .type_system import (
@@ -78,7 +72,6 @@ __all__ = [
     "project",
     "project_survival",
     "reduce_to_wedge",
-    "sample_nonnegativity",
     "sample_survival",
     "scale",
     "sierpinski",
@@ -87,3 +80,21 @@ __all__ = [
     "verify_grid",
     "zero_measure_threshold_estimate",
 ]
+
+# the names of the slice certificate, resolved on first use by __getattr__
+_SLICES_NAMES = frozenset({
+    "PlaneParams", "VerificationReport", "classify_region", "ftilde", "htilde",
+    "plane", "reduce_to_wedge", "verify_grid",
+})
+
+
+def __getattr__(name: str):
+    if name in _SLICES_NAMES:
+        from . import slices
+
+        return getattr(slices, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_SLICES_NAMES})

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
+from .errors import InputError
 from .spectral import (
     SpectralEnclosure,
     char_poly,
@@ -49,6 +50,10 @@ class RootThreshold:
 
     base: int
     root: int
+
+    def __post_init__(self) -> None:
+        if self.base < 1 or self.root < 1:
+            raise InputError(f"base and root must be >= 1, got {self.base} and {self.root}")
 
     @property
     def value_float(self) -> float:
@@ -171,7 +176,7 @@ class PhaseReport:
     interval_inconclusive: bool
     no_interval_threshold: SpectralEnclosure  # enclosure of 1 / min_a rho(A_a)
     no_interval_digit: int  # digit with the least upper bound on rho(A_a)
-    positive_measure_threshold: RootThreshold  # (min_U prod)^(-1/L)
+    positive_measure_threshold: RootThreshold | None  # (min_U prod)^(-1/L); None if 0
     positive_measure_rows_ok: bool
     notes: tuple[str, ...] = ()
 
@@ -262,7 +267,8 @@ def phase_report(ts: TypeSystem) -> PhaseReport:
     no_int = SpectralEnclosure(lo, hi)
 
     # product over digits of the U-th column sums, for every type U
-    pos_thr = RootThreshold(min(math.prod(col) for col in zip(*cs)), L)
+    min_prod = min(math.prod(col) for col in zip(*cs))
+    pos_thr = RootThreshold(min_prod, L) if min_prod > 0 else None
     rows_ok = all((1 << ts.N) - 1 in pattern(A) for A in ts.matrices)
 
     notes = []

@@ -30,12 +30,14 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .simulate import _check_seed, stream
 from .type_system import TypeSystem
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _WORD_BUDGET = 10**6  # most words exact enumeration visits
 _DRAW_BUDGET = 10**7  # most digits (samples * n) one Monte Carlo estimate draws
@@ -71,6 +73,8 @@ def _masses_exact_dfs(ts: TypeSystem, n: int, nu: list[int]):
     so it costs O(N^2) per node and O(n N) memory; the last digit is folded
     into the precomputed columns A_a nu.
     """
+    import numpy as np
+
     mats = [np.array(A, dtype=object) for A in ts.matrices]
     ends = [A @ np.array(nu, dtype=object) for A in mats]
 
@@ -87,6 +91,8 @@ def _masses_exact_dfs(ts: TypeSystem, n: int, nu: list[int]):
 
 def _sampled_words(L: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:
     """Words i of the sampled-word scheme for start <= i < stop (L <= 2^32)."""
+    import numpy as np
+
     _check_seed(seed)
     bits, key = np.random.Philox(0), [seed, 0]  # lists convert faster than arrays
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
@@ -113,6 +119,8 @@ def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight)
     digit and renormalizes it to sum 1, so a step costs O(N^2) per sample.
     A row that reaches 0 stays 0; its word comes out -inf.
     """
+    import numpy as np
+
     if n < 1 or samples < 1:
         raise InputError("n and samples must be >= 1")
     if samples * n > _DRAW_BUDGET:
@@ -188,6 +196,8 @@ def pressure(
         return PressureEstimate(t, n, value, "exact-enumeration", total)
     if mode != "mc":
         raise InputError(f"unknown pressure mode {mode!r}")
+    import numpy as np
+
     # Monte Carlo: total ~= L^n * mean(m(w)^t) over uniform words, with 0^0 = 1
     nu = np.array([float(x) for x in ts.nu])
     logs = _sampled_log_masses(ts, n, samples, seed, nu)
@@ -201,6 +211,8 @@ def pressure(
     except (OverflowError, FloatingPointError):
         raise _float_range_error(t) from None
     if mean == 0:
+        if np.isneginf(logs).all():
+            raise InputError("every sampled word has mass 0, so the log of the estimate is undefined")
         raise _float_range_error(t)
     total = (L**n) * mean
     value = (n * log_l + math.log(mean)) / (n * log_l)
@@ -210,6 +222,8 @@ def pressure(
 
 def lyapunov(ts: TypeSystem, n: int, samples: int, seed: int = 0) -> LyapunovEstimate:
     """Monte Carlo estimate of the Lyapunov exponent of the norm cocycle (-inf if a word dies)."""
+    import numpy as np
+
     L = ts.L
     vals = _sampled_log_masses(ts, n, samples, seed, np.ones(ts.N)) / n
     w_hat = float(vals.mean())

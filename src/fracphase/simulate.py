@@ -19,12 +19,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from hashlib import blake2b
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import InputError
 from .line_ifs import LineIFS
 from .phase import extinction_probability
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _TWO64 = 2**64
 _INTERFACE_CAP = 10**7  # population at which a replica counts as surviving
@@ -38,6 +40,8 @@ def _check_seed(seed: int) -> None:
 
 def stream(seed: int, index: int) -> np.random.Generator:
     """Monte Carlo draw ``index`` of ``seed``: Philox keyed by (seed, index)."""
+    import numpy as np
+
     _check_seed(seed)
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

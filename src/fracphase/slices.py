@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import InputError
 from .lattice import MENGER_REMOVED
-from .simulate import _check_seed
 
 
 class WedgeError(InputError):
@@ -173,50 +172,6 @@ def classify_region(p: PlaneParams) -> str:
             "0 <= a <= b <= 1, -(a+b) <= c <= 1"
         )
     return next((tag for tag, holds in _CERTIFICATES if holds(p)), TAG_GRID)
-
-
-def sample_nonnegativity(region: str, count: int, seed: int) -> list:
-    """Check htilde >= 0 at random rational points of a tagged region.
-
-    A certificate tag samples its own inequality, "grid" the points no
-    certificate covers, and "all" the whole admissible region.  Returns the
-    list of violations (expected empty).
-    """
-    predicates = {
-        **dict(_CERTIFICATES),
-        TAG_GRID: lambda p: classify_region(p) == TAG_GRID,
-        "all": lambda p: True,
-    }
-    if region not in predicates:
-        raise InputError(f"unknown region tag {region!r}")
-    predicate = predicates[region]
-    _check_seed(seed)
-    rng = np.random.Generator(np.random.Philox(seed))
-    denom = 3600
-    violations = []
-    accepted = 0
-    tries = 0
-    max_tries = 200 * count + 1000
-    while accepted < count and tries < max_tries:
-        tries += 1
-        a = Fraction(int(rng.integers(0, denom + 1)), denom)
-        b = Fraction(int(rng.integers(0, denom + 1)), denom)
-        if a > b:
-            a, b = b, a
-        c = Fraction(int(rng.integers(-2 * denom, denom + 1)), denom)
-        p = PlaneParams(a, b, c)
-        if not _in_domain(p) or not predicate(p):
-            continue
-        accepted += 1
-        value = htilde(p)
-        if value < 0:
-            violations.append((a, b, c, value))
-    if accepted < count:
-        raise InputError(
-            f"could not draw {count} points from region {region!r} "
-            f"(accepted {accepted})"
-        )
-    return violations
 
 
 # --- the grid certificate ------------------------------------------------

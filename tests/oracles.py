@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Kept deliberately dumb and slow: exact rational polygon clipping for slice
-areas, a point-by-point scan of the slice certification grid, exhaustive
+areas, a point-by-point scan of the slice certification grid, seeded random
+points of the slice regions where htilde must be nonnegative, exhaustive
 word enumeration for transition-matrix entries, a Fraction nullspace over
 all candidate intervals, a BFS over whole zero-patterns for positive-row
 witnesses, one hash per simulator node, the set of every covered cell of a
@@ -21,8 +22,10 @@ from hashlib import blake2b
 
 import numpy as np
 
+from fracphase import slices
+from fracphase.errors import InputError
 from fracphase.line_ifs import LineIFS, normalize
-from fracphase.simulate import stream
+from fracphase.simulate import _check_seed, stream
 from fracphase.type_system import Word, pattern
 
 UNIT_SQUARE = [
@@ -160,6 +163,52 @@ def grid_scan(d: Fraction):
                 best = (val, (Fraction(A, D), Fraction(B, D), Fraction(int(C[j]), D)))
     minimum, argmin = best
     return minimum, argmin, count, minimum > 0 and minimum**2 > 675 * d**2
+
+
+def sample_nonnegativity(region: str, count: int, seed: int) -> list:
+    """Check htilde >= 0 at random rational points of a tagged region.
+
+    An uncertified sampling check of what slices.verify_grid certifies.  A
+    certificate tag samples its own inequality, "grid" the points no
+    certificate covers, and "all" the whole admissible region.  Point
+    coordinates are multiples of 1/3600 drawn from Philox(seed).  Returns the
+    list of violations (expected empty).
+    """
+    predicates = {
+        **dict(slices._CERTIFICATES),
+        slices.TAG_GRID: lambda p: slices.classify_region(p) == slices.TAG_GRID,
+        "all": lambda p: True,
+    }
+    if region not in predicates:
+        raise InputError(f"unknown region tag {region!r}")
+    predicate = predicates[region]
+    _check_seed(seed)
+    rng = np.random.Generator(np.random.Philox(seed))
+    denom = 3600
+    violations = []
+    accepted = 0
+    tries = 0
+    max_tries = 200 * count + 1000
+    while accepted < count and tries < max_tries:
+        tries += 1
+        a = Fraction(int(rng.integers(0, denom + 1)), denom)
+        b = Fraction(int(rng.integers(0, denom + 1)), denom)
+        if a > b:
+            a, b = b, a
+        c = Fraction(int(rng.integers(-2 * denom, denom + 1)), denom)
+        p = slices.PlaneParams(a, b, c)
+        if not slices._in_domain(p) or not predicate(p):
+            continue
+        accepted += 1
+        value = slices.htilde(p)
+        if value < 0:
+            violations.append((a, b, c, value))
+    if accepted < count:
+        raise InputError(
+            f"could not draw {count} points from region {region!r} "
+            f"(accepted {accepted})"
+        )
+    return violations
 
 
 def compose_interval(ifs: LineIFS, translations, k: int):

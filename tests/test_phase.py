@@ -8,6 +8,7 @@ from oracles import extinction_root, pattern_witness
 from test_type_system import line_systems
 
 from fracphase import phase
+from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import normalize, scale
 from fracphase.phase import (
@@ -18,7 +19,7 @@ from fracphase.phase import (
     positive_row_witness,
     similarity_dimension,
 )
-from fracphase.spectral import char_poly, spectral_radius
+from fracphase.spectral import SpectralEnclosure, char_poly, spectral_radius
 from fracphase.type_system import Word, compute_type_system
 
 
@@ -68,6 +69,7 @@ def test_menger_axis_thresholds():
     assert rep.no_interval_threshold.lower <= Fraction(1, 4)
     assert rep.no_interval_threshold.upper >= Fraction(1, 4)
     assert not rep.positive_measure_rows_ok
+    assert rep.positive_measure_threshold is None  # a column product is 0
     assert any("zero column" in n for n in rep.notes)
 
 
@@ -86,6 +88,9 @@ def test_root_threshold_predicates():
     assert not thr.above(Fraction(15, 100))
     assert abs(thr.value_float - 288 ** (-1 / 3)) < 1e-15
     assert RootThreshold(6, 1).exact_str() == "1/6"
+    for base, root in ((0, 3), (-2, 1), (6, 0)):
+        with pytest.raises(InputError):
+            RootThreshold(base, root)
 
 
 def test_interval_check_three_valued(menger_report):
@@ -207,6 +212,28 @@ def test_row_search_matches_the_pattern_search(ifs):
     expected = pattern_witness(ts, budget=2000)
     if not expected[1]:
         assert positive_row_witness(ts) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(ifs=line_systems(scales=(1,)))  # char_poly is slow on scaled systems
+def test_verdicts_agree_across_theorems(ifs):
+    # Perron-Frobenius and AM-GM on the column sums rule these pairs out at
+    # every p; check at each threshold and halfway between neighbouring ones
+    rep = phase_report(compute_type_system(ifs))
+    points = {Fraction(1)}
+    for _, _, value, _ in rep.thresholds():
+        if isinstance(value, SpectralEnclosure):
+            points |= {value.lower, value.upper}
+        elif isinstance(value, RootThreshold):
+            points.add(Fraction(value.value_float))
+        elif value is not None:
+            points.add(value)
+    grid = sorted(p for p in points if 0 < p <= 1)
+    for p in grid + [(x + y) / 2 for x, y in zip(grid, grid[1:])]:
+        v = {name: rep.verdict(name, p) for name in EXACT_VERDICTS}
+        assert not v["interval-sufficient"] == v["no-interval"] == "holds", p
+        assert not v["positive-measure"] == v["extinction"] == "holds", p
+        assert v["positive-measure"] != "holds" or v["dimension-one"] == "holds", p
 
 
 def test_similarity_dimension():

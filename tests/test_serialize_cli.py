@@ -266,12 +266,12 @@ def test_cli_exit_codes():
 def test_main_exit_codes(monkeypatch, capsys, tmp_path):
     import fracphase.cli as climod
 
-    def exits_with_input_error(argv):
+    def exits_with_input_error(argv, message="input error"):
         monkeypatch.setattr("sys.argv", ["fracphase", *argv])
         with pytest.raises(SystemExit) as exc:
             climod.main()
         assert exc.value.code == 2
-        assert "input error" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
     pressure_argv = ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--n", "2"]
     json_argvs = []
@@ -316,6 +316,11 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
         ["verify-slice", "--step", "1/5000000"],
     ):
         exits_with_input_error(argv)
+    # every sampled word of L = 2 {0} dies; nothing leaves the float range
+    path = tmp_path / "dead_digit_1.json"
+    exits_with_input_error(["pressure", "--ifs", str(path), "--t", "0.5", "--n", "20",
+                            "--mode", "mc", "--samples", "50"],
+                           "input error: every sampled word has mass 0")
     # over the candidate budget the type system is refused before it is built:
     # building either one would allocate far more than 1 MiB
     for k, data in enumerate(OVERSIZED_IFS):

@@ -23,10 +23,9 @@ from fracphase.slices import (
     htilde,
     plane,
     reduce_to_wedge,
-    sample_nonnegativity,
     verify_grid,
 )
-from oracles import clip_area, grid_scan, htilde_oracle
+from oracles import clip_area, grid_scan, htilde_oracle, sample_nonnegativity
 
 
 def _random_wedge_point(rng, denom=720):

@@ -146,15 +146,15 @@ def test_brute_force_equivalence_menger_depth2(menger_ts):
 
 
 @st.composite
-def line_systems(draw):
-    """random_small_ifs, or a scaled menger/carpet projection."""
+def line_systems(draw, scales=(1, 2, 3, 5)):
+    """random_small_ifs, or a menger/carpet projection scaled by one of scales."""
     kind = draw(st.sampled_from(["random", "menger", "sierpinski"]))
     if kind == "random":
         return random_small_ifs(random.Random(draw(st.integers(0, 10**6))))
     lat = menger() if kind == "menger" else sierpinski()
     v = draw(st.lists(st.integers(-4, 4), min_size=lat.d, max_size=lat.d))
     assume(any(v))
-    return scale(project(lat, v), draw(st.sampled_from([1, 2, 3, 5])))
+    return scale(project(lat, v), draw(st.sampled_from(scales)))
 
 
 @settings(max_examples=60, deadline=None)
