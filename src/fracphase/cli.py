@@ -122,7 +122,7 @@ def simulate(source, direction, p, depth, replicas, seed, out) -> None:
         cov = project_survival(ifs, s)
         extinct = s.extinct_level
         rows.append(
-            f"{r},{len(s.retained)},{float(cov.measure)!r},"
+            f"{r},{s.retained_count},{float(cov.measure)!r},"
             f"{cov.longest_run},{'' if extinct is None else extinct}"
         )
     _emit("\n".join(rows) + "\n", out)

@@ -30,6 +30,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .errors import InputError
@@ -73,20 +74,18 @@ def _masses_exact_dfs(ts: TypeSystem, n: int, nu: list[int]):
     so it costs O(N^2) per node and O(n N) memory; the last digit is folded
     into the precomputed columns A_a nu.
     """
-    import numpy as np
-
-    mats = [np.array(A, dtype=object) for A in ts.matrices]
-    ends = [A @ np.array(nu, dtype=object) for A in mats]
+    cols = [list(zip(*A)) for A in ts.matrices]
+    ends = [[sum(map(mul, r, nu)) for r in A] for A in ts.matrices]
 
     def rec(row, left):
         if left == 1:
             for v in ends:
-                yield row @ v
+                yield sum(map(mul, row, v))
             return
-        for A in mats:
-            yield from rec(row @ A, left - 1)
+        for C in cols:
+            yield from rec([sum(map(mul, row, c)) for c in C], left - 1)
 
-    yield from rec(np.ones(ts.N, dtype=object), n)
+    yield from rec([1] * ts.N, n)
 
 
 def _sampled_words(L: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from hashlib import blake2b
 from typing import TYPE_CHECKING
@@ -49,29 +50,45 @@ def stream(seed: int, index: int) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class SurvivalSet:
-    """A depth-n realization: retained words level by level."""
+    """A depth-n realization, kept as parent index and digit per level.
+
+    Word j of level k >= 1 is word ``parents[k-1][j]`` of level k - 1 followed
+    by ``digits[k-1][j]``; stored levels stop at ``depth`` or the first empty one.
+    """
 
     M: int
     p: Fraction
     depth: int
     seed: int
-    levels: tuple[frozenset[tuple[int, ...]], ...]  # levels[k]: retained |w|=k
+    parents: tuple[tuple[int, ...], ...]
+    digits: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def levels(self) -> tuple[frozenset[tuple[int, ...]], ...]:
+        """levels[k]: retained words |w| = k, every level through ``depth``."""
+        words: list[tuple[int, ...]] = [()]
+        levels = [frozenset(words)]
+        for par, dig in zip(self.parents, self.digits):
+            words = [words[j] + (i,) for j, i in zip(par, dig)]
+            levels.append(frozenset(words))
+        return tuple(levels + levels[-1:] * (self.depth + 1 - len(levels)))
 
     @property
     def retained(self) -> frozenset[tuple[int, ...]]:
         return self.levels[-1]
 
     @property
+    def retained_count(self) -> int:
+        return len(self.digits[-1]) if self.digits else 1
+
+    @property
     def extinct_level(self) -> int | None:
         """First level with no retained words, or None if alive at depth."""
-        for k, level in enumerate(self.levels):
-            if not level:
-                return k
-        return None
+        return len(self.digits) if self.digits and not self.digits[-1] else None
 
 
 def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
-    """Draw one realization of the retention tree down to ``depth``."""
+    """Draw one realization of the retention tree down to ``depth``, depth first."""
     if M < 2:
         raise InputError("arity M must be >= 2")
     if not 0 <= depth <= _NODE_BUDGET:  # deeper, only a dead tree fits the budget
@@ -80,32 +97,43 @@ def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
     pf = Fraction(p)
     if not 0 <= pf <= 1:
         raise InputError("p must be in [0, 1]")
-    # h / 2^64 < p  <=>  h < ceil(p * 2^64), as h is an integer
+    # h / 2^64 < p  <=>  h < ceil(p * 2^64), as h is an integer; the digest's
+    # last byte is h's top byte, so it decides unless it equals the bound's
     bound = -((-pf.numerator << 64) // pf.denominator)
-    keyed = blake2b(digest_size=8, key=seed.to_bytes(8, "little"))
-    labels = [str(i).encode() for i in range(M)]
-    levels: list[frozenset[tuple[int, ...]]] = [frozenset({()})]
-    current: dict[tuple[int, ...], bytes] = {(): b""}  # word -> its message
+    top = bound >> 56
+    labels = [(i, str(i).encode()) for i in reversed(range(M))]  # 0 is pushed last
+    parents: list[list[int]] = []
+    digits: list[list[int]] = []
+    # nodes to expand, as parallel stacks: level, index in the level, and hash
+    # state (keyed; for a node below the root, then fed its message and a comma)
+    states = [blake2b(digest_size=8, key=seed.to_bytes(8, "little"))] if depth else []
+    ks, js = [0], [0]
     hashed = 0
-    while current and len(levels) <= depth:
-        hashed += M * len(current)
+    while states:
+        state, k, j = states.pop(), ks.pop(), js.pop()
+        hashed += M
         if hashed > _NODE_BUDGET:
             raise InputError(f"the realization hashes more than {_NODE_BUDGET} nodes")
-        nxt: dict[tuple[int, ...], bytes] = {}
-        for word, msg in current.items():
-            parent = keyed.copy()  # then fed the parent's message and a comma
-            if word:
-                msg += b","
-                parent.update(msg)
-            for i, label in enumerate(labels):
-                h = parent.copy()
-                h.update(label)
-                if int.from_bytes(h.digest(), "little") < bound:
-                    nxt[word + (i,)] = msg + label
-        levels.append(frozenset(nxt))
-        current = nxt
-    levels += [levels[-1]] * (depth + 1 - len(levels))  # extinct: one empty level
-    return SurvivalSet(M=M, p=pf, depth=depth, seed=seed, levels=tuple(levels))
+        if k == len(parents):
+            parents.append([])
+            digits.append([])
+        par, dig, inner = parents[k], digits[k], k + 1 < depth
+        for i, label in labels:
+            h = state.copy()
+            h.update(label)
+            d = h.digest()
+            if d[7] < top or d[7] == top and int.from_bytes(d, "little") < bound:
+                if inner:
+                    h.update(b",")
+                    states.append(h)
+                    ks.append(k + 1)
+                    js.append(len(par))
+                par.append(j)
+                dig.append(i)
+    for k in range(len(parents)):  # one level at a time, so only one is held twice
+        parents[k], digits[k] = tuple(parents[k]), tuple(digits[k])
+    return SurvivalSet(M=M, p=pf, depth=depth, seed=seed,
+                       parents=tuple(parents), digits=tuple(digits))
 
 
 @dataclass(frozen=True)
@@ -136,14 +164,11 @@ def project_survival(ifs, s: SurvivalSet) -> CoverageStats:
     maps = ifs.map_translations()
     total_cells = nt * L**n
     # left endpoints of the f_w(hull) in units of L^{1-n}; each covers [X, X + nt)
-    starts = set()
-    for word in s.retained:
-        X = 0
-        for i in word:
-            X = X * L + maps[i]
-        starts.add(X)
+    starts = [0]
+    for par, dig in zip(s.parents, s.digits):  # X_{wi} = X_w L + t_i
+        starts = [starts[j] * L + maps[i] for j, i in zip(par, dig)]
     runs: list[list[int]] = []  # maximal runs [lo, hi) of covered cells
-    for X in sorted(starts) if nt else ():
+    for X in sorted(set(starts)) if nt else ():
         if runs and X <= runs[-1][1]:
             runs[-1][1] = X + nt
         else:
@@ -206,7 +231,7 @@ def interface_process(
 
 def empirical_box_dimension(s: SurvivalSet, L: int) -> float:
     """log(#retained) / (n log L); NaN for extinct realizations."""
-    count = len(s.retained)
+    count = s.retained_count
     if count == 0 or s.depth == 0:
         return float("nan") if count == 0 else 0.0
     return math.log(count) / (s.depth * math.log(L))

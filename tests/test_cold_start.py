@@ -1,4 +1,5 @@
-"""The exact commands run without numpy, and ``fracphase.pressure`` stays a function.
+"""The exact commands and ``simulate`` run without numpy, and
+``fracphase.pressure`` stays a function.
 
 Each check runs in a fresh interpreter, since the test session itself has
 long since imported numpy and every submodule.
@@ -30,7 +31,9 @@ from click.testing import CliRunner
 runner = CliRunner()
 for argv in (["analyze", "menger", "--dir", "1,1,1"],
              ["analyze", "sierpinski", "--dir", "1,-1", "--format", "csv"],
-             ["project", "menger", "--dir", "1,0,0"]):
+             ["project", "menger", "--dir", "1,0,0"],
+             ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "0.5", "--n", "4"],
+             ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "3/10", "--depth", "3"]):
     result = runner.invoke(fracphase.cli.cli, argv)
     assert result.exit_code == 0, (argv, result.output)
 print(*(m for m in ("numpy", "concurrent.futures") if m in sys.modules))

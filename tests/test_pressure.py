@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -74,6 +75,20 @@ def test_exact_pressure_golden_values(systems):
         est = pressure(systems[name], t, 5)
         assert (est.value.hex(), est.mass_sum.hex()) == (value, mass_sum)
         assert est.method == "exact-enumeration"
+
+
+def test_exact_walk_memory_does_not_grow_with_the_word_count(systems):
+    # the depth-first walk holds one row per level, O(n N); 3^10 = 59,049
+    # words against 3^6 = 729 may add a few rows, not a list of the words
+    peaks = []
+    for n in (6, 10):
+        tracemalloc.start()
+        try:
+            pressure(systems["menger"], 0.5, n)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**14
 
 
 @settings(max_examples=40, deadline=None)

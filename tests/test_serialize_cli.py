@@ -233,6 +233,17 @@ def test_cli_simulate_csv():
     assert again.output == result.output
 
 
+def test_cli_simulate_matches_golden_output():
+    # the README command; the fixture pins every realization of the hash scheme
+    result = CliRunner().invoke(
+        cli,
+        ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "3/10",
+         "--depth", "4", "--replicas", "50"],
+    )
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / "simulate_menger_1_1_1.csv").read_bytes()
+
+
 def test_cli_pressure():
     runner = CliRunner()
     result = runner.invoke(

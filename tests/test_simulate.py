@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -69,6 +71,21 @@ def test_level_counts_match_branching_mean():
 @pytest.mark.parametrize("M, depth", [(8, 4), (20, 3)])
 def test_sample_survival_matches_node_oracle(M, depth, p, seed):
     assert sample_survival(M, p, depth, seed).levels == survival_levels(M, p, depth, seed)
+
+
+def test_deep_narrow_tree_is_walked_without_recursion():
+    # seed 1315 keeps the critical binary tree (M p = 1) alive through depth
+    # 300 on 4,154 nodes; a walk that recursed once per level would raise
+    # RecursionError under a limit below that depth.  The default limit of
+    # 1000 would need a tree whose tuple words the oracle takes seconds to build.
+    depth, seed, limit = 300, 1315, sys.getrecursionlimit()
+    sys.setrecursionlimit(250)
+    try:
+        s = sample_survival(2, Fraction(1, 2), depth, seed)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert s.extinct_level is None
+    assert s.levels == survival_levels(2, Fraction(1, 2), depth, seed)
 
 
 def test_node_coin_boundary():
@@ -145,6 +162,19 @@ def test_sample_survival_node_budget(monkeypatch):
     monkeypatch.setattr(simulate, "_NODE_BUDGET", 419)
     with pytest.raises(InputError):
         sample_survival(20, 1, 2, seed=0)
+
+
+def test_realization_at_the_node_budget_stays_small():
+    # 2 + 4 + ... + 2^18 = 524,286 hashed nodes; kept as frozensets of tuple
+    # words, the levels took the process to 192 MiB
+    tracemalloc.start()
+    try:
+        s = sample_survival(2, 1, 18, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert s.retained_count == 2**18
+    assert peak < 64 * 2**20
 
 
 def test_dead_realization_stops_hashing():
