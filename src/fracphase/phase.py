@@ -86,19 +86,26 @@ def positive_row_witness(ts: TypeSystem):
     gens = [pattern(A) for A in ts.matrices]
     full = (1 << ts.N) - 1
     seen: set[int] = set()
-    level = [((), [1 << i for i in range(ts.N)])]  # the empty word's rows
+    history: list[tuple[list[int], list[int]]] = []  # per level: parent index, digit
+    level = [tuple(1 << i for i in range(ts.N))]  # the empty word's rows
     while level:
-        nxt = []
-        for word, rows in level:
+        parents, digits, nxt = [], [], []
+        for k, rows in enumerate(level):
             for a, gen in enumerate(gens):
                 new = {row_mul(row, gen) for row in rows} - seen
                 if full in new:
-                    return Word(word + (a,), ts.L), False
+                    word = (a,)
+                    for par, dig in reversed(history):
+                        word, k = (dig[k], *word), par[k]
+                    return Word(word, ts.L), False
                 if new:
                     seen |= new
-                    nxt.append((word + (a,), new))
+                    parents.append(k)
+                    digits.append(a)
+                    nxt.append(tuple(new))
             if len(seen) > _ROW_BUDGET:
                 return None, True
+        history.append((parents, digits))
         level = nxt
     return None, False
 

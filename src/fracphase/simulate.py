@@ -17,9 +17,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from fractions import Fraction
 from hashlib import blake2b
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .errors import InputError
@@ -48,6 +49,10 @@ def stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _extend(words: list, level: tuple) -> list:  # level: the next level's (parents, digits)
+    return [words[j] + (i,) for j, i in zip(*level)]
+
+
 @dataclass(frozen=True)
 class SurvivalSet:
     """A depth-n realization, kept as parent index and digit per level.
@@ -66,16 +71,14 @@ class SurvivalSet:
     @cached_property
     def levels(self) -> tuple[frozenset[tuple[int, ...]], ...]:
         """levels[k]: retained words |w| = k, every level through ``depth``."""
-        words: list[tuple[int, ...]] = [()]
-        levels = [frozenset(words)]
-        for par, dig in zip(self.parents, self.digits):
-            words = [words[j] + (i,) for j, i in zip(par, dig)]
-            levels.append(frozenset(words))
+        words = accumulate(zip(self.parents, self.digits), _extend, initial=[()])
+        levels = [frozenset(level) for level in words]
         return tuple(levels + levels[-1:] * (self.depth + 1 - len(levels)))
 
-    @property
+    @cached_property
     def retained(self) -> frozenset[tuple[int, ...]]:
-        return self.levels[-1]
+        """levels[-1], folded from the stored levels without keeping their words."""
+        return frozenset(reduce(_extend, zip(self.parents, self.digits), [()]))
 
     @property
     def retained_count(self) -> int:

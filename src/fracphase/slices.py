@@ -20,13 +20,14 @@ comparison is squared so that everything stays rational).
 All certification arithmetic is exact.  The grid kernel maps each coordinate
 to an integer numerator over the common denominator ``D = 3 * denominator(d)``
 and never visits the grid point by point.  Along a grid row (fixed a, b) the
-numerator of htilde is a signed sum of 64 truncated squares in c, so it is one
-integer quadratic on each of at most 65 pieces between sorted knots; the
-row's exact minimum over the grid's c values is found among each piece's end
-points and the two grid points next to its vertex.  The cost is O(1/d^2)
-rows of int64 numpy work instead of O(1/d^3) points.  Every knot, piece
-coefficient and piece value fits in int64 while ``D <= _MAX_D`` (about
-1.3e7; the derivation is at ``_MAX_D``); finer steps are rejected.
+numerator of htilde is a signed sum of 40 truncated squares in c, so it is one
+integer quadratic on each of 41 pieces between sorted knots; the row's exact
+minimum over the grid's c values is among two candidates per piece: the grid
+points around a convex piece's vertex, else the piece's end points.  The cost
+is O(1/d^2) rows of int64 numpy work, batched across a-slices, instead of
+O(1/d^3) points.  Every knot, piece coefficient and piece value fits in int64
+while ``D <= _MAX_D`` (about 1.3e7; the derivation is at ``_MAX_D``); finer
+steps are rejected.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 import os
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,107 +191,104 @@ class VerificationReport:
 
 
 def _row_knots() -> np.ndarray:
-    """The 64 (w, e, f, g) of the htilde numerator along a grid row.
+    """The (w, e, f, g) of the htilde numerator along a grid row, 40 once merged.
 
     With X = 3C, 9 * (5*n(C) - sum over removed corners (u, v, w) of
     n(3C + u*A + v*B - w*D)) = sum_j w_j * (K_j - X)_+^2 = 162*A*B*htilde with
     K_j = e_j*D + f_j*A + g_j*B: the base plane gives knots 3*kappa of weight
     5*sigma, each removed cube knots kappa - u*A - v*B + w*D of weight -9*sigma.
     """
-    rows = [(5 * s, 3 * e, 3 * f, 3 * g) for s, e, f, g in _SLICE_KNOTS]
-    for u, v, w in REMOVED_CORNERS:
-        rows += [(-9 * s, e + w, f - u, g - v) for s, e, f, g in _SLICE_KNOTS]
-    return np.array(rows, dtype=np.int64).T
+    merged: Counter = Counter()  # equal (e, f, g) coincide for every A, B and D
+    for s, e, f, g in _SLICE_KNOTS:
+        merged[3 * e, 3 * f, 3 * g] += 5 * s
+        for u, v, w in REMOVED_CORNERS:
+            merged[e + w, f - u, g - v] -= 9 * s
+    return np.array([(w, *knot) for knot, w in merged.items()], dtype=np.int64).T
 
 
 _W, _E, _F, _G = _row_knots()
-_BLOCK = 128  # grid rows per kernel call; keeps its working set near 1 MiB
+_BLOCK = 256  # grid rows per kernel call; keeps its working set under 1 MiB
 _INT64_MAX = np.iinfo(np.int64).max
 # int64 range of the kernel.  0 < A <= B <= D puts every kappa in [-2D, D], so
 # |K| <= 6D (base knots 3*kappa; removed-cube knots lie in [-4D, 3D]), and the
-# grid's X = 3C lies in [-4D, D].  With sum |w| = 8*5 + 56*9 = 544, a piece's
-# alpha = sum w, beta = sum w*K, gamma = sum w*K^2 obey |alpha| <= 544,
+# grid's X = 3C lies in [-4D, D].  With sum |w| = 400 <= 8*5 + 56*9 = 544, a
+# piece's alpha = sum w, beta = sum w*K, gamma = sum w*K^2 obey |alpha| <= 544,
 # |beta| <= 3264*D, |gamma| <= 19584*D^2, so (alpha*X - 2*beta)*X + gamma
 # stays within (544*4 + 2*3264)*4*D^2 + 19584*D^2 = 54400*D^2; the vertex
 # numerator beta - alpha*X is within 5440*D.  Everything fits for D <= _MAX_D.
 _MAX_D = math.isqrt(_INT64_MAX // 54400)
 
 
-def _row_minima(A: int, B: np.ndarray, D: int, S: int, y: int):
-    """Exact minimum of htilde over C along the grid rows (A, B[i]).
+def _row_minima(A: np.ndarray, B: np.ndarray, D: int, S: int, y: int):
+    """Exact minimum of htilde over C along the grid rows (A, B), given as columns.
 
     In X = 3C the numerator N = 162*A*B*htilde = sum_j w_j * (K_j - X)_+^2 is
-    the integer quadratic alpha*X^2 - 2*beta*X + gamma on each of the 65 pieces
+    the integer quadratic alpha*X^2 - 2*beta*X + gamma on each of the 41 pieces
     between the sorted knots, with alpha, beta, gamma the sums of w, w*K, w*K^2
     over the knots above the piece.  Over the grid points X = x0 + T*j of a
-    piece, the quadratic is smallest at the piece's first or last point or,
-    when alpha > 0, at one of the two points around its vertex beta/alpha;
-    every smallest-j minimizer is among these.  Returns, per row, the minimum
-    of N and the smallest j attaining it.
+    piece, a convex quadratic (alpha > 0) is smallest at one of the two points
+    around its vertex beta/alpha, any other at the piece's first or last point;
+    clipped to the piece, these two candidates hold every smallest-j minimizer.
+    Returns, per row, the minimum of N and the smallest j attaining it.
     """
-    x0 = (3 * (2 * y - A - B))[:, None]  # X at the row's first grid point
+    x0 = 3 * (2 * y - A - B)  # X at the row's first grid point
     T = 3 * S
-    last = ((A + B - y) // S)[:, None]  # j of the row's last grid point
+    last = (A + B - y) // S  # j of the row's last grid point
     # sort the knots, carrying each one's table index in the low 6 bits
-    K = (_E * D + _F * A + _G * B[:, None]) * 64 + np.arange(64)
+    K = (_E * D + _F * A + _G * B) * 64 + np.arange(len(_W))
     K.sort(axis=1)
     w = _W[K & 63]
     K >>= 6
-
-    def above(v):  # piece i gets the sum of v over sorted knots i..63
-        p = np.cumsum(v, axis=1)
-        return np.concatenate([p[:, -1:], p[:, -1:] - p], axis=1)
-
-    alpha = above(w)
-    w *= K
-    beta = above(w)
-    w *= K
-    gamma = above(w)
+    p = np.cumsum(np.stack([w, w * K, w * K * K]), axis=2)
+    alpha, beta, gamma = np.concatenate([p[..., -1:], p[..., -1:] - p], axis=2)
     # piece i spans knots i-1 .. i; its grid points are j = lo .. hi
     K -= x0
     lo = np.concatenate([np.zeros_like(last), -(-K // T)], axis=1)
     hi = np.concatenate([K // T, last], axis=1)
-    del K, w  # freed before the (rows, 65, 4) candidate arrays
-    np.maximum(lo, 0, out=lo)
-    np.minimum(hi, last, out=hi)
-    valid = lo <= hi
-    np.minimum(lo, last, out=lo)  # keep every candidate on the row
-    np.maximum(hi, 0, out=hi)
+    del K, w, p  # freed before the (2, rows, 41) candidate arrays
+    valid = (lo <= hi) & (lo <= last) & (hi >= 0)
+    np.clip(lo, 0, last, out=lo)  # keep every candidate on the row
+    np.clip(hi, 0, last, out=hi)
     convex = alpha > 0
-    vertex = np.where(convex, (beta - alpha * x0) // np.where(convex, alpha * T, 1), lo)
-    X = np.stack([lo, hi, vertex, vertex + 1], axis=2)
-    np.clip(X, lo[..., None], hi[..., None], out=X)
+    vertex = (beta - alpha * x0) // np.where(convex, alpha * T, 1)
+    X = np.stack([np.where(convex, vertex, lo), np.where(convex, vertex + 1, hi)])
+    np.clip(X, lo, hi, out=X)
     X *= T
-    X += x0[..., None]
-    vals = alpha[..., None] * X
-    vals -= 2 * beta[..., None]
+    X += x0
+    vals = alpha * X
+    vals -= 2 * beta
     vals *= X
-    vals += gamma[..., None]
-    np.copyto(vals, _INT64_MAX, where=~valid[..., None])
-    m = vals.min(axis=(1, 2))
-    np.copyto(X, _INT64_MAX, where=vals != m[:, None, None])
-    return m, (X.min(axis=(1, 2)) - x0[:, 0]) // T
+    vals += gamma
+    np.copyto(vals, _INT64_MAX, where=~valid)
+    m = vals.min(axis=(0, 2))
+    np.copyto(X, _INT64_MAX, where=vals != m[:, None])
+    return m, (X.min(axis=(0, 2)) - x0[:, 0]) // T
 
 
 def _slice_min(args):
-    """Exact minimum of htilde over one a-slice of the grid.
+    """Exact minimum of htilde over the a-slices As of one task (As, D, S, y).
 
-    Returns (value, A, B, C, count): the slice minimum, its lexicographically
+    Their rows go _BLOCK at a time to the kernel, whatever their a-slice.
+    Returns (value, A, B, C, count): the task's minimum, its lexicographically
     smallest grid point in 1/D units, and the number of grid points.
     """
-    A, D, S, y = args
-    best = None  # (N, B, j) with value N / (162*A*B)
-    count = 0
-    n_b = (D - A) // S + 1
-    for start in range(0, n_b, _BLOCK):
-        B = A + S * np.arange(start, min(start + _BLOCK, n_b), dtype=np.int64)
-        count += int(((A + B - y) // S + 1).sum())
+    As, D, S, y = args
+    slice_A = np.array(As, dtype=np.int64)
+    n = (D - slice_A) // S + 1  # rows per a-slice; its row k has (2A - y) // S + k + 1 points
+    starts = np.cumsum(n) - n  # each a-slice's first row
+    best = None  # (N, A, B, j) with value N / (162*A*B)
+    count = sum((n * ((2 * slice_A - y) // S + 1) + n * (n - 1) // 2).tolist())
+    for r in range(0, n.sum(), _BLOCK):
+        r = np.arange(r, min(r + _BLOCK, n.sum()))[:, None]
+        k = starts.searchsorted(r, "right") - 1  # each row's a-slice
+        A = slice_A[k]
+        B = A + S * (r - starts[k])
         m, j = _row_minima(A, B, D, S, y)
-        # rows ascend in B, so the strict comparison keeps the smallest B
-        for row in zip(m.tolist(), B.tolist(), j.tolist()):
-            if best is None or row[0] * best[1] < best[0] * row[1]:
+        # rows ascend in (A, B), so the strict comparison keeps the least
+        for row in zip(m.tolist(), A[:, 0].tolist(), B[:, 0].tolist(), j.tolist()):
+            if best is None or row[0] * best[1] * best[2] < best[0] * row[1] * row[2]:
                 best = row
-    N, B, j = best
+    N, A, B, j = best
     return Fraction(N, 162 * A * B), A, B, 2 * y - A - B + S * j, count
 
 
@@ -299,8 +298,8 @@ def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
     The grid is a from 1/3 stepping d_hat while it stays <= 1; b from a the
     same way; c from 2/3 - (a + b) stepping d_hat while it stays <= 1/3.
     Certifies global nonnegativity on the grid-covered region iff the exact
-    minimum m satisfies m > 0 and m^2 > 675 * d_hat^2.  ``workers`` runs
-    a-slices in that many processes, at most ``os.cpu_count()``.
+    minimum m satisfies m > 0 and m^2 > 675 * d_hat^2.  ``workers`` deals the
+    a-slices out in turn to that many processes, at most ``os.cpu_count()``.
     """
     d = Fraction(d_hat)
     if not 0 < d <= _THIRD:
@@ -317,11 +316,12 @@ def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
         )
     start = time.monotonic()
     S = 3 * d.numerator  # grid step in units of 1/D
-    # a runs from 1/3 = y/D in steps of S while it stays <= 1
-    tasks = [(A, D, S, y) for A in range(y, D + 1, S)]
+    # a runs from 1/3 = y/D in steps of S while it stays <= 1.  Each a-slice has
+    # one row fewer than the last, so dealt out in turn they balance the rows.
+    tasks = [(range(A, D + 1, S * workers), D, S, y) for A in range(y, D + 1, S)[:workers]]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_slice_min, tasks, chunksize=4))
+            results = list(pool.map(_slice_min, tasks))
     else:
         results = [_slice_min(t) for t in tasks]
 

@@ -203,6 +203,22 @@ def test_row_budget_leaves_the_interval_verdict_open(monkeypatch):
     assert rep.verdict("interval-sufficient", Fraction(1, 2)) == "boundary"
 
 
+def test_row_search_memory_stays_small_up_to_its_budget(monkeypatch):
+    # N = 28: the search gives up after 10^4 rows.  Keeping each level as
+    # parent indices and digits, with row tuples, peaks near 1.7 MiB; a word
+    # tuple and a row set per entry took it past 4 MiB.
+    ts = compute_type_system(normalize(3, [0, 31, 56]))
+    assert ts.N == 28
+    monkeypatch.setattr(phase, "_ROW_BUDGET", 10**4)
+    tracemalloc.start()
+    try:
+        assert positive_row_witness(ts) == (None, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
+
+
 @settings(max_examples=60, deadline=None)
 @given(ifs=line_systems())
 def test_row_search_matches_the_pattern_search(ifs):

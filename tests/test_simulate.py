@@ -70,7 +70,10 @@ def test_level_counts_match_branching_mean():
 @pytest.mark.parametrize("p", [0, Fraction(1, 3), Fraction(3, 10), 1])
 @pytest.mark.parametrize("M, depth", [(8, 4), (20, 3)])
 def test_sample_survival_matches_node_oracle(M, depth, p, seed):
-    assert sample_survival(M, p, depth, seed).levels == survival_levels(M, p, depth, seed)
+    s, levels = sample_survival(M, p, depth, seed), survival_levels(M, p, depth, seed)
+    assert s.retained == levels[-1]
+    assert "levels" not in vars(s)  # the leaves are folded without the other levels
+    assert s.levels == levels
 
 
 def test_deep_narrow_tree_is_walked_without_recursion():

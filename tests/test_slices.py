@@ -3,6 +3,7 @@ import os
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -200,6 +201,36 @@ def test_truncated_square_forms_match_oracles(a, b, c):
     assert row == 162 * a * b * htilde_oracle(a, b, c)
 
 
+def test_row_knots_are_merged_within_the_int64_derivation():
+    # coincident (e, f, g) are summed: 64 knots become 40, none of weight 0,
+    # and sum |w| stays within the 8*5 + 56*9 = 544 that _MAX_D is derived from
+    w, e, f, g = _row_knots()
+    assert len(set(zip(e.tolist(), f.tolist(), g.tolist()))) == len(w) == 40
+    assert all(w)
+    assert sum(abs(w)) == 400 <= 544
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(3, 20), st.data())
+def test_row_minima_match_brute_force(k, n, data):
+    # each row's minimum numerator and its smallest minimizing j, for rows of
+    # several a-slices in one kernel call, against htilde at every grid point
+    d = Fraction(k, n)
+    assume(d <= Fraction(1, 3))
+    y, S = d.denominator, 3 * d.numerator
+    D = 3 * y
+    a_slices = data.draw(st.sets(st.sampled_from(range(y, D + 1, S)), min_size=1, max_size=3))
+    rows = [(A, B) for A in sorted(a_slices) for B in range(A, D + 1, S)]
+    A, B = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows))
+    m, j = slices._row_minima(A, B, D, S, y)
+    for (A, B), got_m, got_j in zip(rows, m.tolist(), j.tolist()):
+        N = [
+            162 * A * B * htilde(plane(Fraction(A, D), Fraction(B, D), Fraction(C, D)))
+            for C in range(2 * y - A - B, y + 1, S)
+        ]
+        assert (got_m, got_j) == (min(N), N.index(min(N)))
+
+
 def test_lipschitz_spot_check():
     # |htilde(p) - htilde(q)| <= 15 * euclidean distance, sampled
     rng = random.Random(5)
@@ -283,7 +314,7 @@ def test_slice_minima_take_the_smallest_tied_point(step):
         values = [htilde(plane(*(Fraction(x, D) for x in p))) for p in points]
         best = min(values)
         expected = (best, *points[values.index(best)], len(points))
-        assert slices._slice_min((A, D, S, y)) == expected
+        assert slices._slice_min((range(A, A + S, S), D, S, y)) == expected
 
 
 @pytest.mark.parametrize("step", ["1/30", "1/37", "1/64", "1/100", "2/75", "2/101"])
