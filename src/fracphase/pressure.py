@@ -21,7 +21,9 @@ key (seed, i), counter 0 and an empty buffer, gives ``random_raw(ceil(n/2))``;
 digit j is Lemire's ``(u L) >> 32`` of the j-th 32-bit half u (low half first),
 as in ``Generator.integers``.  A word that reaches Lemire's rejection branch
 ``(u L) mod 2^32 < (2^32 - L) mod L`` (probability about n L / 2^32) is drawn
-again through ``stream``.
+again through ``stream``.  Both walks step k digits at a time (``_block_digits``):
+the L^k products of k digit matrices fit a table of at most 4096 entries, each
+an integer below 2^53.
 """
 
 from __future__ import annotations
@@ -67,25 +69,35 @@ class LyapunovEstimate:
     first_level_mean: float  # E log||A_a||, a subadditivity proxy
 
 
+def _block_digits(ts: TypeSystem) -> int:
+    """Largest k >= 1 with L^k N^2 <= 4096 and R^k < 2^53, R the largest row sum of an A_a."""
+    R = max(max(map(sum, A)) for A in ts.matrices)
+    k = 1
+    while ts.L ** (k + 1) * ts.N**2 <= 4096 and R ** (k + 1) < 2**53:
+        k += 1
+    return k
+
+
 def _masses_exact_dfs(ts: TypeSystem, n: int, nu: list[int]):
     """Yield e^T A_w nu (an integer) for every word |w| = n, in lexicographic order.
 
-    The depth-first walk carries the row vector e^T A_w of Python integers,
-    so it costs O(N^2) per node and O(n N) memory; the last digit is folded
-    into the precomputed columns A_a nu.
+    The columns A_v nu of every suffix v of j = min(n, k) digits are
+    precomputed, and the prefixes are walked depth first on an explicit stack
+    of rows e^T A_u in Python integers; memory is O(n L N + L^j N).
     """
-    cols = [list(zip(*A)) for A in ts.matrices]
-    ends = [[sum(map(mul, r, nu)) for r in A] for A in ts.matrices]
-
-    def rec(row, left):
-        if left == 1:
+    j = min(n, _block_digits(ts))
+    ends = [nu]
+    for _ in range(j):
+        ends = [[sum(map(mul, r, v)) for r in A] for A in ts.matrices for v in ends]
+    cols = [list(zip(*A)) for A in reversed(ts.matrices)]  # the stack pops digit 0 first
+    stack = [([1] * ts.N, n - j)]
+    while stack:
+        row, left = stack.pop()
+        if left:
+            stack += (([sum(map(mul, row, c)) for c in C], left - 1) for C in cols)
+        else:
             for v in ends:
                 yield sum(map(mul, row, v))
-            return
-        for C in cols:
-            yield from rec([sum(map(mul, row, c)) for c in C], left - 1)
-
-    yield from rec([1] * ts.N, n)
 
 
 def _sampled_words(L: int, n: int, seed: int, start: int, stop: int) -> np.ndarray:
@@ -110,12 +122,20 @@ def _sampled_words(L: int, n: int, seed: int, start: int, stop: int) -> np.ndarr
     return words
 
 
+def _product_tables(mats: np.ndarray, k: int) -> list:
+    """tables[j - 1] holds A_v for every word v of j <= k digits, in lexicographic order."""
+    tables = [mats]
+    while len(tables) < k:
+        tables.append((tables[-1][:, None] @ mats).reshape(-1, *mats.shape[1:]))
+    return tables
+
+
 def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight):
     """log(e^T A_w weight) in floats for the words w = stream(seed, i), i < samples.
 
-    Samples walk together in blocks: a block of row vectors starts at
-    all-ones, and each step multiplies every row by the matrix of its own
-    digit and renormalizes it to sum 1, so a step costs O(N^2) per sample.
+    Samples walk together in blocks: a block of row vectors starts at all-ones,
+    and each step multiplies every row by the product of its own next k digits
+    and renormalizes it to sum 1, so ceil(n/k) steps of O(N^2) walk a sample.
     A row that reaches 0 stays 0; its word comes out -inf.
     """
     import numpy as np
@@ -124,30 +144,35 @@ def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight)
         raise InputError("n and samples must be >= 1")
     if samples * n > _DRAW_BUDGET:
         raise InputError(f"{samples} samples of {n} digits exceed the budget {_DRAW_BUDGET}")
-    mats = np.array(ts.matrices, dtype=float)
+    L, k = ts.L, _block_digits(ts)
+    tables = _product_tables(np.array(ts.matrices, dtype=float), min(n, k))
+    chunks = [(s, min(k, n - s)) for s in range(0, n, k)]
+    place = L ** np.arange(k - 1, -1, -1, dtype=np.intp)  # chunk digits -> table index
     out = np.empty(samples)
     block = max(1, _BLOCK // max(n, ts.N**2))
     for start in range(0, samples, block):
-        words = _sampled_words(ts.L, n, seed, start, min(samples, start + block))
+        words = _sampled_words(L, n, seed, start, min(samples, start + block))
         rows = np.ones((len(words), ts.N))
         acc = np.zeros(len(words))
-        for digits in words.T:
-            rows = np.einsum("si,sij->sj", rows, mats[digits])
-            s = rows.sum(axis=1)
-            s[s == 0] = 1.0  # a dead row stays 0 and keeps acc finite
-            acc += np.log(s)
-            rows /= s[:, None]
+        for s, j in chunks:
+            index = words[:, s:s + j] @ place[k - j:]
+            rows = np.einsum("si,sij->sj", rows, tables[j - 1][index])
+            total = rows.sum(axis=1)
+            total[total == 0] = 1.0  # a dead row stays 0 and keeps acc finite
+            acc += np.log(total)
+            rows /= total[:, None]
         # live rows sum to 1 and weight > 0, so only dead rows give log(0)
         with np.errstate(divide="ignore"):
             out[start:start + len(words)] = acc + np.log(rows @ weight)
     return out
 
 
-def _float_range_error(t: float) -> InputError:
+def _float_range_error(t: float, n: int, log_l: float) -> InputError:
     """A sum over m(w)^t (or, in Monte Carlo, their spread) is not a float."""
+    big = sys.float_info.max  # once L^n > big no t helps
     return InputError(
-        f"sums of m(w)^t at t = {t} leave the float range "
-        f"(0, {sys.float_info.max:.6g}]; use a smaller |t|"
+        f"sums of m(w)^t at t = {t}, n = {n} leave the float range (0, {big:.6g}]; "
+        f"use a smaller {'n' if n * log_l > math.log(big) else '|t|'}"
     )
 
 
@@ -167,9 +192,9 @@ def pressure(
     L = ts.L
     log_l = math.log(L)
     if mode == "exact":
-        if L**n > _WORD_BUDGET:
+        if L ** min(n, 64) > _WORD_BUDGET:  # L >= 2, so L^64 is past any budget
             raise InputError(
-                f"exact enumeration needs {L**n} words, budget is {_WORD_BUDGET}"
+                f"exact enumeration needs {L}^{n} words, budget is {_WORD_BUDGET}"
             )
         # m(w) = k / den with integer k, once nu is scaled to integers
         den = math.lcm(*(x.denominator for x in ts.nu))
@@ -188,9 +213,9 @@ def pressure(
                         continue
                     total += math.exp(t * math.log(k / den))
             except OverflowError:
-                raise _float_range_error(t) from None
+                raise _float_range_error(t, n, log_l) from None
             if not 0 < total < math.inf:
-                raise _float_range_error(t)
+                raise _float_range_error(t, n, log_l)
         value = math.log(total) / (n * log_l)
         return PressureEstimate(t, n, value, "exact-enumeration", total)
     if mode != "mc":
@@ -207,13 +232,13 @@ def pressure(
             vals = np.exp(t * logs) if t else np.ones(samples)
             mean = float(vals.mean())
             se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+        if mean == 0:
+            if np.isneginf(logs).all():
+                raise InputError("every sampled word has mass 0, so the log of the estimate is undefined")
+            raise _float_range_error(t, n, log_l)
+        total = math.exp(n * log_l + math.log(mean))
     except (OverflowError, FloatingPointError):
-        raise _float_range_error(t) from None
-    if mean == 0:
-        if np.isneginf(logs).all():
-            raise InputError("every sampled word has mass 0, so the log of the estimate is undefined")
-        raise _float_range_error(t)
-    total = (L**n) * mean
+        raise _float_range_error(t, n, log_l) from None
     value = (n * log_l + math.log(mean)) / (n * log_l)
     stderr = se / (mean * n * log_l)
     return PressureEstimate(t, n, value, "monte-carlo", total, stderr)

@@ -7,12 +7,14 @@ word enumeration for transition-matrix entries, a Fraction nullspace over
 all candidate intervals, a BFS over whole zero-patterns for positive-row
 witnesses, one hash per simulator node, the set of every covered cell of a
 projected realization, one Generator per sampled word, one cocycle walk per
-sampled word, and exact rational bisection for the extinction probability.
+sampled word, full integer matrix products for every word of exact pressure,
+and exact rational bisection for the extinction probability.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 import random
@@ -400,6 +402,21 @@ def sampled_log_masses(ts, n: int, samples: int, seed: int, weight):
         else:
             out[i] = acc + math.log(row @ weight)
     return out
+
+
+def word_product(matrices, word):
+    """A_{a_1} ... A_{a_n} in Python integers, multiplied out in full."""
+    N = len(matrices[0])
+    P = [[int(i == j) for j in range(N)] for i in range(N)]
+    for a in word:
+        P = [[sum(map(operator.mul, row, col)) for col in zip(*matrices[a])] for row in P]
+    return P
+
+
+def exact_masses(ts, n: int, nu):
+    """e^T A_w nu for every word |w| = n, in lexicographic order."""
+    return [sum(sum(map(operator.mul, row, nu)) for row in word_product(ts.matrices, w))
+            for w in itertools.product(range(ts.L), repeat=n)]
 
 
 def extinction_root(M: int, p) -> Fraction:

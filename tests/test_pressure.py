@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -9,12 +10,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import sampled_log_masses, sampled_words
+from oracles import exact_masses, sampled_log_masses, sampled_words, word_product
 
 from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import LineIFS, normalize
 from fracphase.pressure import (
+    _block_digits,
+    _masses_exact_dfs,
+    _product_tables,
     _sampled_log_masses,
     _sampled_words,
     lyapunov,
@@ -91,6 +95,52 @@ def test_exact_walk_memory_does_not_grow_with_the_word_count(systems):
     assert peaks[1] < peaks[0] + 2**14
 
 
+def test_exact_walk_at_the_word_budget_stays_small(systems):
+    # 3^12 = 531,441 words is the most the budget allows for L = 3
+    ts = systems["menger"]
+    assert ts.L**12 <= pressure_mod._WORD_BUDGET < ts.L**13
+    tracemalloc.start()
+    try:
+        mass_sum = pressure(ts, 1, 12).mass_sum  # sums the walk as it goes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mass_sum == ts.M**12
+    assert peak < 2**20
+
+
+# R = 2^20 + 1: products of three digits are past 2^53, so k = 2, not 12
+WIDE_ROWS = SimpleNamespace(L=2, N=1, matrices=(((2**20 + 1,),), ((3,),)))
+
+
+def test_block_digits_follow_the_table_and_float_bounds(systems):
+    # the largest k with L^k N^2 <= 4096 and R^k < 2^53
+    got = {name: _block_digits(ts) for name, ts in systems.items()}
+    assert got == {"menger": 5, "menger-137": 3, "carpet-diag": 6, "carpet-axis": 7}
+    assert _block_digits(WIDE_ROWS) == 2
+
+
+def test_exact_walk_matches_full_products(systems):
+    # n < k, n = k and n mod k != 0 vary both the suffix columns and the prefix walk
+    for ts in systems.values():
+        den = math.lcm(*(x.denominator for x in ts.nu))
+        nu = [int(x * den) for x in ts.nu]
+        for n in range(1, _block_digits(ts) + 4):
+            assert list(_masses_exact_dfs(ts, n, nu)) == exact_masses(ts, n, nu)
+
+
+def test_product_tables_hold_exact_integer_products(systems):
+    for ts in (*systems.values(), WIDE_ROWS):
+        k = _block_digits(ts)
+        tables = _product_tables(np.array(ts.matrices, dtype=float), k)
+        assert [len(table) for table in tables] == [ts.L**j for j in range(1, k + 1)]
+        for j, table in enumerate(tables, 1):
+            for entry, word in zip(table, itertools.product(range(ts.L), repeat=j)):
+                P = word_product(ts.matrices, word)
+                assert max(map(max, P)) < 2**53
+                assert entry.tolist() == P
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**64 - 1),
@@ -118,10 +168,11 @@ def test_float_walker_matches_exact_products(systems, seed, n, name):
 @pytest.mark.parametrize("name", ["menger", "menger-137"])
 def test_batched_walker_matches_per_sample_loop(systems, name, seed):
     ts = systems[name]
+    k = _block_digits(ts)
     for weight in (np.ones(ts.N), np.array([float(x) for x in ts.nu])):
-        for n, samples in ((1, 7), (60, 40)):
-            got = _sampled_log_masses(ts, n, samples, seed, weight)
-            want = sampled_log_masses(ts, n, samples, seed, weight)
+        for n in (1, k - 1, k, k + 1, 2 * k + 1, 60):
+            got = _sampled_log_masses(ts, n, 40, seed, weight)
+            want = sampled_log_masses(ts, n, 40, seed, weight)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
@@ -154,6 +205,26 @@ def test_blocked_walk_matches_per_sample_loop(systems, monkeypatch):
     weight = np.ones(ts.N)
     got = _sampled_log_masses(ts, 9, 13, 7, weight)
     assert got == pytest.approx(sampled_log_masses(ts, 9, 13, 7, weight), rel=1e-12, abs=0)
+
+
+def test_sampled_walk_at_the_draw_budget_holds_one_block(systems, monkeypatch):
+    # only the float outputs, a few arrays of 8 bytes a sample, grow with the
+    # sample count; the draws of one block (2^12 digits) are freed before the next
+    monkeypatch.setattr(pressure_mod, "_BLOCK", 2**12)
+    monkeypatch.setattr(pressure_mod, "_DRAW_BUDGET", 2**20)
+    ts, n = systems["menger"], 256
+    pressure(ts, 0.5, n, mode="mc", samples=2)  # lazy set-up, outside the trace
+    peaks = []
+    for samples in (2**10, 2**12):
+        tracemalloc.start()
+        try:
+            pressure(ts, 0.5, n, mode="mc", samples=samples)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert 2**12 * n == pressure_mod._DRAW_BUDGET
+    assert peaks[1] - peaks[0] < 64 * 3 * 2**10
+    assert peaks[1] < 2**12 * n // 4  # a quarter of the draws, at one byte a digit
 
 
 def test_sampled_digit_budget(systems):

@@ -244,6 +244,16 @@ def test_cli_simulate_matches_golden_output():
     assert result.stdout_bytes == (DATA / "simulate_menger_1_1_1.csv").read_bytes()
 
 
+def test_cli_pressure_matches_golden_output():
+    # exact enumeration over 3^8 words; the fixture pins the float sum bit for bit
+    result = CliRunner().invoke(
+        cli,
+        ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "0.5", "--n", "8"],
+    )
+    assert result.exit_code == 0
+    assert result.stdout_bytes == (DATA / "pressure_menger_1_1_1_t0.5_n8.json").read_bytes()
+
+
 def test_cli_pressure():
     runner = CliRunner()
     result = runner.invoke(
@@ -332,6 +342,15 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
     exits_with_input_error(["pressure", "--ifs", str(path), "--t", "0.5", "--n", "20",
                             "--mode", "mc", "--samples", "50"],
                            "input error: every sampled word has mass 0")
+    # 3^10000 has more digits than an int may print, and 3^(10^7) takes seconds
+    for n in ("10000", "10000000"):
+        exits_with_input_error(["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "0.5",
+                                "--n", n], f"needs 3^{n} words, budget is 1000000")
+    # L^n = 3^700 is past the float range whatever t is, so the message names n
+    for t in ("0", "0.01", "0.5"):
+        exits_with_input_error(["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", t,
+                                "--n", "700", "--mode", "mc", "--samples", "10"],
+                               "n = 700 leave the float range (0, 1.79769e+308]; use a smaller n")
     # over the candidate budget the type system is refused before it is built:
     # building either one would allocate far more than 1 MiB
     for k, data in enumerate(OVERSIZED_IFS):
