@@ -14,26 +14,11 @@ from .phase import (
     extinction_probability,
     menger_disconnection_threshold,
     phase_report,
-    similarity_dimension,
 )
-from .pressure import lyapunov, pressure, zero_measure_threshold_estimate
-from .simulate import (
-    SurvivalSet,
-    empirical_box_dimension,
-    interface_process,
-    project_survival,
-    sample_survival,
-)
+from .pressure import lyapunov, pressure
+from .simulate import SurvivalSet, interface_process, project_survival, sample_survival
 from .spectral import SpectralEnclosure, spectral_radius
-from .type_system import (
-    TypeSystem,
-    Word,
-    column_sums,
-    compute_type_system,
-    covering_cylinder_count,
-    cylinder_measure,
-    matrix_product,
-)
+from .type_system import TypeSystem, Word, column_sums, compute_type_system, matrix_product
 
 __version__ = "0.1.0"
 
@@ -54,9 +39,6 @@ __all__ = [
     "classify_region",
     "column_sums",
     "compute_type_system",
-    "covering_cylinder_count",
-    "cylinder_measure",
-    "empirical_box_dimension",
     "extinction_probability",
     "ftilde",
     "htilde",
@@ -71,20 +53,17 @@ __all__ = [
     "pressure",
     "project",
     "project_survival",
-    "reduce_to_wedge",
     "sample_survival",
     "scale",
     "sierpinski",
-    "similarity_dimension",
     "spectral_radius",
     "verify_grid",
-    "zero_measure_threshold_estimate",
 ]
 
 # the names of the slice certificate, resolved on first use by __getattr__
 _SLICES_NAMES = frozenset({
     "PlaneParams", "VerificationReport", "classify_region", "ftilde", "htilde",
-    "plane", "reduce_to_wedge", "verify_grid",
+    "plane", "verify_grid",
 })
 
 

@@ -37,11 +37,11 @@ def _load_ifs(source: str, direction: str | None, scale_factor: int | None) -> L
         obj = BUILTINS[source]()
     else:
         try:
-            with open(source) as fh:
+            with open(source, encoding="utf-8") as fh:
                 obj = ifs_from_json(json.load(fh))
-        except FileNotFoundError as exc:
-            raise InputError(f"no such input: {source}") from exc
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise InputError(f"cannot read input: {exc}") from exc
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep or long
             raise InputError(f"invalid JSON in {source}: {exc}") from exc
     if isinstance(obj, LatticeIFS):
         if direction is None:
@@ -58,10 +58,17 @@ def _load_ifs(source: str, direction: str | None, scale_factor: int | None) -> L
     return obj
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write output: {exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        _write(out, text)
     else:
         click.echo(text, file=sys.stdout, nl=not text.endswith("\n"))
 
@@ -84,8 +91,7 @@ def analyze(source, direction, scale_factor, out, fmt, svg_path) -> None:
     ifs = _load_ifs(source, direction, scale_factor)
     report_json = phase_report_to_json(phase_report(compute_type_system(ifs)))
     if svg_path:
-        with open(svg_path, "w") as fh:
-            fh.write(svg_band_chart(report_json))
+        _write(svg_path, svg_band_chart(report_json))
     if fmt == "csv":
         _emit(phase_report_to_csv(report_json), out)
     else:

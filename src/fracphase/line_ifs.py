@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
 
@@ -63,19 +62,8 @@ class LineIFS:
         return len(self.translations)
 
     @property
-    def q(self) -> tuple[Fraction, ...]:
-        """Probability vector q_j = n_j / M."""
-        M = self.M
-        return tuple(Fraction(n, M) for _, n in self.translations)
-
-    @property
     def n_tilde(self) -> int:
         return self.translations[-1][0] // (self.L - 1)
-
-    @property
-    def hull(self) -> tuple[int, int]:
-        """Convex hull [0, n_tilde * L] of the attractor."""
-        return (0, self.n_tilde * self.L)
 
     def map_translations(self) -> list[int]:
         """All M translations, with multiplicity, in sorted order.

@@ -28,9 +28,9 @@ from functools import cached_property
 from .errors import InputError
 from .spectral import (
     SpectralEnclosure,
+    _shifted_coeffs,
     char_poly,
     dominates_rho,
-    poly_eval,
     spectral_radius,
 )
 from .type_system import (
@@ -57,7 +57,10 @@ class RootThreshold:
 
     @property
     def value_float(self) -> float:
-        return self.base ** (-1.0 / self.root)
+        try:
+            return self.base ** (-1.0 / self.root)
+        except OverflowError:  # base is past the float range
+            return math.exp(-math.log(self.base) / self.root)
 
     def exact_str(self) -> str:
         if self.root == 1:
@@ -108,13 +111,6 @@ def positive_row_witness(ts: TypeSystem):
         history.append((parents, digits))
         level = nxt
     return None, False
-
-
-def similarity_dimension(M: int, L: int, p: float) -> float:
-    """log(M*p) / log(L); exceeds 1 exactly when p > L/M."""
-    if not 0 < p <= 1:
-        raise ValueError("p must be in (0, 1]")
-    return math.log(M * p) / math.log(L)
 
 
 def extinction_probability(M: int, p: float) -> float:
@@ -241,7 +237,7 @@ class PhaseReport:
             x, at_equality = 1 / p, False
             for coeffs in self._char_polys:
                 if dominates_rho(coeffs, x):
-                    if poly_eval(coeffs, x) != 0:
+                    if _shifted_coeffs(coeffs, x)[0] != 0:
                         return "holds"
                     at_equality = True
             return "boundary" if at_equality else "fails"

@@ -145,7 +145,10 @@ def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight)
     if samples * n > _DRAW_BUDGET:
         raise InputError(f"{samples} samples of {n} digits exceed the budget {_DRAW_BUDGET}")
     L, k = ts.L, _block_digits(ts)
-    tables = _product_tables(np.array(ts.matrices, dtype=float), min(n, k))
+    try:
+        tables = _product_tables(np.array(ts.matrices, dtype=float), min(n, k))
+    except OverflowError:
+        raise InputError("a digit matrix entry is past the float range") from None
     chunks = [(s, min(k, n - s)) for s in range(0, n, k)]
     place = L ** np.arange(k - 1, -1, -1, dtype=np.intp)  # chunk digits -> table index
     out = np.empty(samples)
@@ -216,7 +219,10 @@ def pressure(
                 raise _float_range_error(t, n, log_l) from None
             if not 0 < total < math.inf:
                 raise _float_range_error(t, n, log_l)
-        value = math.log(total) / (n * log_l)
+        try:
+            value = math.log(total) / (n * log_l)
+        except OverflowError:  # an exact total past the float range
+            value = (math.log(total.numerator) - math.log(total.denominator)) / (n * log_l)
         return PressureEstimate(t, n, value, "exact-enumeration", total)
     if mode != "mc":
         raise InputError(f"unknown pressure mode {mode!r}")
@@ -265,31 +271,4 @@ def lyapunov(ts: TypeSystem, n: int, samples: int, seed: int = 0) -> LyapunovEst
         ci_high=w_hat + half,
         bound_log_m_over_l=math.log(ts.M / L),
         first_level_mean=first,
-    )
-
-
-@dataclass(frozen=True)
-class ZeroMeasureEstimate:
-    b_hat: float  # exp(-w_hat)
-    ci_low: float
-    ci_high: float
-    trivial_bound: float  # L / M; b_hat should exceed this
-    degenerate: bool  # single-type systems carry no norm growth
-    consistent: bool  # b_hat > L / M as the theory predicts
-
-
-def zero_measure_threshold_estimate(
-    ts: TypeSystem, est: LyapunovEstimate
-) -> ZeroMeasureEstimate:
-    """Translate a Lyapunov estimate into the zero-measure p-threshold."""
-    b_hat = math.exp(-est.w_hat)
-    trivial = ts.L / ts.M
-    degenerate = ts.N == 1 or est.w_hat <= 1e-12
-    return ZeroMeasureEstimate(
-        b_hat=b_hat,
-        ci_low=math.exp(-est.ci_high),
-        ci_high=math.exp(-est.ci_low),
-        trivial_bound=trivial,
-        degenerate=degenerate,
-        consistent=b_hat > trivial,
     )

@@ -39,15 +39,6 @@ def line_ifs_to_json(ifs: LineIFS) -> dict:
     }
 
 
-def lattice_to_json(lat: LatticeIFS) -> dict:
-    return {
-        "kind": "lattice",
-        "d": lat.d,
-        "L": lat.L,
-        "cells": sorted(list(c) for c in lat.cells),
-    }
-
-
 def _json_int(x, what: str) -> int:
     """An integer field of IFS JSON; floats, bools and strings are rejected."""
     if isinstance(x, bool) or not isinstance(x, int):

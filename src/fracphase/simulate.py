@@ -15,7 +15,6 @@ iff h / 2^64 < p, i.e. h * q < num * 2^64 for p = num / q.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from fractions import Fraction
@@ -102,6 +101,10 @@ def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
         raise InputError("p must be in [0, 1]")
     # h / 2^64 < p  <=>  h < ceil(p * 2^64), as h is an integer; the digest's
     # last byte is h's top byte, so it decides unless it equals the bound's
+    if not depth:
+        return SurvivalSet(M=M, p=pf, depth=0, seed=seed, parents=(), digits=())
+    if M > _NODE_BUDGET:  # the root alone hashes M nodes
+        raise InputError(f"the realization hashes more than {_NODE_BUDGET} nodes")
     bound = -((-pf.numerator << 64) // pf.denominator)
     top = bound >> 56
     labels = [(i, str(i).encode()) for i in reversed(range(M))]  # 0 is pushed last
@@ -109,7 +112,7 @@ def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
     digits: list[list[int]] = []
     # nodes to expand, as parallel stacks: level, index in the level, and hash
     # state (keyed; for a node below the root, then fed its message and a comma)
-    states = [blake2b(digest_size=8, key=seed.to_bytes(8, "little"))] if depth else []
+    states = [blake2b(digest_size=8, key=seed.to_bytes(8, "little"))]
     ks, js = [0], [0]
     hashed = 0
     while states:
@@ -164,7 +167,7 @@ def project_survival(ifs, s: SurvivalSet) -> CoverageStats:
     if ifs.M != s.M:
         raise InputError(f"arity mismatch: ifs.M = {ifs.M}, survival M = {s.M}")
     L, nt, n = ifs.L, ifs.n_tilde, s.depth
-    maps = ifs.map_translations()
+    maps = ifs.map_translations() if s.digits else []  # depth 0 maps no digit
     total_cells = nt * L**n
     # left endpoints of the f_w(hull) in units of L^{1-n}; each covers [X, X + nt)
     starts = [0]
@@ -230,11 +233,3 @@ def interface_process(
         extinction_frequency=extinct / replicas,
         analytic_fixed_point=extinction_probability(8, pp),
     )
-
-
-def empirical_box_dimension(s: SurvivalSet, L: int) -> float:
-    """log(#retained) / (n log L); NaN for extinct realizations."""
-    count = s.retained_count
-    if count == 0 or s.depth == 0:
-        return float("nan") if count == 0 else 0.0
-    return math.log(count) / (s.depth * math.log(L))

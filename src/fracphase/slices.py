@@ -63,37 +63,13 @@ def plane(a, b, c) -> PlaneParams:
     return PlaneParams(Fraction(a), Fraction(b), Fraction(c))
 
 
-def reduce_to_wedge(p: PlaneParams) -> PlaneParams:
-    """Reflect and sort (a, b) into the wedge 0 <= a <= b <= 1.
-
-    Negating a slope coordinate corresponds to reflecting the cube, which
-    shifts c; swapping a and b is a symmetry of the cube.  Slopes larger
-    than 1 have no wedge representative and are rejected.
-    """
-    a, b, c = p.a, p.b, p.c
-    if a < 0:
-        c += a
-        a = -a
-    if b < 0:
-        c += b
-        b = -b
-    if a > b:
-        a, b = b, a
-    if b > 1:
-        raise WedgeError(f"|slope| exceeds 1 after reduction: a={a}, b={b}")
-    return PlaneParams(a, b, c)
-
-
 # Lower-left corners of the 7 removed level-1 cubes, in units of 1/3.
 REMOVED_CORNERS: tuple[tuple[int, int, int], ...] = tuple(sorted(MENGER_REMOVED))
 
 
 def _check_wedge(p: PlaneParams) -> None:
     if not (0 <= p.a <= p.b <= 1):
-        raise WedgeError(
-            f"(a, b) = ({p.a}, {p.b}) outside the wedge 0 <= a <= b <= 1; "
-            "apply reduce_to_wedge first"
-        )
+        raise WedgeError(f"(a, b) = ({p.a}, {p.b}) outside the wedge 0 <= a <= b <= 1")
 
 
 # With slopes A, B > 0 and all coordinates in units of 1/D, the ftilde

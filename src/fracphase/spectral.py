@@ -87,13 +87,6 @@ def dominates_rho(coeffs: list[Fraction], x: Fraction) -> bool:
     return all(c >= 0 for c in _shifted_coeffs(coeffs, x))
 
 
-def poly_eval(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def spectral_radius(matrix, tol: Fraction = Fraction(1, 10**9)) -> SpectralEnclosure:
     """Certified enclosure of the Perron root of a nonnegative matrix."""
     n = len(matrix)
@@ -118,7 +111,7 @@ def spectral_radius(matrix, tol: Fraction = Fraction(1, 10**9)) -> SpectralEnclo
         else:
             lo_int = mid + 1
     u = hi_int
-    if poly_eval(coeffs, Fraction(u)) == 0:
+    if _shifted_coeffs(coeffs, Fraction(u))[0] == 0:  # p(u)
         # rho is exactly the integer u (monic integer polynomial: any
         # rational root is an integer, and u is the least integer >= rho)
         return SpectralEnclosure(Fraction(u), Fraction(u))

@@ -228,22 +228,3 @@ def column_sums(ts: TypeSystem, a: int) -> tuple[int, ...]:
         raise ValueError(f"digit {a} out of range [0, {ts.L})")
     A = ts.matrices[a]
     return tuple(sum(A[i][j] for i in range(ts.N)) for j in range(ts.N))
-
-
-def cylinder_measure(ts: TypeSystem, ell: int, w: Word) -> Fraction:
-    """Exact measure nu(J^ell_w) = M^{-n} * (row ell of A_w) . nu."""
-    if not 0 <= ell < ts.N:
-        raise ValueError(f"type index {ell} out of range [0, {ts.N})")
-    Aw = matrix_product(ts, w)
-    num = sum(Aw[ell][k] * ts.nu[k] for k in range(ts.N))
-    return num / Fraction(ts.M) ** len(w)
-
-
-def covering_cylinder_count(ts: TypeSystem, w: Word) -> int:
-    """Norm ||A_w|| = sum of all entries.
-
-    Upper-bounds the number of level-n retained cylinders that can contain a
-    point whose L-adic address has tail ``w``.
-    """
-    Aw = matrix_product(ts, w)
-    return sum(sum(row) for row in Aw)

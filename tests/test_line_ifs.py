@@ -22,7 +22,7 @@ def test_normalize_full_binary():
     ifs = normalize(2, [0, 1])
     assert ifs.M == 2 and ifs.m == 2
     assert ifs.n_tilde == 1
-    assert ifs.hull == (0, 2)
+    assert ifs.translations == ((0, 1), (1, 1))
 
 
 def test_normalize_shifts_minimum_to_zero():
@@ -49,8 +49,8 @@ def test_normalize_rejects_bad_input():
 
 def test_q_is_exact_probability_vector():
     ifs = normalize(3, MENGER_111_MULTISET)
-    assert sum(ifs.q) == 1
-    assert ifs.q[3] == Fraction(6, 20)
+    assert sum(n for _, n in ifs.translations) == ifs.M
+    assert Fraction(ifs.translations[3][1], ifs.M) == Fraction(6, 20)
 
 
 def test_scale_by_three():

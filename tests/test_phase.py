@@ -17,7 +17,6 @@ from fracphase.phase import (
     menger_disconnection_threshold,
     phase_report,
     positive_row_witness,
-    similarity_dimension,
 )
 from fracphase.spectral import SpectralEnclosure, char_poly, spectral_radius
 from fracphase.type_system import Word, compute_type_system
@@ -86,7 +85,10 @@ def test_root_threshold_predicates():
     assert thr.above(Fraction(16, 100))
     assert thr.below(Fraction(15, 100))
     assert not thr.above(Fraction(15, 100))
-    assert abs(thr.value_float - 288 ** (-1 / 3)) < 1e-15
+    assert thr.value_float == 288 ** (-1 / 3)
+    # past the float range the root is taken in logs
+    assert RootThreshold(3**1000, 1000).value_float == pytest.approx(1 / 3, rel=1e-12)
+    assert RootThreshold(10**400, 1).value_float == 0.0
     assert RootThreshold(6, 1).exact_str() == "1/6"
     for base, root in ((0, 3), (-2, 1), (6, 0)):
         with pytest.raises(InputError):
@@ -250,15 +252,6 @@ def test_verdicts_agree_across_theorems(ifs):
         assert not v["interval-sufficient"] == v["no-interval"] == "holds", p
         assert not v["positive-measure"] == v["extinction"] == "holds", p
         assert v["positive-measure"] != "holds" or v["dimension-one"] == "holds", p
-
-
-def test_similarity_dimension():
-    assert similarity_dimension(20, 3, 3 / 20) == pytest.approx(1.0)
-    assert similarity_dimension(20, 3, 1.0) == pytest.approx(
-        2.7268330278608417, rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        similarity_dimension(20, 3, 0.0)
 
 
 def test_extinction_probability():

@@ -23,15 +23,9 @@ from fracphase.pressure import (
     _sampled_words,
     lyapunov,
     pressure,
-    zero_measure_threshold_estimate,
 )
 from fracphase.simulate import stream
-from fracphase.type_system import (
-    Word,
-    compute_type_system,
-    covering_cylinder_count,
-    cylinder_measure,
-)
+from fracphase.type_system import compute_type_system
 
 
 # the package exports the function pressure under the submodule's name
@@ -152,14 +146,12 @@ def test_float_walker_matches_exact_products(systems, seed, n, name):
     # checked against the exact matrix product of that word
     ts = systems[name]
     L = ts.L
-    w = Word(tuple(int(a) for a in stream(seed, 0).integers(0, L, size=n)), L)
-    mass = ts.M**n * sum(cylinder_measure(ts, l, w) for l in range(ts.N))
+    P = word_product(ts.matrices, stream(seed, 0).integers(0, L, size=n).tolist())
+    mass = sum(x * y for row in P for x, y in zip(row, ts.nu))  # e^T A_w nu
     if mass == 0:
         return
     w_hat = lyapunov(ts, n, 1, seed=seed).w_hat
-    assert n * w_hat == pytest.approx(
-        math.log(covering_cylinder_count(ts, w)), rel=1e-12
-    )
+    assert n * w_hat == pytest.approx(math.log(sum(map(sum, P))), rel=1e-12)
     value = pressure(ts, 1, n, mode="mc", samples=1, seed=seed).value
     assert n * math.log(L) * (value - 1) == pytest.approx(math.log(mass), rel=1e-12)
 
@@ -314,9 +306,7 @@ def test_norm_submultiplicative(systems, seed):
     rng = random.Random(seed)
     u = tuple(rng.randrange(3) for _ in range(rng.randint(1, 4)))
     v = tuple(rng.randrange(3) for _ in range(rng.randint(1, 4)))
-    nu = covering_cylinder_count(ts, Word(u, 3))
-    nv = covering_cylinder_count(ts, Word(v, 3))
-    nuv = covering_cylinder_count(ts, Word(u + v, 3))
+    nu, nv, nuv = (sum(map(sum, word_product(ts.matrices, w))) for w in (u, v, u + v))
     assert nuv <= nu * nv
 
 
@@ -324,9 +314,7 @@ def test_lyapunov_single_type_is_zero():
     ts = compute_type_system(normalize(2, [0, 1]))
     est = lyapunov(ts, 50, 20, seed=1)
     assert est.w_hat == 0.0
-    zm = zero_measure_threshold_estimate(ts, est)
-    assert zm.degenerate
-    assert zm.b_hat == 1.0
+    assert est.ci_low == est.ci_high == 0.0
 
 
 def test_lyapunov_below_reference_bound(systems):
@@ -358,11 +346,21 @@ def test_lyapunov_streams_cover_the_seed_domain(systems):
             lyapunov(ts, 20, 10, seed=bad)
 
 
+def test_entries_and_totals_past_the_float_range():
+    ts = compute_type_system(LineIFS(2, ((0, 10**400), (1, 1))))
+    with pytest.raises(InputError, match="past the float range"):
+        lyapunov(ts, 2, 10)
+    with pytest.raises(InputError, match="past the float range"):
+        pressure(ts, 0.5, 2, mode="mc", samples=10)
+    # the exact mass sum M^n at t = 1 is past the float range; its log is not
+    ts = compute_type_system(LineIFS(2, ((0, 10**200), (1, 1))))
+    assert pressure(ts, 1, 3).value == pytest.approx(math.log(10**200 + 1) / math.log(2))
+
+
 def test_zero_measure_estimate_carpet(systems):
     ts = systems["carpet-diag"]
     est = lyapunov(ts, 200, 100, seed=7)
-    zm = zero_measure_threshold_estimate(ts, est)
-    assert not zm.degenerate
-    assert zm.trivial_bound == pytest.approx(3 / 8)
-    assert zm.consistent  # exp(-w) exceeds L/M
-    assert zm.ci_low <= zm.b_hat <= zm.ci_high
+    assert est.w_hat > 1e-12
+    assert est.bound_log_m_over_l == pytest.approx(math.log(8 / 3))
+    assert est.w_hat < est.bound_log_m_over_l  # exp(-w) exceeds L/M
+    assert est.ci_low <= est.w_hat <= est.ci_high

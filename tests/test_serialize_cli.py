@@ -13,7 +13,6 @@ from fracphase.phase import phase_report
 from fracphase.serialize import (
     frac_str,
     ifs_from_json,
-    lattice_to_json,
     line_ifs_to_json,
     parse_frac,
     phase_report_to_csv,
@@ -38,8 +37,8 @@ def test_ifs_json_round_trip():
     for line in (project(menger(), (1, 1, 1)), normalize(3, [0, 1])):
         assert ifs_from_json(line_ifs_to_json(line)) == line
     assert "applied_factor" not in line_ifs_to_json(project(menger(), (1, 1, 1)))
-    lat = sierpinski()
-    assert ifs_from_json(lattice_to_json(lat)) == lat
+    cells = [[0, 0], [0, 1], [0, 2], [1, 0], [1, 2], [2, 0], [2, 1], [2, 2]]
+    assert ifs_from_json({"kind": "lattice", "d": 2, "L": 3, "cells": cells}) == sierpinski()
     with pytest.raises(InputError):
         ifs_from_json({"kind": "mystery"})
     with pytest.raises(InputError):
@@ -309,8 +308,37 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
         for mode in ("exact", "mc"):
             dead_digit_argvs.append(["pressure", "--ifs", str(path), "--t", "-1", "--n", "3",
                                      "--mode", mode, "--samples", "50"])
+    # unreadable inputs: a directory, bytes that are not UTF-8, nesting past
+    # the recursion limit, an integer past int's digit limit; unwritable
+    # outputs: a path in a missing directory
+    (tmp_path / "latin1.json").write_bytes(b'{"kind": "line", "L": 2, "x": "\xe9"}')
+    (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
+    (tmp_path / "long.json").write_text('{"kind": "line", "L": 1' + "0" * 5000 + "}")
+    missing = str(tmp_path / "missing" / "out")
+    file_argvs = [["analyze", str(tmp_path / name)]
+                  for name in ("", "latin1.json", "deep.json", "long.json")]
+    for argv in (["analyze", "menger", "--dir", "1,1,1"], ["project", "menger", "--dir", "1,1,1"],
+                 ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1/2", "--depth", "1",
+                  "--replicas", "1"], [*pressure_argv, "--t", "1"],
+                 ["verify-slice", "--step", "1/3"]):
+        file_argvs.append([*argv, "--out", missing])
+    file_argvs.append(["analyze", "menger", "--dir", "1,1,1", "--svg", missing])
+    # the least column product 3^1000 and the multiplicity 10^400 are past
+    # the float range; analyze answers, the float walks refuse them
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"kind": "line", "L": 1000,
+                                "translations": [[t, 3] for t in range(1000)]}))
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"kind": "line", "L": 2, "translations": [[0, 10**400], [1, 1]]}))
+    for path in (wide, huge):
+        monkeypatch.setattr("sys.argv", ["fracphase", "analyze", str(path)])
+        climod.main()
+        assert '"positive-measure"' in capsys.readouterr().out
     for argv in (
         *json_argvs,
+        *file_argvs,
+        ["pressure", "--ifs", str(huge), "--t", "0.5", "--n", "2", "--mode", "mc",
+         "--samples", "10"],
         ["analyze", "menger"],
         ["analyze", "menger", "--dir", "1,x,1"],
         ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1/2",

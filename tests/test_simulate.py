@@ -12,12 +12,7 @@ from fracphase import simulate
 from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import LineIFS, normalize
-from fracphase.simulate import (
-    empirical_box_dimension,
-    interface_process,
-    project_survival,
-    sample_survival,
-)
+from fracphase.simulate import interface_process, project_survival, sample_survival
 
 MENGER_111 = normalize(
     3, [0] * 1 + [1] * 3 + [2] * 3 + [3] * 6 + [4] * 3 + [5] * 3 + [6] * 1
@@ -180,6 +175,23 @@ def test_realization_at_the_node_budget_stays_small():
     assert peak < 64 * 2**20
 
 
+def test_wide_arity_builds_nothing_of_length_m():
+    # M = 3 * 10^6: a list of M child labels took the process to 457 MiB
+    M = 3 * 10**6
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match="1000000 nodes"):
+            sample_survival(M, Fraction(1, 2), 1, 0)
+        s = sample_survival(M, Fraction(1, 2), 0, 0)
+        stats = project_survival(LineIFS(2, ((0, M - 1), (1, 1))), s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (s.retained_count, s.extinct_level, len(s.levels)) == (1, None, 1)
+    assert (stats.covered_cells, stats.measure, stats.full_cover) == (1, 2, True)
+    assert peak < 2**20
+
+
 def test_dead_realization_stops_hashing():
     s = sample_survival(8, 0, simulate._NODE_BUDGET, 0)
     assert s.extinct_level == 1
@@ -217,12 +229,3 @@ def test_interface_process_trivial_and_subcritical():
     assert 0 < q < 1
     se = math.sqrt(q * (1 - q) / 300)
     assert abs(sup.extinction_frequency - q) <= 3 * se + 0.02
-
-
-def test_empirical_box_dimension():
-    full = sample_survival(20, 1, 3, seed=0)
-    assert empirical_box_dimension(full, 3) == pytest.approx(
-        math.log(20) / math.log(3)
-    )
-    extinct = sample_survival(20, 0, 3, seed=0)
-    assert math.isnan(empirical_box_dimension(extinct, 3))

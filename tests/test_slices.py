@@ -23,7 +23,6 @@ from fracphase.slices import (
     ftilde,
     htilde,
     plane,
-    reduce_to_wedge,
     verify_grid,
 )
 from oracles import clip_area, grid_scan, htilde_oracle, sample_nonnegativity
@@ -93,25 +92,6 @@ def test_ftilde_rejects_outside_wedge():
         ftilde(plane(Fraction(3, 4), Fraction(1, 4), 0))  # a > b
     with pytest.raises(WedgeError):
         ftilde(plane(Fraction(-1, 4), Fraction(1, 4), 0))
-
-
-def test_reduce_to_wedge():
-    p = reduce_to_wedge(plane(Fraction(-1, 2), Fraction(1, 4), Fraction(1, 8)))
-    assert (p.a, p.b, p.c) == (Fraction(1, 4), Fraction(1, 2), Fraction(-3, 8))
-    q = reduce_to_wedge(plane(Fraction(3, 4), Fraction(1, 4), 0))
-    assert (q.a, q.b) == (Fraction(1, 4), Fraction(3, 4))
-    with pytest.raises(WedgeError):
-        reduce_to_wedge(plane(2, 0, 0))
-    # reduction preserves the slice area
-    rng = random.Random(7)
-    for _ in range(100):
-        a = Fraction(rng.randint(-720, 720), 720)
-        b = Fraction(rng.randint(-720, 720), 720)
-        c = Fraction(rng.randint(-1440, 1440), 720)
-        if max(abs(a), abs(b)) > 1:
-            continue
-        r = reduce_to_wedge(plane(a, b, c))
-        assert ftilde(r) == clip_area(a, b, c)
 
 
 def test_htilde_frozen_values():

@@ -13,12 +13,10 @@ from fracphase.type_system import (
     _fixed_measure,
     column_sums,
     compute_type_system,
-    covering_cylinder_count,
-    cylinder_measure,
     mat_mul,
     matrix_product,
 )
-from oracles import brute_force_entry, candidate_kernel, random_small_ifs
+from oracles import brute_force_entry, candidate_kernel, random_small_ifs, word_product
 
 
 @pytest.fixture(scope="module")
@@ -70,26 +68,26 @@ def test_column_sums(menger_ts):
 
 
 def test_cylinder_measure(menger_ts):
-    total = sum(cylinder_measure(menger_ts, ell, Word((), 3)) for ell in range(3))
-    assert total == 1
-    assert cylinder_measure(menger_ts, 1, Word((0,), 3)) == Fraction(9, 50)
+    def measure(ell, w):  # nu(J^ell_w) = M^-|w| (row ell of A_w) . nu
+        row = word_product(menger_ts.matrices, w)[ell]
+        return sum(x * y for x, y in zip(row, menger_ts.nu)) / menger_ts.M ** len(w)
+
+    assert sum(measure(ell, ()) for ell in range(3)) == 1
+    assert measure(1, (0,)) == Fraction(9, 50)
     # additivity over one more digit
     for ell in range(3):
-        parent = cylinder_measure(menger_ts, ell, Word((), 3))
-        children = sum(
-            cylinder_measure(menger_ts, ell, Word((a,), 3)) for a in range(3)
-        )
-        assert children == parent
+        assert sum(measure(ell, (a,)) for a in range(3)) == measure(ell, ())
 
 
 def test_covering_cylinder_count(menger_ts):
-    assert covering_cylinder_count(menger_ts, Word((0,), 3)) == 20
+    def norm(ts, w):  # ||A_w||, the sum of all entries
+        return sum(map(sum, word_product(ts.matrices, w)))
+
+    assert norm(menger_ts, (0,)) == 20
     ts2 = compute_type_system(normalize(2, [0, 1]))
-    assert covering_cylinder_count(ts2, Word((0, 1, 0), 2)) == 1
+    assert norm(ts2, (0, 1, 0)) == 1
     # norm of A_0^n grows like 6^n (dominant eigenvalue of A_0)
-    norms = [
-        covering_cylinder_count(menger_ts, Word((0,) * n, 3)) for n in (4, 8)
-    ]
+    norms = [norm(menger_ts, (0,) * n) for n in (4, 8)]
     ratio = norms[1] / norms[0]
     assert abs(ratio - 6**4) / 6**4 < 0.05
 
