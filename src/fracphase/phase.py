@@ -21,7 +21,7 @@ floats appear only in rendered output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -145,19 +145,10 @@ def extinction_probability(M: int, p: float) -> float:
             lo = mid
 
 
-@dataclass(frozen=True)
-class DisconnectionThreshold:
-    """Face-interface subcriticality threshold 1/sqrt(8) for the sponge."""
-
-    threshold: RootThreshold = field(default=RootThreshold(8, 2))
-
-    def holds(self, p) -> bool:
-        """Exact test 8 * p^2 < 1 (subcritical interface process)."""
-        return self.threshold.below(p)
-
-
-def menger_disconnection_threshold() -> DisconnectionThreshold:
-    return DisconnectionThreshold()
+def menger_disconnection_threshold() -> RootThreshold:
+    """Face-interface subcriticality threshold 1/sqrt(8) for the sponge:
+    ``below(p)`` is the exact test 8 * p^2 < 1."""
+    return RootThreshold(8, 2)
 
 
 def _compare(lhs, rhs) -> str:

@@ -192,6 +192,9 @@ def pressure(
         raise InputError("depth n must be >= 1")
     if not math.isfinite(t):
         raise InputError(f"t must be finite, got {t}")
+    if samples < 1:  # checked in exact mode too, which draws none
+        raise InputError("samples must be >= 1")
+    _check_seed(seed)
     L = ts.L
     log_l = math.log(L)
     if mode == "exact":

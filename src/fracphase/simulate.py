@@ -152,18 +152,13 @@ class CoverageStats:
     full_cover: bool
 
 
-def project_survival(ifs, s: SurvivalSet) -> CoverageStats:
+def project_survival(ifs: LineIFS, s: SurvivalSet) -> CoverageStats:
     """Which L-adic cells of the projected hull are covered at depth n.
 
-    ``ifs`` is a LineIFS or a ``(LatticeIFS, direction)`` pair.  Word index
-    ``i`` maps to the i-th translation in the multiplicity expansion order.
-    All interval arithmetic is exact on integers.
+    Word index ``i`` maps to the i-th translation of ``ifs`` in the
+    multiplicity expansion order.  All interval arithmetic is exact on
+    integers.
     """
-    if not isinstance(ifs, LineIFS):
-        from .lattice import project
-
-        lat, direction = ifs
-        ifs = project(lat, direction)
     if ifs.M != s.M:
         raise InputError(f"arity mismatch: ifs.M = {ifs.M}, survival M = {s.M}")
     L, nt, n = ifs.L, ifs.n_tilde, s.depth

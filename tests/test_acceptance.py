@@ -84,7 +84,7 @@ def test_acceptance_2_exact_thresholds(capsys):
     dthr = diag.positive_measure_threshold
     ok &= (dthr.base, dthr.root) == (18, 3)
     disc = menger_disconnection_threshold()
-    ok &= disc.holds(Fraction(35, 100)) and not disc.holds(Fraction(36, 100))
+    ok &= disc.below(Fraction(35, 100)) and not disc.below(Fraction(36, 100))
     ok &= time.monotonic() - start < 1.0
     _verdict(capsys, 2, "exact phase thresholds", bool(ok))
 

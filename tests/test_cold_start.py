@@ -1,5 +1,5 @@
-"""The exact commands and ``simulate`` run without numpy, and
-``fracphase.pressure`` stays a function.
+"""The exact commands and ``simulate`` run without numpy, and the package
+imports none of its submodules.
 
 Each check runs in a fresh interpreter, since the test session itself has
 long since imported numpy and every submodule.
@@ -8,8 +8,6 @@ long since imported numpy and every submodule.
 import subprocess
 import sys
 from pathlib import Path
-
-import pytest
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -41,29 +39,15 @@ print(*(m for m in ("numpy", "concurrent.futures") if m in sys.modules))
     assert loaded.split() == []
 
 
-@pytest.mark.parametrize("first", [
-    "import fracphase.pressure",
-    "from click.testing import CliRunner\n"
-    "import fracphase.cli\n"
-    "argv = ['pressure', '--ifs', 'menger', '--dir', '1,1,1', '--t', '0.5', '--n', '2']\n"
-    "assert CliRunner().invoke(fracphase.cli.cli, argv).exit_code == 0",
-    "from fracphase import verify_grid",
-], ids=["submodule-import", "cli-pressure", "slices-name"])
-def test_pressure_binding_is_the_function(first):
-    # the package binds the function over the submodule of the same name;
-    # loading the submodule again must not undo that
-    out = run_fresh(first + """
+def test_package_imports_nothing_and_shadows_no_submodule():
+    out = run_fresh("""
 import fracphase
-print(fracphase.pressure is sys.modules["fracphase.pressure"].pressure)
+print(*sorted(m for m in sys.modules
+              if m.startswith(("fracphase.", "numpy")) or m == "concurrent.futures"))
+print("---")
+import fracphase.pressure as P
+print(P is sys.modules["fracphase.pressure"], callable(P.lyapunov))
 """)
-    assert out.split() == ["True"]
-
-
-def test_public_names_resolve():
-    import fracphase
-
-    assert set(fracphase.__all__) <= set(dir(fracphase))
-    for name in fracphase.__all__:
-        getattr(fracphase, name)
-    with pytest.raises(AttributeError):
-        fracphase.sample_nonnegativity
+    loaded, bindings = out.split("---")
+    assert loaded.split() == []
+    assert bindings.split() == ["True", "True"]

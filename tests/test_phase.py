@@ -281,9 +281,9 @@ def test_extinction_probability_matches_exact_root(M, p):
 
 def test_disconnection_threshold():
     thr = menger_disconnection_threshold()
-    assert thr.holds(Fraction(3, 10))
-    assert not thr.holds(Fraction(4, 10))
-    assert thr.threshold == RootThreshold(8, 2)
+    assert thr.below(Fraction(3, 10))
+    assert not thr.below(Fraction(4, 10))
+    assert thr == RootThreshold(8, 2)
 
 
 def test_degenerate_single_type_report():

@@ -348,6 +348,9 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
         ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1/2",
          "--replicas", "-3"],
         [*pressure_argv, "--t", "0.5", "--mode", "mc", "--samples", "0"],
+        [*pressure_argv, "--t", "0.5", "--samples", "0"],
+        [*pressure_argv, "--t", "0.5", "--seed", "-1"],
+        [*pressure_argv, "--t", "0.5", "--seed", "18446744073709551616"],
         [*pressure_argv, "--t", "nan"],
         [*pressure_argv, "--t", "inf"],
         [*pressure_argv, "--t", "0.5", "--mode", "mc", "--seed", "-1"],

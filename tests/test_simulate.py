@@ -203,7 +203,7 @@ def test_dead_realization_stops_hashing():
 
 def test_project_survival_lattice_pair_form():
     s = sample_survival(20, Fraction(1, 2), 2, seed=3)
-    via_pair = project_survival((menger(), (1, 1, 1)), s)
+    via_pair = project_survival(project(menger(), (1, 1, 1)), s)
     via_ifs = project_survival(MENGER_111, s)
     assert via_pair == via_ifs
     assert 0 <= via_ifs.covered_cells <= via_ifs.total_cells

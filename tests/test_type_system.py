@@ -1,14 +1,16 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from fracphase.errors import InvariantError
+from fracphase.errors import InputError, InvariantError
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import normalize, scale
 from fracphase.type_system import (
+    _CANDIDATE_BUDGET,
     Word,
     _fixed_measure,
     column_sums,
@@ -181,3 +183,19 @@ def test_integer_solve_rejects_a_plane_kernel():
     # A = M*I with N = 2: both columns of A - M*I are free
     with pytest.raises(InvariantError):
         _fixed_measure((((2, 0), (0, 2)),), 2)
+
+
+def test_type_system_at_the_candidate_budget_stays_small():
+    # L * n_tilde^2 = 3 * 182^2 = 99,372 candidate entries; n_tilde = 183 is past the budget
+    ifs = normalize(3, [0, 5, 364])
+    assert ifs.L * ifs.n_tilde**2 <= _CANDIDATE_BUDGET
+    with pytest.raises(InputError):
+        compute_type_system(normalize(3, [0, 5, 366]))
+    tracemalloc.start()
+    try:
+        ts = compute_type_system(ifs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ts.N == 69
+    assert peak < 2 * 2**20
