@@ -57,11 +57,6 @@ class LineIFS:
         return sum(n for _, n in self.translations)
 
     @property
-    def m(self) -> int:
-        """Number of distinct maps."""
-        return len(self.translations)
-
-    @property
     def n_tilde(self) -> int:
         return self.translations[-1][0] // (self.L - 1)
 
@@ -111,11 +106,6 @@ def scale(ifs: LineIFS, factor: int) -> LineIFS:
     """
     if factor < 1:
         raise InputError(f"scale factor must be a positive integer, got {factor}")
-    t_max = ifs.translations[-1][0]
-    if (factor * t_max) % (ifs.L - 1) != 0:
-        raise InputError(
-            f"(L-1) = {ifs.L - 1} does not divide {factor} * {t_max}"
-        )
     translations = tuple((t * factor, n) for t, n in ifs.translations)
     return LineIFS(L=ifs.L, translations=translations,
                    applied_factor=ifs.applied_factor)

@@ -33,13 +33,7 @@ from .spectral import (
     dominates_rho,
     spectral_radius,
 )
-from .type_system import (
-    TypeSystem,
-    Word,
-    column_sums,
-    pattern,
-    row_mul,
-)
+from .type_system import TypeSystem, column_sums, pattern, row_mul
 
 _ROW_BUDGET = 10**6  # distinct zero-pattern rows the witness BFS may visit
 
@@ -84,7 +78,7 @@ def positive_row_witness(ts: TypeSystem):
     earlier word has the same continuations there.  Either a witness is found,
     absence is certified, or the budget of distinct rows is exceeded.
 
-    Returns (word_or_None, inconclusive_flag).
+    Returns (word_or_None, inconclusive_flag); a word is a tuple of digits.
     """
     gens = [pattern(A) for A in ts.matrices]
     full = (1 << ts.N) - 1
@@ -100,7 +94,7 @@ def positive_row_witness(ts: TypeSystem):
                     word = (a,)
                     for par, dig in reversed(history):
                         word, k = (dig[k], *word), par[k]
-                    return Word(word, ts.L), False
+                    return word, False
                 if new:
                     seen |= new
                     parents.append(k)
@@ -123,7 +117,7 @@ def extinction_probability(M: int, p: float) -> float:
     x = 1 - q as expm1(M log1p(-p x)) + x, which keeps its accuracy there.
     """
     if not 0 <= p <= 1:
-        raise ValueError("p must be in [0, 1]")
+        raise InputError("p must be in [0, 1]")
     if M * p <= 1:
         return 1.0
     if p == 1:  # h(q) = q^M - q
@@ -166,7 +160,7 @@ class PhaseReport:
     p_extinction: Fraction  # below: a.s. extinction
     p_dim1: Fraction  # similarity dimension exceeds 1 above this
     interval_threshold: Fraction | None  # 1 / min CS (None if min CS = 0)
-    interval_witness: Word | None
+    interval_witness: tuple[int, ...] | None
     interval_inconclusive: bool
     no_interval_threshold: SpectralEnclosure  # enclosure of 1 / min_a rho(A_a)
     no_interval_digit: int  # digit with the least upper bound on rho(A_a)
@@ -174,7 +168,7 @@ class PhaseReport:
     positive_measure_rows_ok: bool
     notes: tuple[str, ...] = ()
 
-    def thresholds(self) -> list[tuple[str, str, object, Word | None]]:
+    def thresholds(self) -> list[tuple[str, str, object, tuple[int, ...] | None]]:
         """The ordered (name, theorem, value, witness) rows of the report.
 
         A value is a ``Fraction``, a ``RootThreshold``, a

@@ -113,7 +113,7 @@ def phase_report_to_json(report: PhaseReport) -> dict:
             "theorem": theorem,
             "value_exact": _exact_str(value),
             "value_float": _float(value),
-            "witness": None if witness is None else str(witness),
+            "witness": None if witness is None else "".join(map(str, witness)),
         }
         for name, theorem, value, witness in report.thresholds()
     ]

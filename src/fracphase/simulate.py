@@ -207,6 +207,8 @@ def interface_process(
     """
     if not 0 <= p <= 1:
         raise InputError("p must be in [0, 1]")
+    if depth < 0:
+        raise InputError("depth must be >= 0")
     if replicas < 1:
         raise InputError("replicas must be >= 1")
     pp = p * p

@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 from .errors import InputError, InvariantError
-from .type_system import identity
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def char_poly(matrix) -> list[Fraction]:
         raise InputError("matrix must be square")
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
-    Mk = identity(n)
+    Mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
         # Mk <- A @ Mk
         Mk = [
@@ -88,12 +88,12 @@ def dominates_rho(coeffs: list[Fraction], x: Fraction) -> bool:
 
 
 def spectral_radius(matrix, tol: Fraction = Fraction(1, 10**9)) -> SpectralEnclosure:
-    """Certified enclosure of the Perron root of a nonnegative matrix."""
+    """Certified enclosure of the Perron root of a nonnegative integer matrix."""
     n = len(matrix)
     if not n or any(len(row) != n for row in matrix):
         raise InputError("matrix must be square and nonempty")
-    if any(x < 0 for row in matrix for x in row):
-        raise InputError("matrix must be nonnegative")
+    if any(not isinstance(x, Integral) or x < 0 for row in matrix for x in row):
+        raise InputError("matrix entries must be nonnegative integers")
     if tol <= 0:
         raise InputError(f"tolerance must be positive, got {tol}")
     coeffs = char_poly(matrix)

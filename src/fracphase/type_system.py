@@ -29,24 +29,6 @@ _CANDIDATE_BUDGET = 10**5  # most L * max(n_tilde, 1)^2, which also bounds L * N
 
 
 @dataclass(frozen=True)
-class Word:
-    """A finite digit string over a fixed alphabet size (``base``)."""
-
-    digits: tuple[int, ...]
-    base: int
-
-    def __post_init__(self) -> None:
-        if any(not (0 <= d < self.base) for d in self.digits):
-            raise ValueError(f"digits must lie in [0, {self.base})")
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-    def __str__(self) -> str:
-        return "".join(str(d) for d in self.digits) if self.digits else "<empty>"
-
-
-@dataclass(frozen=True)
 class TypeSystem:
     """Basic types of a line IFS together with the matrix family {A_a}."""
 
@@ -67,28 +49,6 @@ class TypeSystem:
     def M(self) -> int:
         return self.parent.M
 
-    def sum_matrix(self) -> Matrix:
-        """A = sum over a of A_a."""
-        N = self.N
-        return tuple(
-            tuple(sum(A[i][j] for A in self.matrices) for j in range(N))
-            for i in range(N)
-        )
-
-
-def mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    n, k, m = len(A), len(B), len(B[0])
-    if len(A[0]) != k:
-        raise InvariantError(f"cannot multiply {n}x{len(A[0])} by {k}x{m}")
-    return tuple(
-        tuple(sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m))
-        for i in range(n)
-    )
-
-
-def identity(n: int) -> Matrix:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
 
 def pattern(mat) -> tuple[int, ...]:
     """Zero-pattern of a nonnegative matrix: bit j of row i is set iff entry > 0."""
@@ -103,18 +63,15 @@ def row_mul(row: int, pat) -> int:
     return reduce(or_, (q for k, q in enumerate(pat) if row >> k & 1), 0)
 
 
-def _fixed_measure(matrices: tuple[Matrix, ...], M: int) -> tuple[Fraction, ...]:
+def _fixed_measure(A: Matrix, M: int) -> tuple[Fraction, ...]:
     """The probability vector spanning the kernel of ``A - M*I``, A = sum of A_a.
 
     Fraction-free Gauss-Jordan in Python ints: every eliminated row is divided
     by its content, the free entry is set to the lcm of the pivots so that the
     back-substitution stays integral, and the vector is normalized once.
     """
-    N = len(matrices[0])
-    rows = [
-        [sum(m[i][j] for m in matrices) - (M if i == j else 0) for j in range(N)]
-        for i in range(N)
-    ]
+    N = len(A)
+    rows = [[x - (M if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(A)]
     pivots: list[int] = []
     for c in range(N):
         r = len(pivots)
@@ -173,23 +130,23 @@ def compute_type_system(ifs: LineIFS) -> TypeSystem:
                 todo.append(c2)
     support = sorted(basic)
     index = {c: i for i, c in enumerate(support)}
-    A = [[[0] * len(support) for _ in support] for _ in range(L)]
+    mats = [[[0] * len(support) for _ in support] for _ in range(L)]
     for c in support:
         for t, n in ifs.translations:
             c2, a = divmod(c + t, L)
-            A[a][index[c2]][index[c]] += n
-    matrices = tuple(tuple(map(tuple, rows)) for rows in A)
+            mats[a][index[c2]][index[c]] += n
+    matrices = tuple(tuple(map(tuple, rows)) for rows in mats)
+    A = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*matrices))
     ts = TypeSystem(parent=ifs, basic_offsets=tuple(support),
-                    matrices=matrices, nu=_fixed_measure(matrices, ifs.M))
-    _validate(ts)
+                    matrices=matrices, nu=_fixed_measure(A, ifs.M))
+    _validate(ts, A)
     return ts
 
 
-def _validate(ts: TypeSystem) -> None:
-    N, M, L = ts.N, ts.M, ts.L
-    # mass conservation: every column of the stacked family sums to M
-    for j in range(N):
-        total = sum(ts.matrices[a][i][j] for a in range(L) for i in range(N))
+def _validate(ts: TypeSystem, A: Matrix) -> None:
+    N, M = ts.N, ts.M
+    # mass conservation: every column of A sums to M
+    for j, total in enumerate(map(sum, zip(*A))):
         if total != M:
             raise InvariantError(
                 f"column {j} of the matrix family sums to {total}, expected {M}"
@@ -197,7 +154,6 @@ def _validate(ts: TypeSystem) -> None:
     # exact measure fixed point
     if sum(ts.nu) != 1 or any(x <= 0 for x in ts.nu):
         raise InvariantError("nu is not a positive probability vector")
-    A = ts.sum_matrix()
     for i in range(N):
         if sum(A[i][j] * ts.nu[j] for j in range(N)) != M * ts.nu[i]:
             raise InvariantError("nu is not a fixed point of A / M")
@@ -210,16 +166,6 @@ def _validate(ts: TypeSystem) -> None:
         cur = tuple(row_mul(row, pat) for row in cur)
     else:
         raise InvariantError("sum matrix A is not primitive")
-
-
-def matrix_product(ts: TypeSystem, w: Word) -> Matrix:
-    """Left-to-right product ``A_{a_1} ... A_{a_n}``; empty word -> identity."""
-    if w.base != ts.L:
-        raise ValueError(f"word alphabet {w.base} != L = {ts.L}")
-    out = identity(ts.N)
-    for a in w.digits:
-        out = mat_mul(out, ts.matrices[a])
-    return out
 
 
 def column_sums(ts: TypeSystem, a: int) -> tuple[int, ...]:

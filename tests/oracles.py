@@ -28,7 +28,7 @@ from fracphase import slices
 from fracphase.errors import InputError
 from fracphase.line_ifs import LineIFS, normalize
 from fracphase.simulate import _check_seed, stream
-from fracphase.type_system import Word, pattern
+from fracphase.type_system import pattern
 
 UNIT_SQUARE = [
     (Fraction(0), Fraction(0)),
@@ -304,7 +304,7 @@ def pattern_witness(ts, budget: int):
     while queue:
         pat, word = queue.popleft()
         if full in pat:
-            return Word(word, ts.L), False
+            return word, False
         if len(seen) >= budget:
             return None, True
         for a in range(ts.L):

@@ -24,8 +24,8 @@ from fracphase.phase import (
 from fracphase.pressure import lyapunov, pressure
 from fracphase.simulate import interface_process, sample_survival
 from fracphase.slices import ftilde, plane, verify_grid
-from fracphase.type_system import Word, compute_type_system, matrix_product
-from oracles import brute_force_entry, clip_area, random_small_ifs
+from fracphase.type_system import compute_type_system
+from oracles import brute_force_entry, clip_area, random_small_ifs, word_product
 
 
 def _verdict(capsys, num: int, name: str, ok: bool) -> None:
@@ -71,7 +71,7 @@ def test_acceptance_2_exact_thresholds(capsys):
     ok &= rep.p_extinction == Fraction(1, 20)
     ok &= rep.p_dim1 == Fraction(3, 20)
     ok &= rep.interval_threshold == Fraction(1, 6)
-    ok &= rep.interval_witness is not None and len(rep.interval_witness.digits) == 1
+    ok &= rep.interval_witness is not None and len(rep.interval_witness) == 1
     thr = rep.positive_measure_threshold
     ok &= (thr.base, thr.root) == (288, 3)
     ok &= thr.above(Fraction(16, 100)) and thr.below(Fraction(15, 100))
@@ -124,7 +124,7 @@ def test_acceptance_4_oracle_equivalence(capsys):
         ifs = random_small_ifs(rng)
         ts = compute_type_system(ifs)
         word = tuple(rng.randrange(ifs.L) for _ in range(rng.randint(1, 4)))
-        Aw = matrix_product(ts, Word(word, ifs.L))
+        Aw = word_product(ts.matrices, word)
         for ell in range(ts.N):
             for k in range(ts.N):
                 if Aw[ell][k] != brute_force_entry(ifs, ts.basic_offsets, word, ell, k):

@@ -12,7 +12,7 @@ MENGER_111_MULTISET = (
 
 def test_normalize_menger_projection_multiset():
     ifs = normalize(3, MENGER_111_MULTISET)
-    assert ifs.m == 7
+    assert len(ifs.translations) == 7
     assert ifs.M == 20
     assert ifs.n_tilde == 3
     assert ifs.translations == ((0, 1), (1, 3), (2, 3), (3, 6), (4, 3), (5, 3), (6, 1))
@@ -20,7 +20,7 @@ def test_normalize_menger_projection_multiset():
 
 def test_normalize_full_binary():
     ifs = normalize(2, [0, 1])
-    assert ifs.M == 2 and ifs.m == 2
+    assert ifs.M == 2 and len(ifs.translations) == 2
     assert ifs.n_tilde == 1
     assert ifs.translations == ((0, 1), (1, 1))
 
@@ -45,6 +45,8 @@ def test_normalize_rejects_bad_input():
         normalize(1, [0, 1])
     with pytest.raises(InputError):
         normalize(3, [])
+    with pytest.raises(InputError):
+        normalize(3, [0, 1.5])
 
 
 def test_q_is_exact_probability_vector():

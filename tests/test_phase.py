@@ -19,7 +19,7 @@ from fracphase.phase import (
     positive_row_witness,
 )
 from fracphase.spectral import SpectralEnclosure, char_poly, spectral_radius
-from fracphase.type_system import Word, compute_type_system
+from fracphase.type_system import compute_type_system
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +53,7 @@ def test_menger_thresholds(menger_ts):
     assert rep.p_dim1 == Fraction(3, 20)
     assert rep.interval_threshold == Fraction(1, 6)
     assert rep.interval_witness is not None
-    assert len(rep.interval_witness.digits) == 1
+    assert len(rep.interval_witness) == 1
     assert rep.positive_measure_threshold == RootThreshold(288, 3)
     assert rep.positive_measure_threshold.exact_str() == "(288)^(-1/3)"
     assert rep.positive_measure_rows_ok
@@ -176,7 +176,7 @@ def test_positive_measure_check(menger_report):
 def test_positive_row_witness_is_shortest(menger_ts):
     word, inconclusive = positive_row_witness(menger_ts)
     assert not inconclusive
-    assert word is not None and len(word.digits) == 1
+    assert word is not None and len(word) == 1
     # a system whose pattern semigroup never reaches a positive row
     ts = compute_type_system(scale(project(menger(), (1, 0, 0)), 3))
     word2, inconclusive2 = positive_row_witness(ts)
@@ -196,7 +196,7 @@ def test_positive_row_witness_is_shortest(menger_ts):
 
 def test_row_budget_leaves_the_interval_verdict_open(monkeypatch):
     ts = compute_type_system(project(menger(), (3, 2, 0)))
-    assert positive_row_witness(ts) == (Word((0, 0), 3), False)
+    assert positive_row_witness(ts) == ((0, 0), False)
     monkeypatch.setattr(phase, "_ROW_BUDGET", 1)
     rep = phase_report(ts)
     assert (rep.interval_witness, rep.interval_inconclusive) == (None, True)
@@ -262,6 +262,8 @@ def test_extinction_probability():
     assert abs((1 - 0.1 + 0.1 * q) ** 20 - q) < 1e-9
     # deeper supercritical regime pushes extinction towards 0
     assert extinction_probability(20, 0.5) < 1e-4
+    with pytest.raises(InputError):
+        extinction_probability(8, 1.5)
 
 
 @pytest.mark.parametrize(

@@ -297,6 +297,12 @@ def test_pressure_input_errors(systems):
         pressure(ts, 0.5, 20)
     with pytest.raises(InputError):
         pressure(ts, 0.5, 2, mode="nope")
+    for n, samples in ((0, 10), (5, 0)):
+        with pytest.raises(InputError, match=">= 1"):
+            lyapunov(ts, n, samples)
+    # every m(w)^t underflows, so the sampled mean is 0
+    with pytest.raises(InputError, match="float range"):
+        pressure(ts, -1e6, 5, mode="mc", samples=50)
 
 
 @settings(max_examples=40, deadline=None)

@@ -111,6 +111,8 @@ def test_input_validation():
         sample_survival(8, 0.5, -1, seed=0)
     with pytest.raises(InputError):
         interface_process(0.5, 3, 0)
+    with pytest.raises(InputError):
+        interface_process(0.5, -3, 10)
 
 
 def test_project_survival_full_tree_covers_hull():

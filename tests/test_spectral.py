@@ -70,6 +70,10 @@ def test_rejects_bad_matrices():
         spectral_radius([[1, -1], [0, 1]])
     with pytest.raises(InputError):
         spectral_radius([])
+    # the integer bound and the exact-hit argument need integer entries
+    for matrix in ([[1.5]], [[Fraction(3, 2)]]):
+        with pytest.raises(InputError):
+            spectral_radius(matrix)
 
 
 @pytest.mark.parametrize("tol", [0, -1])

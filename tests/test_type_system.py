@@ -11,12 +11,9 @@ from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import normalize, scale
 from fracphase.type_system import (
     _CANDIDATE_BUDGET,
-    Word,
     _fixed_measure,
     column_sums,
     compute_type_system,
-    mat_mul,
-    matrix_product,
 )
 from oracles import brute_force_entry, candidate_kernel, random_small_ifs, word_product
 
@@ -46,20 +43,6 @@ def test_full_binary_single_type():
     assert ts.N == 1
     assert ts.matrices == (((1,),), ((1,),))
     assert ts.nu == (Fraction(1),)
-
-
-def test_matrix_product(menger_ts):
-    ident = matrix_product(menger_ts, Word((), 3))
-    assert ident == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert matrix_product(menger_ts, Word((0,), 3)) == menger_ts.matrices[0]
-    # frozen from the word-enumeration oracle
-    assert matrix_product(menger_ts, Word((0, 0), 3)) == (
-        (1, 0, 0),
-        (27, 18, 18),
-        (22, 18, 18),
-    )
-    with pytest.raises(InvariantError):
-        mat_mul(((1, 2),), ((1, 2),))
 
 
 def test_column_sums(menger_ts):
@@ -106,7 +89,7 @@ def test_mass_conservation_on_examples(menger_ts):
 
 
 def test_measure_fixed_point(menger_ts):
-    A = menger_ts.sum_matrix()
+    A = [list(map(sum, zip(*rows))) for rows in zip(*menger_ts.matrices)]
     for i in range(3):
         assert sum(A[i][j] * menger_ts.nu[j] for j in range(3)) == 20 * menger_ts.nu[i]
 
@@ -126,7 +109,7 @@ def test_brute_force_equivalence_random(seed, data):
     ts = compute_type_system(ifs)
     n = data.draw(st.integers(1, 3))
     word = tuple(data.draw(st.integers(0, ifs.L - 1)) for _ in range(n))
-    Aw = matrix_product(ts, Word(word, ifs.L))
+    Aw = word_product(ts.matrices, word)
     for ell in range(ts.N):
         for k in range(ts.N):
             assert Aw[ell][k] == brute_force_entry(
@@ -137,7 +120,7 @@ def test_brute_force_equivalence_random(seed, data):
 def test_brute_force_equivalence_menger_depth2(menger_ts):
     ifs = menger_ts.parent
     for word in [(0, 0), (1, 2), (2, 1)]:
-        Aw = matrix_product(menger_ts, Word(word, 3))
+        Aw = word_product(menger_ts.matrices, word)
         for ell in range(3):
             for k in range(3):
                 assert Aw[ell][k] == brute_force_entry(
@@ -182,7 +165,7 @@ def test_candidate_kernel_is_the_reachable_measure(ifs):
 def test_integer_solve_rejects_a_plane_kernel():
     # A = M*I with N = 2: both columns of A - M*I are free
     with pytest.raises(InvariantError):
-        _fixed_measure((((2, 0), (0, 2)),), 2)
+        _fixed_measure(((2, 0), (0, 2)), 2)
 
 
 def test_type_system_at_the_candidate_budget_stays_small():
