@@ -231,7 +231,7 @@ class PhaseReport:
                 return "fails"
             thr = self.positive_measure_threshold
             return "holds" if thr.above(p) else "fails" if thr.below(p) else "boundary"
-        raise ValueError(f"no exact verdict for threshold {name!r}")
+        raise InputError(f"no exact verdict for threshold {name!r}")
 
     @cached_property
     def _char_polys(self) -> list[list[Fraction]]:

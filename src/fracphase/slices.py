@@ -24,10 +24,12 @@ numerator of htilde is a signed sum of 40 truncated squares in c, so it is one
 integer quadratic on each of 41 pieces between sorted knots; the row's exact
 minimum over the grid's c values is among two candidates per piece: the grid
 points around a convex piece's vertex, else the piece's end points.  The cost
-is O(1/d^2) rows of int64 numpy work, batched across a-slices, instead of
-O(1/d^3) points.  Every knot, piece coefficient and piece value fits in int64
-while ``D <= _MAX_D`` (about 1.3e7; the derivation is at ``_MAX_D``); finer
-steps are rejected.
+is O(1/d^2) rows of int64 numpy work, in blocks across a-slices that reuse
+one set of work arrays, instead of O(1/d^3) points.  Floats only locate each
+vertex, exactly, and screen out rows that cannot hold a block's least value
+before the exact comparison.  Every knot, piece coefficient and piece value
+fits in int64 while ``D <= _MAX_D`` (about 1.3e7; the derivation is at
+``_MAX_D``); finer steps are rejected.
 """
 
 from __future__ import annotations
@@ -183,7 +185,7 @@ def _row_knots() -> np.ndarray:
 
 
 _W, _E, _F, _G = _row_knots()
-_BLOCK = 256  # grid rows per kernel call; keeps its working set under 1 MiB
+_BLOCK = 256  # grid rows per kernel call; its reused work arrays take 0.96 MiB
 _INT64_MAX = np.iinfo(np.int64).max
 # int64 range of the kernel.  0 < A <= B <= D puts every kappa in [-2D, D], so
 # |K| <= 6D (base knots 3*kappa; removed-cube knots lie in [-4D, 3D]), and the
@@ -195,7 +197,18 @@ _INT64_MAX = np.iinfo(np.int64).max
 _MAX_D = math.isqrt(_INT64_MAX // 54400)
 
 
-def _row_minima(A: np.ndarray, B: np.ndarray, D: int, S: int, y: int):
+def _work(rows: int) -> tuple[np.ndarray, ...]:
+    """The kernel's block-sized int64 work arrays for calls of up to ``rows`` rows.
+
+    Rows are each array's second-to-last axis.  A call writes into ``[..., :n, :]``
+    views of them, so a task's blocks reuse the same pages.
+    """
+    knots, pieces = len(_W), len(_W) + 1
+    shapes = [(3, rows, knots), (3, rows, pieces)] + 3 * [(2, rows, pieces)]
+    return tuple(np.empty(shape, np.int64) for shape in shapes)
+
+
+def _row_minima(A: np.ndarray, B: np.ndarray, D: int, S: int, y: int, work):
     """Exact minimum of htilde over C along the grid rows (A, B), given as columns.
 
     In X = 3C the numerator N = 162*A*B*htilde = sum_j w_j * (K_j - X)_+^2 is
@@ -205,39 +218,56 @@ def _row_minima(A: np.ndarray, B: np.ndarray, D: int, S: int, y: int):
     piece, a convex quadratic (alpha > 0) is smallest at one of the two points
     around its vertex beta/alpha, any other at the piece's first or last point;
     clipped to the piece, these two candidates hold every smallest-j minimizer.
-    Returns, per row, the minimum of N and the smallest j attaining it.
+    ``work`` is :func:`_work` of at least len(A) rows.  Returns, per row, the
+    minimum of N and the smallest j attaining it.
     """
+    terms, sums, bounds, X, vals = (a[..., : len(A), :] for a in work)
     x0 = 3 * (2 * y - A - B)  # X at the row's first grid point
     T = 3 * S
     last = (A + B - y) // S  # j of the row's last grid point
     # sort the knots, carrying each one's table index in the low 6 bits
-    K = (_E * D + _F * A + _G * B) * 64 + np.arange(len(_W))
+    K = (_F << 6) * A
+    K += (_G << 6) * B + ((_E * D << 6) + np.arange(len(_W)))
     K.sort(axis=1)
-    w = _W[K & 63]
+    np.take(_W, K & 63, out=terms[0])
     K >>= 6
-    p = np.cumsum(np.stack([w, w * K, w * K * K]), axis=2)
-    alpha, beta, gamma = np.concatenate([p[..., -1:], p[..., -1:] - p], axis=2)
+    np.multiply(terms[0], K, out=terms[1])
+    np.multiply(terms[1], K, out=terms[2])
+    # suffix sums over the knots above each piece; the last piece has none
+    sums[..., -1] = 0
+    np.cumsum(terms[..., ::-1], axis=2, out=sums[..., -2::-1])
+    alpha, beta, gamma = sums
     # piece i spans knots i-1 .. i; its grid points are j = lo .. hi
     K -= x0
-    lo = np.concatenate([np.zeros_like(last), -(-K // T)], axis=1)
-    hi = np.concatenate([K // T, last], axis=1)
-    del K, w, p  # freed before the (2, rows, 41) candidate arrays
+    lo, hi = bounds
+    lo[:, 0] = 0
+    np.floor_divide(K, T, out=hi[:, :-1])
+    hi[:, -1:] = last
+    np.floor_divide(K + (T - 1), T, out=lo[:, 1:])
     valid = (lo <= hi) & (lo <= last) & (hi >= 0)
-    np.clip(lo, 0, last, out=lo)  # keep every candidate on the row
-    np.clip(hi, 0, last, out=hi)
-    convex = alpha > 0
-    vertex = (beta - alpha * x0) // np.where(convex, alpha * T, 1)
-    X = np.stack([np.where(convex, vertex, lo), np.where(convex, vertex + 1, hi)])
+    # a piece without grid points gets alpha = beta = 0 and gamma = _INT64_MAX
+    sums *= valid
+    gamma += np.multiply(~valid, _INT64_MAX, out=vals[0])
+    np.clip(bounds, 0, last, out=bounds)  # keep every candidate on the row
+    # the vertex floor((beta - alpha*x0) / (alpha*T)) in j units: the numerator
+    # is within 5440*D < 2^53, so the floor of the float quotient is exact
+    np.subtract(beta, np.multiply(alpha, x0, out=X[0]), out=X[0])
+    np.multiply(np.maximum(alpha, 1, out=X[1]), T, out=X[1])
+    X[0] = np.floor(X[0] / X[1])
+    np.add(X[0], 1, out=X[1])
+    # a piece that is not convex pushes its candidates out: the clip takes its ends
+    np.multiply(alpha <= 0, 2**62, out=vals[0])
+    X[0] -= vals[0]
+    X[1] += vals[0]
     np.clip(X, lo, hi, out=X)
     X *= T
     X += x0
-    vals = alpha * X
+    np.multiply(alpha, X, out=vals)
     vals -= 2 * beta
     vals *= X
     vals += gamma
-    np.copyto(vals, _INT64_MAX, where=~valid)
     m = vals.min(axis=(0, 2))
-    np.copyto(X, _INT64_MAX, where=vals != m[:, None])
+    X += np.multiply(vals != m[:, None], 2**62, out=vals)  # non-minimal X leave the row
     return m, (X.min(axis=(0, 2)) - x0[:, 0]) // T
 
 
@@ -254,14 +284,22 @@ def _slice_min(args):
     starts = np.cumsum(n) - n  # each a-slice's first row
     best = None  # (N, A, B, j) with value N / (162*A*B)
     count = sum((n * ((2 * slice_A - y) // S + 1) + n * (n - 1) // 2).tolist())
+    work = _work(_BLOCK)
     for r in range(0, n.sum(), _BLOCK):
         r = np.arange(r, min(r + _BLOCK, n.sum()))[:, None]
         k = starts.searchsorted(r, "right") - 1  # each row's a-slice
         A = slice_A[k]
         B = A + S * (r - starts[k])
-        m, j = _row_minima(A, B, D, S, y)
+        m, j = _row_minima(A, B, D, S, y, work)
+        # Screen: A*B <= D^2 < 2^53 is exact in float, and m and the division
+        # round once each, so v is within 2^-52 of N/(A*B) relative.  A row above
+        # v_min + 2^-50 |v_min| (covering both rows' errors and the sum's
+        # rounding) exceeds the block's minimum; the rest are compared exactly.
+        v = m / (A * B)[:, 0]
+        v_min = v.min()
+        keep = np.flatnonzero(v <= v_min + abs(v_min) * 2.0**-50)
         # rows ascend in (A, B), so the strict comparison keeps the least
-        for row in zip(m.tolist(), A[:, 0].tolist(), B[:, 0].tolist(), j.tolist()):
+        for row in zip(*(x.tolist() for x in (m[keep], A[keep, 0], B[keep, 0], j[keep]))):
             if best is None or row[0] * best[1] * best[2] < best[0] * row[1] * row[2]:
                 best = row
     N, A, B, j = best

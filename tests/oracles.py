@@ -1,7 +1,8 @@
 """Independent oracles used by the test suite.
 
 Kept deliberately dumb and slow: exact rational polygon clipping for slice
-areas, a point-by-point scan of the slice certification grid, seeded random
+areas, a point-by-point scan of the slice certification grid, every grid
+row's kernel minimum compared in exact integers, seeded random
 points of the slice regions where htilde must be nonnegative, exhaustive
 word enumeration for transition-matrix entries, a Fraction nullspace over
 all candidate intervals, a BFS over whole zero-patterns for positive-row
@@ -165,6 +166,25 @@ def grid_scan(d: Fraction):
                 best = (val, (Fraction(A, D), Fraction(B, D), Fraction(int(C[j]), D)))
     minimum, argmin = best
     return minimum, argmin, count, minimum > 0 and minimum**2 > 675 * d**2
+
+
+def slice_min_exact(args):
+    """slices._slice_min without blocks or the float screen.
+
+    The kernel takes all rows of the task (As, D, S, y) in one call, and every
+    row's minimum is compared with the best so far in cross-multiplied ints.
+    """
+    As, D, S, y = args
+    rows = [(A, B) for A in As for B in range(A, D + 1, S)]
+    A, B = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows))
+    m, j = slices._row_minima(A, B, D, S, y, slices._work(len(rows)))
+    best = None  # (N, A, B, j) with value N / (162*A*B)
+    for row in zip(m.tolist(), A[:, 0].tolist(), B[:, 0].tolist(), j.tolist()):
+        if best is None or row[0] * best[1] * best[2] < best[0] * row[1] * row[2]:
+            best = row
+    count = sum(len(range(2 * y - A - B, y + 1, S)) for A, B in rows)
+    N, A, B, j = best
+    return Fraction(N, 162 * A * B), A, B, 2 * y - A - B + S * j, count
 
 
 def sample_nonnegativity(region: str, count: int, seed: int) -> list:

@@ -111,6 +111,12 @@ def test_no_interval_check(menger_report):
     assert rep.no_interval_digit in (0, 2)
 
 
+def test_verdict_rejects_an_unknown_threshold_name(menger_report):
+    for name in ("nope", "Extinction"):
+        with pytest.raises(InputError, match="no exact verdict"):
+            menger_report.verdict(name, Fraction(1, 5))
+
+
 def test_no_interval_verdict_computes_char_polys_once_per_report(monkeypatch):
     import fracphase.phase as phase_mod
 

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fracphase import slices
@@ -25,7 +25,7 @@ from fracphase.slices import (
     plane,
     verify_grid,
 )
-from oracles import clip_area, grid_scan, htilde_oracle, sample_nonnegativity
+from oracles import clip_area, grid_scan, htilde_oracle, sample_nonnegativity, slice_min_exact
 
 
 def _random_wedge_point(rng, denom=720):
@@ -202,7 +202,10 @@ def test_row_minima_match_brute_force(k, n, data):
     a_slices = data.draw(st.sets(st.sampled_from(range(y, D + 1, S)), min_size=1, max_size=3))
     rows = [(A, B) for A in sorted(a_slices) for B in range(A, D + 1, S)]
     A, B = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows))
-    m, j = slices._row_minima(A, B, D, S, y)
+    work = slices._work(len(rows))
+    for a in work:
+        a.fill(12345)  # stale values of an earlier call must not leak in
+    m, j = slices._row_minima(A, B, D, S, y, work)
     for (A, B), got_m, got_j in zip(rows, m.tolist(), j.tolist()):
         N = [
             162 * A * B * htilde(plane(Fraction(A, D), Fraction(B, D), Fraction(C, D)))
@@ -295,6 +298,48 @@ def test_slice_minima_take_the_smallest_tied_point(step):
         best = min(values)
         expected = (best, *points[values.index(best)], len(points))
         assert slices._slice_min((range(A, A + S, S), D, S, y)) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@example(k=1, n=6, block=1, picks={1})  # slice a = 1/2 ties in its rows 2 and 3 of 4
+@example(k=1, n=6, block=3, picks={1})
+@given(
+    st.integers(1, 3),
+    st.integers(3, 40),
+    st.integers(1, 7),
+    st.sets(st.integers(0, 40), min_size=1, max_size=3),
+)
+def test_screened_slice_minima_match_the_exact_loop(k, n, block, picks):
+    # blocks of 1-7 rows leave partial last blocks and put tied rows in
+    # different blocks; the oracle compares every row exactly in one block
+    d = Fraction(k, n)
+    assume(d <= Fraction(1, 3))
+    y, S = d.denominator, 3 * d.numerator
+    D = 3 * y
+    a_slices = range(y, D + 1, S)
+    task = (sorted({a_slices[i % len(a_slices)] for i in picks}), D, S, y)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slices, "_BLOCK", block)
+        assert slices._slice_min(task) == slice_min_exact(task)
+
+
+def test_screen_keeps_exact_ties_whose_floats_differ(monkeypatch):
+    # past 2^53 a row minimum m rounds to float: here every row's m / (A*B)
+    # is c/3 exactly, yet row 0's float quotient is above the least one
+    c = 2**45 + 1
+    monkeypatch.setattr(
+        slices, "_row_minima", lambda A, B, *_: ((c * (A * B // 3))[:, 0], np.zeros(len(A), int))
+    )
+    assert slices._slice_min(([99], 297, 3, 99))[:4] == (Fraction(c, 3 * 162), 99, 99, 0)
+
+
+def test_warm_grid_reuses_its_work_arrays():
+    # fresh block-sized temporaries cost about 50,000 minor page faults a call
+    resource = pytest.importorskip("resource")
+    verify_grid(Fraction(1, 500))
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    verify_grid(Fraction(1, 500))
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5000
 
 
 @pytest.mark.parametrize("step", ["1/30", "1/37", "1/64", "1/100", "2/75", "2/101"])

@@ -52,6 +52,12 @@ def test_column_sums(menger_ts):
     assert column_sums(ts2, 0) == (1,)
 
 
+def test_column_sums_rejects_a_digit_out_of_range(menger_ts):
+    for a in (-1, 3):
+        with pytest.raises(InputError, match="out of range"):
+            column_sums(menger_ts, a)
+
+
 def test_cylinder_measure(menger_ts):
     def measure(ell, w):  # nu(J^ell_w) = M^-|w| (row ell of A_w) . nu
         row = word_product(menger_ts.matrices, w)[ell]
