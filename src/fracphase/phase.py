@@ -30,7 +30,6 @@ from .spectral import (
     SpectralEnclosure,
     _shifted_coeffs,
     char_poly,
-    dominates_rho,
     spectral_radius,
 )
 from .type_system import TypeSystem, column_sums, pattern, row_mul
@@ -221,8 +220,9 @@ class PhaseReport:
             # p * rho < 1  <=>  1/p >= rho and 1/p is not a root
             x, at_equality = 1 / p, False
             for coeffs in self._char_polys:
-                if dominates_rho(coeffs, x):
-                    if _shifted_coeffs(coeffs, x)[0] != 0:
+                shifted = _shifted_coeffs(coeffs, x)  # coefficient 0 is p(x)
+                if all(c >= 0 for c in shifted):  # x >= rho, as in dominates_rho
+                    if shifted[0] != 0:
                         return "holds"
                     at_equality = True
             return "boundary" if at_equality else "fails"

@@ -8,7 +8,8 @@ complex-conjugate root factors shows the shifted coefficients are nonnegative
 exactly when all roots have modulus <= x.)
 
 Binary search on this predicate gives a certified enclosure in exact rational
-arithmetic, with exact termination whenever rho is an integer.
+arithmetic, with exact termination whenever rho is an integer.  p comes from a
+Faddeev-LeVerrier recursion in Fractions over A's nonzero entries.
 """
 
 from __future__ import annotations
@@ -39,22 +40,20 @@ class SpectralEnclosure:
 def char_poly(matrix) -> list[Fraction]:
     """Coefficients of det(lambda*I - A), ascending order, monic.
 
-    Uses the Faddeev-LeVerrier recursion in exact rational arithmetic.
+    Uses the Faddeev-LeVerrier recursion in exact rational arithmetic, forming
+    A @ M_k from each row's nonzero entries only.
     """
     n = len(matrix)
-    A = [[Fraction(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in A):
+    if any(len(row) != n for row in matrix):
         raise InputError("matrix must be square")
+    rows = [[(t, Fraction(a)) for t, a in enumerate(row) if a] for row in matrix]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     Mk = [[int(i == j) for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        # Mk <- A @ Mk
-        Mk = [
-            [sum(A[i][t] * Mk[t][j] for t in range(n)) for j in range(n)]
-            for i in range(n)
-        ]
-        c = -sum(Mk[i][i] for i in range(n)) / k
+        # Mk <- A @ Mk; a zero row sums to the int 0, so c is made a Fraction
+        Mk = [[sum(a * Mk[t][j] for t, a in row) for j in range(n)] for row in rows]
+        c = -Fraction(sum(Mk[i][i] for i in range(n))) / k
         coeffs[n - k] = c
         for i in range(n):
             Mk[i][i] += c
@@ -94,7 +93,7 @@ def spectral_radius(matrix, tol: Fraction = Fraction(1, 10**9)) -> SpectralEnclo
         raise InputError("matrix must be square and nonempty")
     if any(not isinstance(x, Integral) or x < 0 for row in matrix for x in row):
         raise InputError("matrix entries must be nonnegative integers")
-    if tol <= 0:
+    if not tol > 0:  # also rejects NaN
         raise InputError(f"tolerance must be positive, got {tol}")
     coeffs = char_poly(matrix)
     max_col = max(sum(matrix[i][j] for i in range(n)) for j in range(n))
@@ -111,7 +110,10 @@ def spectral_radius(matrix, tol: Fraction = Fraction(1, 10**9)) -> SpectralEnclo
         else:
             lo_int = mid + 1
     u = hi_int
-    if _shifted_coeffs(coeffs, Fraction(u))[0] == 0:  # p(u)
+    p_u = 0
+    for c in reversed(coeffs):  # Horner's rule
+        p_u = p_u * u + c
+    if p_u == 0:
         # rho is exactly the integer u (monic integer polynomial: any
         # rational root is an integer, and u is the least integer >= rho)
         return SpectralEnclosure(Fraction(u), Fraction(u))

@@ -9,7 +9,9 @@ all candidate intervals, a BFS over whole zero-patterns for positive-row
 witnesses, one hash per simulator node, the set of every covered cell of a
 projected realization, one Generator per sampled word, one cocycle walk per
 sampled word, full integer matrix products for every word of exact pressure,
-and exact rational bisection for the extinction probability.
+exact rational bisection for the extinction probability, and the dense
+Fraction characteristic polynomial, Taylor coefficients from binomial sums and
+a linear-scan bisection for Perron-root enclosures.
 """
 
 from __future__ import annotations
@@ -462,3 +464,47 @@ def extinction_root(M: int, p) -> Fraction:
         else:
             lo = mid
     return (lo + hi) / 2
+
+
+def char_poly_dense(matrix) -> list[Fraction]:
+    """det(lambda*I - A), ascending: dense Faddeev-LeVerrier in Fractions."""
+    n = len(matrix)
+    A = [[Fraction(x) for x in row] for row in matrix]
+    coeffs = [Fraction(0)] * (n + 1)
+    coeffs[n] = Fraction(1)
+    Mk = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        Mk = [[sum(A[i][t] * Mk[t][j] for t in range(n)) for j in range(n)]
+              for i in range(n)]
+        c = -sum(Mk[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        for i in range(n):
+            Mk[i][i] += c
+    return coeffs
+
+
+def taylor_shift(coeffs, x) -> list[Fraction]:
+    """Coefficients of p(y + x), ascending: coefficient k is the binomial sum
+    of C(i, k) * c_i * x^(i - k) over i >= k, with no synthetic division."""
+    x = Fraction(x)
+    n = len(coeffs) - 1
+    return [sum(math.comb(i, k) * Fraction(coeffs[i]) * x ** (i - k) for i in range(k, n + 1))
+            for k in range(n + 1)]
+
+
+def perron_enclosure(matrix, tol) -> tuple[Fraction, Fraction]:
+    """(lower, upper) from the least integer u >= rho, found by a linear scan,
+    then halving [u - 1, u] until its width is at most tol (exact at a root u)."""
+    coeffs = char_poly_dense(matrix)
+
+    def dominates(x):
+        return x >= 0 and all(c >= 0 for c in taylor_shift(coeffs, x))
+
+    u = next(u for u in itertools.count() if dominates(u))
+    if taylor_shift(coeffs, u)[0] == 0:
+        return Fraction(u), Fraction(u)
+    lo, up = Fraction(u - 1), Fraction(u)
+    while up - lo > tol:
+        mid = (lo + up) / 2
+        lo, up = (lo, mid) if dominates(mid) else (mid, up)
+    return lo, up

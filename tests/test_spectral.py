@@ -4,11 +4,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import char_poly_dense, perron_enclosure, taylor_shift
 
 from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import scale
-from fracphase.spectral import char_poly, dominates_rho, spectral_radius
+from fracphase.spectral import _shifted_coeffs, char_poly, dominates_rho, spectral_radius
 from fracphase.type_system import compute_type_system
 
 
@@ -63,6 +64,16 @@ def test_dominates_rho_predicate():
     assert not dominates_rho(coeffs, Fraction(-1))
 
 
+def test_dominates_rho_takes_rational_coefficients():
+    # eigenvalues 1/2 +- 1/3: the coefficients 5/36 and -1 have denominators
+    coeffs = char_poly([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 2)]])
+    assert coeffs == [Fraction(5, 36), Fraction(-1), Fraction(1)]
+    assert dominates_rho(coeffs, Fraction(5, 6))
+    assert dominates_rho(coeffs, 1)
+    assert not dominates_rho(coeffs, Fraction(5, 6) - Fraction(1, 2**60))
+    assert not dominates_rho(coeffs, Fraction(1, 6))
+
+
 def test_rejects_bad_matrices():
     with pytest.raises(InputError):
         spectral_radius([[1, 2], [3]])
@@ -76,9 +87,10 @@ def test_rejects_bad_matrices():
             spectral_radius(matrix)
 
 
-@pytest.mark.parametrize("tol", [0, -1])
+@pytest.mark.parametrize("tol", [0, -1, float("nan")])
 def test_rejects_nonpositive_tolerance(tol):
-    # bisection down to a width <= 0 would never end on an irrational root
+    # bisection down to a width <= 0 would never end on an irrational root;
+    # a NaN width would end it at once, at width 1
     with pytest.raises(InputError, match="tolerance"):
         spectral_radius([[1, 1], [1, 0]], tol=tol)
 
@@ -100,3 +112,58 @@ def test_enclosure_within_colsum_rowsum_bounds(seed):
     # the trace lower bound rho >= max diagonal entry / 1 is too strong in
     # general; the diagonal minimum is a safe weak floor
     assert enc.upper >= min_diag
+
+
+@st.composite
+def random_matrices(draw, max_n=8, fractions=False):
+    """Square matrices of size 1..max_n whose share of nonzero entries is 0..1."""
+    n = draw(st.integers(1, max_n))
+    density = draw(st.floats(0, 1))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if fractions else rng.randint(1, 9)
+
+    return [[entry() for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix=st.one_of(random_matrices(), random_matrices(fractions=True)))
+def test_sparse_char_poly_matches_the_dense_oracle(matrix):
+    coeffs = char_poly(matrix)
+    assert coeffs == char_poly_dense(matrix)
+    assert all(type(c) is Fraction for c in coeffs)
+
+
+@st.composite
+def polys_and_points(draw):
+    """(coefficients, x): a characteristic polynomial times (z - r) over drawn
+    integer roots r, at 0, a negative x, a root, or a dyadic up to 2^-60."""
+    coeffs = char_poly(draw(random_matrices(max_n=5, fractions=draw(st.booleans()))))
+    roots = draw(st.lists(st.integers(-6, 6), max_size=3))
+    for r in roots:  # multiply by (z - r)
+        coeffs = [b - r * a for a, b in zip(coeffs + [0], [0] + coeffs)]
+    j = draw(st.integers(0, 60))
+    dyadic = Fraction(draw(st.integers(-(12 << j), 12 << j)), 2**j)
+    near = [r + Fraction(s, 2**60) for r in roots for s in (-1, 1)]
+    x = draw(st.sampled_from([Fraction(0), -abs(dyadic) - 1, dyadic, *roots, *near]))
+    return coeffs, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=polys_and_points())
+def test_shift_matches_the_binomial_oracle(case):
+    coeffs, x = case
+    expected = taylor_shift(coeffs, x)
+    assert _shifted_coeffs(coeffs, x) == expected
+    assert dominates_rho(coeffs, x) == (x >= 0 and all(c >= 0 for c in expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=random_matrices(max_n=5),
+       tol=st.sampled_from([Fraction(1, 10**9), Fraction(1, 10**12)]))
+def test_enclosure_equals_the_oracle_bisection(matrix, tol):
+    enc = spectral_radius(matrix, tol=tol)
+    assert (enc.lower, enc.upper) == perron_enclosure(matrix, tol)
