@@ -10,11 +10,12 @@ Each threshold marks a *sufficient* condition for one regime of the random
   column sums exceeds 1 for every type U, plus a positive row in every
   single digit matrix.
 
-:func:`phase_report` computes every threshold and its witnesses once;
-:meth:`PhaseReport.verdict` decides each condition at a given p from the
-report alone.  Verdicts are three-valued (holds / fails / boundary) because
-the underlying conditions are strict inequalities that say nothing at
-equality.  Thresholds involving roots are kept as exact power predicates;
+:func:`phase_report` computes every threshold and its witnesses once, and
+keeps each digit's enclosure with its characteristic polynomial, so
+:meth:`PhaseReport.verdict` decides each condition at a p in [0, 1] from the
+report alone.  Verdicts are three-valued (holds / fails / boundary) because the
+underlying conditions are strict inequalities that say nothing at equality.
+Thresholds involving roots are kept as exact power predicates;
 floats appear only in rendered output.
 """
 
@@ -23,16 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import InputError
-from .spectral import (
-    SpectralEnclosure,
-    _shifted_coeffs,
-    char_poly,
-    spectral_radius,
-)
-from .type_system import TypeSystem, column_sums, pattern, row_mul
+from .spectral import SpectralEnclosure, rho_sign, spectral_radius
+from .type_system import TypeSystem, pattern, row_mul
 
 _ROW_BUDGET = 10**6  # distinct zero-pattern rows the witness BFS may visit
 
@@ -61,12 +56,14 @@ class RootThreshold:
         return f"({self.base})^(-1/{self.root})"
 
     def above(self, p) -> bool:
-        """Exact test p > base**(-1/root), i.e. p^root * base > 1."""
-        return Fraction(p) ** self.root * self.base > 1
+        """Exact test p > base**(-1/root), i.e. p > 0 and p^root * base > 1."""
+        p = Fraction(p)
+        return p > 0 and p**self.root * self.base > 1
 
     def below(self, p) -> bool:
         """Exact test p < base**(-1/root)."""
-        return Fraction(p) ** self.root * self.base < 1
+        p = Fraction(p)
+        return p <= 0 or p**self.root * self.base < 1
 
 
 def positive_row_witness(ts: TypeSystem):
@@ -162,9 +159,8 @@ class PhaseReport:
     interval_witness: tuple[int, ...] | None
     interval_inconclusive: bool
     no_interval_threshold: SpectralEnclosure  # enclosure of 1 / min_a rho(A_a)
-    no_interval_digit: int  # digit with the least upper bound on rho(A_a)
-    positive_measure_threshold: RootThreshold | None  # (min_U prod)^(-1/L); None if 0
-    positive_measure_rows_ok: bool
+    digit_radii: tuple[SpectralEnclosure, ...]  # rho(A_a) per digit, with char polys
+    positive_measure_threshold: RootThreshold | None  # None unless each A_a has a positive row
     notes: tuple[str, ...] = ()
 
     def thresholds(self) -> list[tuple[str, str, object, tuple[int, ...] | None]]:
@@ -188,8 +184,8 @@ class PhaseReport:
             ("no-interval", "spectral contraction of a digit matrix",
              self.no_interval_threshold, None)
         )
-        pos = self.positive_measure_threshold if self.positive_measure_rows_ok else None
-        rows.append(("positive-measure", "geometric-mean column growth", pos, None))
+        rows.append(("positive-measure", "geometric-mean column growth",
+                     self.positive_measure_threshold, None))
         return rows
 
     def verdict(self, name: str, p) -> str:
@@ -199,10 +195,16 @@ class PhaseReport:
         "interval-sufficient" and "positive-measure" hold above their
         thresholds and fail wherever their witness condition is certainly
         unmet.  "no-interval" holds when p * rho(A_a) < 1 for some digit a,
-        decided on the characteristic polynomials without a tolerance.
-        "boundary" means equality, or an inconclusive witness search.
+        decided on the kept characteristic polynomials without a tolerance.
+        "boundary" means equality, or an inconclusive witness search.  A p
+        that is not a rational in [0, 1] is an input error.
         """
-        p = Fraction(p)
+        try:
+            p = Fraction(p)
+        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+            raise InputError(f"p must be a rational number, got {p!r}") from None
+        if not 0 <= p <= 1:
+            raise InputError(f"p must be in [0, 1], got {p}")
         if name == "extinction":
             return _compare(self.p_extinction, p)
         if name == "dimension-one":
@@ -215,49 +217,37 @@ class PhaseReport:
             v = _compare(p, self.interval_threshold)
             return "boundary" if v == "holds" and self.interval_inconclusive else v
         if name == "no-interval":
-            if p <= 0:
+            if p == 0:
                 return "holds"
-            # p * rho < 1  <=>  1/p >= rho and 1/p is not a root
-            x, at_equality = 1 / p, False
-            for coeffs in self._char_polys:
-                shifted = _shifted_coeffs(coeffs, x)  # coefficient 0 is p(x)
-                if all(c >= 0 for c in shifted):  # x >= rho, as in dominates_rho
-                    if shifted[0] != 0:
-                        return "holds"
-                    at_equality = True
-            return "boundary" if at_equality else "fails"
+            # p * rho < 1  <=>  1/p > rho
+            signs = {rho_sign(e.coeffs, 1 / p) for e in self.digit_radii}
+            return "holds" if 1 in signs else "boundary" if 0 in signs else "fails"
         if name == "positive-measure":
-            if not self.positive_measure_rows_ok:
-                return "fails"
             thr = self.positive_measure_threshold
-            return "holds" if thr.above(p) else "fails" if thr.below(p) else "boundary"
+            if thr is None or thr.below(p):
+                return "fails"
+            return "holds" if thr.above(p) else "boundary"
         raise InputError(f"no exact verdict for threshold {name!r}")
-
-    @cached_property
-    def _char_polys(self) -> list[list[Fraction]]:
-        return [char_poly(A) for A in self.ts.matrices]
 
 
 def phase_report(ts: TypeSystem) -> PhaseReport:
     """Assemble every threshold with its witnesses and enclosures."""
     M, L = ts.M, ts.L
-    cs = [column_sums(ts, a) for a in range(L)]
+    cs = [tuple(map(sum, zip(*A))) for A in ts.matrices]
     min_cs = min(map(min, cs))
     witness, inconclusive = positive_row_witness(ts)
     interval_threshold = Fraction(1, min_cs) if min_cs > 0 else None
 
-    encs = [spectral_radius(A) for A in ts.matrices]
-    best = min(encs, key=lambda e: e.upper)
+    radii = tuple(spectral_radius(A) for A in ts.matrices)
+    best = min(radii, key=lambda e: e.upper)
     # threshold 1 / min_a rho(A_a), capped at 1 (p never exceeds 1)
-    cap = Fraction(1)
-    lo = min(cap, 1 / best.upper) if best.upper > 0 else cap
-    hi = min(cap, 1 / best.lower) if best.lower > 0 else cap
-    no_int = SpectralEnclosure(lo, hi)
+    no_int = SpectralEnclosure(1 / max(best.upper, Fraction(1)),
+                               1 / max(best.lower, Fraction(1)))
 
-    # product over digits of the U-th column sums, for every type U
-    min_prod = min(math.prod(col) for col in zip(*cs))
-    pos_thr = RootThreshold(min_prod, L) if min_prod > 0 else None
+    # a strictly positive row leaves no zero column, so every product below
+    # (over digits, of the U-th column sums, for each type U) is then > 0
     rows_ok = all((1 << ts.N) - 1 in pattern(A) for A in ts.matrices)
+    pos_thr = RootThreshold(min(math.prod(col) for col in zip(*cs)), L) if rows_ok else None
 
     notes = []
     if interval_threshold is None:
@@ -291,8 +281,7 @@ def phase_report(ts: TypeSystem) -> PhaseReport:
         interval_witness=witness,
         interval_inconclusive=inconclusive,
         no_interval_threshold=no_int,
-        no_interval_digit=encs.index(best),
+        digit_radii=radii,
         positive_measure_threshold=pos_thr,
-        positive_measure_rows_ok=rows_ok,
         notes=tuple(notes),
     )

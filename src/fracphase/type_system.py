@@ -167,10 +167,3 @@ def _validate(ts: TypeSystem, A: Matrix) -> None:
     else:
         raise InvariantError("sum matrix A is not primitive")
 
-
-def column_sums(ts: TypeSystem, a: int) -> tuple[int, ...]:
-    """Column sums of A_a: CS_{a,j} = sum_i A_a(i, j)."""
-    if not 0 <= a < ts.L:
-        raise InputError(f"digit {a} out of range [0, {ts.L})")
-    A = ts.matrices[a]
-    return tuple(sum(A[i][j] for i in range(ts.N)) for j in range(ts.N))

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import extinction_root, pattern_witness
+from oracles import (
+    char_poly_dense,
+    extinction_root,
+    pattern_witness,
+    perron_enclosure,
+    taylor_shift,
+)
 from test_type_system import line_systems
 
 from fracphase import phase
@@ -18,7 +24,7 @@ from fracphase.phase import (
     phase_report,
     positive_row_witness,
 )
-from fracphase.spectral import SpectralEnclosure, char_poly, spectral_radius
+from fracphase.spectral import SpectralEnclosure, char_poly
 from fracphase.type_system import compute_type_system
 
 
@@ -56,7 +62,7 @@ def test_menger_thresholds(menger_ts):
     assert len(rep.interval_witness) == 1
     assert rep.positive_measure_threshold == RootThreshold(288, 3)
     assert rep.positive_measure_threshold.exact_str() == "(288)^(-1/3)"
-    assert rep.positive_measure_rows_ok
+    assert not any("strictly positive row" in n for n in rep.notes)
 
 
 def test_menger_axis_thresholds():
@@ -67,8 +73,8 @@ def test_menger_axis_thresholds():
     assert rep.interval_threshold is None
     assert rep.no_interval_threshold.lower <= Fraction(1, 4)
     assert rep.no_interval_threshold.upper >= Fraction(1, 4)
-    assert not rep.positive_measure_rows_ok
-    assert rep.positive_measure_threshold is None  # a column product is 0
+    assert any("strictly positive row" in n for n in rep.notes)
+    assert rep.positive_measure_threshold is None
     assert any("zero column" in n for n in rep.notes)
 
 
@@ -93,6 +99,10 @@ def test_root_threshold_predicates():
     for base, root in ((0, 3), (-2, 1), (6, 0)):
         with pytest.raises(InputError):
             RootThreshold(base, root)
+    # an even root of a negative p is not p: p <= 0 is below every threshold
+    for p in (-1, Fraction(-1, 2), 0):
+        assert RootThreshold(8, 2).below(p) and not RootThreshold(8, 2).above(p)
+        assert RootThreshold(1, 1).below(p) and not RootThreshold(1, 1).above(p)
 
 
 def test_interval_check_three_valued(menger_report):
@@ -108,7 +118,10 @@ def test_no_interval_check(menger_report):
     assert rep.verdict("no-interval", Fraction(1, 7)) == "holds"
     assert rep.verdict("no-interval", Fraction(1, 6)) == "boundary"
     assert rep.verdict("no-interval", Fraction(1, 5)) == "fails"
-    assert rep.no_interval_digit in (0, 2)
+    first, middle, last = rep.digit_radii
+    assert first.lower == first.upper == last.lower == last.upper == 6
+    assert not middle.is_exact and middle.lower > 6
+    assert [len(e.coeffs) for e in rep.digit_radii] == [4, 4, 4]  # N = 3
 
 
 def test_verdict_rejects_an_unknown_threshold_name(menger_report):
@@ -117,8 +130,22 @@ def test_verdict_rejects_an_unknown_threshold_name(menger_report):
             menger_report.verdict(name, Fraction(1, 5))
 
 
+@pytest.mark.parametrize("name", EXACT_VERDICTS)
+def test_verdict_rejects_p_outside_the_unit_interval(name):
+    # L=2 {0, 1, 1, 2}: the positive-measure threshold is 4^(-1/2), so an
+    # even power once took p = -1 for a p above it
+    rep = phase_report(compute_type_system(normalize(2, [0, 1, 1, 2])))
+    for p in (-1, Fraction(-1, 2), Fraction(3, 2), 2):
+        with pytest.raises(InputError, match=r"p must be in \[0, 1\]"):
+            rep.verdict(name, p)
+    for p in ("x", float("nan"), float("inf"), None, "1/0"):
+        with pytest.raises(InputError, match="p must be a rational number"):
+            rep.verdict(name, p)
+    assert {rep.verdict(name, 0), rep.verdict(name, 1)} <= {"holds", "fails", "boundary"}
+
+
 def test_no_interval_verdict_computes_char_polys_once_per_report(monkeypatch):
-    import fracphase.phase as phase_mod
+    import fracphase.spectral as spectral_mod
 
     calls = []
 
@@ -126,24 +153,23 @@ def test_no_interval_verdict_computes_char_polys_once_per_report(monkeypatch):
         calls.append(A)
         return char_poly(A)
 
-    monkeypatch.setattr(phase_mod, "char_poly", counting)
+    monkeypatch.setattr(spectral_mod, "char_poly", counting)
     ts = compute_type_system(project(menger(), (1, 1, 1)))
     rep = phase_report(ts)
+    assert len(calls) == ts.L  # one per digit, inside spectral_radius
     for p in (Fraction(1, 7), Fraction(1, 6), Fraction(1, 5), Fraction(1, 7)):
         rep.verdict("no-interval", p)
-    assert len(calls) == ts.L
-    phase_report(ts).verdict("no-interval", Fraction(1, 7))
-    assert len(calls) == 2 * ts.L  # a new report computes its own
+    assert len(calls) == ts.L  # the verdicts read the report's polynomials
 
 
 def test_no_interval_check_exact_for_irrational_radius():
     # menger --dir 1,3,7 has N = 11 and an irrational min_a rho(A_a); a
     # relative offset of 1e-11 from 1/rho_min is decided without a tolerance
     rep = phase_report(compute_type_system(project(menger(), (1, 3, 7))))
-    encs = [spectral_radius(A, tol=Fraction(1, 10**30)) for A in rep.ts.matrices]
+    encs = [perron_enclosure(A, Fraction(1, 10**30)) for A in rep.ts.matrices]
     eps = Fraction(1, 10**11)
-    below = (1 - eps) / min(e.upper for e in encs)
-    above = (1 + eps) / min(e.lower for e in encs)
+    below = (1 - eps) / min(up for _, up in encs)
+    above = (1 + eps) / min(lo for lo, _ in encs)
     assert rep.verdict("no-interval", below) == "holds"
     assert rep.verdict("no-interval", above) == "fails"
 
@@ -169,6 +195,31 @@ def test_checks_never_both_hold(menger_report, p):
     a = menger_report.verdict("interval-sufficient", p)
     b = menger_report.verdict("no-interval", p)
     assert not (a == "holds" and b == "holds")
+
+
+def _no_interval_oracle(ts, p) -> str:
+    """The no-interval verdict from the dense char polys and binomial shifts."""
+    if p == 0:
+        return "holds"
+    at_rho = set()  # for each digit with 1/p >= rho: is 1/p a root?
+    for A in ts.matrices:
+        shifted = taylor_shift(char_poly_dense(A), 1 / p)
+        if min(shifted) >= 0:
+            at_rho.add(shifted[0] == 0)
+    return "holds" if False in at_rho else "boundary" if True in at_rho else "fails"
+
+
+@settings(max_examples=40, deadline=None)
+@given(ifs=line_systems(scales=(1,)), data=st.data())
+def test_no_interval_verdict_matches_the_dense_oracle(ifs, data):
+    rep = phase_report(compute_type_system(ifs))
+    # 1/rho of a digit with an integer radius is where "boundary" shows
+    exact = [1 / e.lower for e in rep.digit_radii if e.is_exact and e.lower >= 1]
+    points = [data.draw(unit_fractions)]
+    if exact:
+        points.append(data.draw(st.sampled_from(exact)))
+    for p in points:
+        assert rep.verdict("no-interval", p) == _no_interval_oracle(rep.ts, p), p
 
 
 def test_positive_measure_check(menger_report):

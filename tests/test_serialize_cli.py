@@ -117,11 +117,15 @@ DATA = Path(__file__).parent / "data"
 def test_analyze_matches_golden_outputs(tmp_path):
     # the fixtures pin every byte analyze writes, floats and notes included
     runner = CliRunner()
-    for direction in ("1,1,1", "1,3,7"):
-        result = runner.invoke(cli, ["analyze", "menger", "--dir", direction])
+    for args, golden in (
+        (["--dir", "1,1,1"], "menger_1_1_1.json"),
+        (["--dir", "1,3,7"], "menger_1_3_7.json"),
+        # no interval row, and positive measure null
+        (["--dir", "1,0,0", "--scale", "3"], "menger_1_0_0_scale3.json"),
+    ):
+        result = runner.invoke(cli, ["analyze", "menger", *args])
         assert result.exit_code == 0
-        golden = DATA / f"menger_{direction.replace(',', '_')}.json"
-        assert result.stdout_bytes == golden.read_bytes()
+        assert result.stdout_bytes == (DATA / golden).read_bytes()
     csv_path, svg_path = tmp_path / "report.csv", tmp_path / "bands.svg"
     result = runner.invoke(
         cli,

@@ -9,7 +9,7 @@ from oracles import char_poly_dense, perron_enclosure, taylor_shift
 from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import scale
-from fracphase.spectral import _shifted_coeffs, char_poly, dominates_rho, spectral_radius
+from fracphase.spectral import _shifted_coeffs, char_poly, dominates_rho, rho_sign, spectral_radius
 from fracphase.type_system import compute_type_system
 
 
@@ -38,8 +38,8 @@ def test_diagonal_carpet_radii():
 
 def test_irrational_radius_enclosed():
     # [[1,1],[1,0]] has Perron root the golden ratio
-    enc = spectral_radius([[1, 1], [1, 0]], tol=Fraction(1, 10**12))
-    assert enc.upper - enc.lower <= Fraction(1, 10**12)
+    enc = spectral_radius([[1, 1], [1, 0]])
+    assert 0 < enc.upper - enc.lower <= Fraction(1, 10**9)
     # the enclosure must contain (1 + sqrt 5) / 2 = 1.6180339887498948...
     assert enc.lower <= Fraction(1618033988749895, 10**15)
     assert enc.upper >= Fraction(1618033988749894, 10**15)
@@ -62,6 +62,8 @@ def test_dominates_rho_predicate():
     assert dominates_rho(coeffs, Fraction(3))
     assert not dominates_rho(coeffs, Fraction(29, 10))
     assert not dominates_rho(coeffs, Fraction(-1))
+    signs = [rho_sign(coeffs, x) for x in (Fraction(29, 10), 3, Fraction(31, 10), -1)]
+    assert signs == [-1, 0, 1, -1]
 
 
 def test_dominates_rho_takes_rational_coefficients():
@@ -85,14 +87,6 @@ def test_rejects_bad_matrices():
     for matrix in ([[1.5]], [[Fraction(3, 2)]]):
         with pytest.raises(InputError):
             spectral_radius(matrix)
-
-
-@pytest.mark.parametrize("tol", [0, -1, float("nan")])
-def test_rejects_nonpositive_tolerance(tol):
-    # bisection down to a width <= 0 would never end on an irrational root;
-    # a NaN width would end it at once, at width 1
-    with pytest.raises(InputError, match="tolerance"):
-        spectral_radius([[1, 1], [1, 0]], tol=tol)
 
 
 @settings(max_examples=60, deadline=None)
@@ -159,11 +153,12 @@ def test_shift_matches_the_binomial_oracle(case):
     expected = taylor_shift(coeffs, x)
     assert _shifted_coeffs(coeffs, x) == expected
     assert dominates_rho(coeffs, x) == (x >= 0 and all(c >= 0 for c in expected))
+    assert rho_sign(coeffs, x) == (-1 if x < 0 or min(expected) < 0 else 1 if expected[0] else 0)
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrix=random_matrices(max_n=5),
-       tol=st.sampled_from([Fraction(1, 10**9), Fraction(1, 10**12)]))
-def test_enclosure_equals_the_oracle_bisection(matrix, tol):
-    enc = spectral_radius(matrix, tol=tol)
-    assert (enc.lower, enc.upper) == perron_enclosure(matrix, tol)
+@given(matrix=random_matrices(max_n=5))
+def test_enclosure_equals_the_oracle_bisection(matrix):
+    enc = spectral_radius(matrix)
+    assert (enc.lower, enc.upper) == perron_enclosure(matrix, Fraction(1, 10**9))
+    assert enc.coeffs == tuple(char_poly_dense(matrix))  # kept for later comparisons

@@ -12,7 +12,6 @@ from fracphase.line_ifs import normalize, scale
 from fracphase.type_system import (
     _CANDIDATE_BUDGET,
     _fixed_measure,
-    column_sums,
     compute_type_system,
 )
 from oracles import brute_force_entry, candidate_kernel, random_small_ifs, word_product
@@ -43,19 +42,6 @@ def test_full_binary_single_type():
     assert ts.N == 1
     assert ts.matrices == (((1,),), ((1,),))
     assert ts.nu == (Fraction(1),)
-
-
-def test_column_sums(menger_ts):
-    assert column_sums(menger_ts, 0) == (8, 6, 6)
-    assert column_sums(menger_ts, 2) == (6, 6, 8)
-    ts2 = compute_type_system(normalize(2, [0, 1]))
-    assert column_sums(ts2, 0) == (1,)
-
-
-def test_column_sums_rejects_a_digit_out_of_range(menger_ts):
-    for a in (-1, 3):
-        with pytest.raises(InputError, match="out of range"):
-            column_sums(menger_ts, a)
 
 
 def test_cylinder_measure(menger_ts):
