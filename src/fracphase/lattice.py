@@ -41,7 +41,9 @@ class LatticeIFS:
 
 def make_direction(components) -> tuple[int, ...]:
     """Validate and gcd-reduce an integer projection direction."""
-    vec = tuple(int(x) for x in components)
+    vec = tuple(components)
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in vec):
+        raise InputError(f"direction components must be integers, got {vec!r}")
     if all(x == 0 for x in vec):
         raise InputError("direction must be nonzero")
     g = math.gcd(*(abs(x) for x in vec))

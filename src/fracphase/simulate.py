@@ -35,8 +35,8 @@ _NODE_BUDGET = 10**6  # most nodes one realization hashes, at 1-3 us a node
 
 
 def _check_seed(seed: int) -> None:
-    if not 0 <= seed < _TWO64:
-        raise InputError("seed must be in [0, 2**64)")
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _TWO64:
+        raise InputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
 
 
 def stream(seed: int, index: int) -> np.random.Generator:

@@ -8,9 +8,10 @@ and then x = rho(A) exactly when p(x) = 0; :func:`rho_sign` decides both.
 complex-conjugate root factors shows the shifted coefficients are nonnegative
 exactly when all roots have modulus <= x.)
 
-Binary search on this predicate gives a certified enclosure of width at most
-10^-9, exact whenever rho is an integer.  p comes from a Faddeev-LeVerrier
-recursion in Fractions over A's nonzero entries; each enclosure keeps it.
+One bisection on this predicate gives the least multiple of 2^-30 at or above
+rho and the one below it (width 2^-30, below 10^-9), or rho itself when it is
+an integer.  p comes from a Faddeev-LeVerrier recursion in Fractions over A's
+nonzero entries; each enclosure keeps it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from numbers import Integral
 
 from .errors import InputError, InvariantError
 
-_TOL = Fraction(1, 10**9)  # width of an enclosure that is not exact
+_STEP = Fraction(1, 2**30)  # width of an enclosure that is not exact
 
 
 @dataclass(frozen=True)
@@ -64,29 +65,22 @@ def char_poly(matrix) -> list[Fraction]:
     return coeffs
 
 
-def _shifted_coeffs(coeffs, x: Fraction) -> list[Fraction]:
-    """Taylor coefficients of p at x (i.e. coefficients of p(y + x))."""
-    # repeated synthetic division by (lambda - x); remainders are the
-    # ascending Taylor coefficients
-    work = list(reversed(coeffs))  # descending
-    out: list[Fraction] = []
-    while work:
-        acc = Fraction(0)
-        quotient = []
-        for c in work:
-            acc = acc * x + c
-            quotient.append(acc)
-        out.append(quotient.pop())
-        work = quotient
-    return out
-
-
 def rho_sign(coeffs, x) -> int:
-    """Exact sign of x - rho(A) (-1, 0 or 1), given A's characteristic polynomial."""
+    """Exact sign of x - rho(A) (-1, 0 or 1), given A's characteristic polynomial.
+
+    Repeated synthetic division by (lambda - x) leaves the Taylor coefficients
+    of p at x in place, lowest first; the first negative one settles -1, and
+    coefficient 0, p(x), splits 0 from 1.
+    """
     if x < 0:
         return -1
-    shifted = _shifted_coeffs(coeffs, x)  # coefficient 0 is p(x)
-    return -1 if any(c < 0 for c in shifted) else 1 if shifted[0] else 0
+    work = list(reversed(coeffs))  # descending
+    for k in range(len(work)):  # pass k leaves Taylor coefficient k in work[-1 - k]
+        for i in range(1, len(work) - k):
+            work[i] += work[i - 1] * x
+        if work[-1 - k] < 0:
+            return -1
+    return 1 if work[-1] else 0
 
 
 def dominates_rho(coeffs, x: Fraction) -> bool:
@@ -102,22 +96,18 @@ def spectral_radius(matrix) -> SpectralEnclosure:
     if any(not isinstance(x, Integral) or x < 0 for row in matrix for x in row):
         raise InputError("matrix entries must be nonnegative integers")
     coeffs = tuple(char_poly(matrix))
-    # smallest integer u >= rho; rho is at most the largest row or column sum
-    lo_int, u = 0, int(min(max(map(sum, matrix)), max(map(sum, zip(*matrix)))))
-    if not dominates_rho(coeffs, Fraction(u)):
+    # rho is at most the largest row or column sum
+    bound = int(min(max(map(sum, matrix)), max(map(sum, zip(*matrix)))))
+    if not dominates_rho(coeffs, Fraction(bound)):
         raise InvariantError("column/row-sum bound failed to dominate rho")
-    while lo_int < u:
-        mid = (lo_int + u) // 2
-        if dominates_rho(coeffs, Fraction(mid)):
-            u = mid
-        else:
-            lo_int = mid + 1
-    if rho_sign(coeffs, u) == 0:
-        # rho is exactly the integer u (monic integer polynomial: any
-        # rational root is an integer, and u is the least integer >= rho)
-        return SpectralEnclosure(Fraction(u), Fraction(u), coeffs)
-    lo, up = Fraction(u - 1), Fraction(u)
-    while up - lo > _TOL:
+    # lo < rho <= up: integer ends and a power-of-two width keep every
+    # midpoint on the grid of step _STEP
+    lo, up = Fraction(-1), Fraction((1 << bound.bit_length()) - 1)
+    while up - lo > _STEP:
+        if up - lo == 1 and rho_sign(coeffs, up) == 0:
+            # up is the least integer >= rho, and any rational root of a
+            # monic integer polynomial is an integer
+            return SpectralEnclosure(up, up, coeffs)
         mid = (lo + up) / 2
         if dominates_rho(coeffs, mid):
             up = mid

@@ -27,8 +27,9 @@ def test_sierpinski_cell_count():
 def test_make_direction_reduces():
     assert make_direction((2, 2, 2)) == (1, 1, 1)
     assert make_direction((3, -6)) == (1, -2)
-    with pytest.raises(InputError):
-        make_direction((0, 0))
+    for bad in ((0, 0), (1.9, 1, 1), ("2", "1", "1")):
+        with pytest.raises(InputError):
+            make_direction(bad)
 
 
 def test_project_menger_111():

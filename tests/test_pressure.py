@@ -24,7 +24,7 @@ from fracphase.pressure import (
     lyapunov,
     pressure,
 )
-from fracphase.simulate import stream
+from fracphase.simulate import sample_survival, stream
 from fracphase.type_system import compute_type_system
 
 
@@ -347,9 +347,13 @@ def test_lyapunov_streams_cover_the_seed_domain(systems):
         lyapunov(ts, 20, 10, seed=s).w_hat for s in (0, 2**64 - 1, 2**64 - 2)
     }
     assert len(estimates) == 3
-    for bad in (-1, 2**64):
+    for bad in (-1, 2**64, 1.5, True, "3"):
         with pytest.raises(InputError):
             lyapunov(ts, 20, 10, seed=bad)
+    with pytest.raises(InputError):
+        stream(1.5, 0)
+    with pytest.raises(InputError):
+        sample_survival(20, 0.5, 2, 1.5)
 
 
 def test_entries_and_totals_past_the_float_range():
