@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .errors import AmbiguityError, InputError, InvariantError
+from .errors import AmbiguityError, InputError, InvariantError, check_int, check_rational
 from .lattice import LatticeIFS, menger, project as project_lattice, sierpinski
 from .line_ifs import LineIFS, scale as scale_ifs
 from .phase import phase_report
@@ -20,7 +20,6 @@ from .serialize import (
     frac_str,
     ifs_from_json,
     line_ifs_to_json,
-    parse_frac,
     phase_report_to_csv,
     phase_report_to_json,
     svg_band_chart,
@@ -118,10 +117,9 @@ def project(source, direction, out) -> None:
 @click.option("--out", default=None)
 def simulate(source, direction, p, depth, replicas, seed, out) -> None:
     """Run seeded replicas and emit per-replica statistics as CSV."""
-    if replicas < 1:
-        raise InputError(f"--replicas must be >= 1, got {replicas}")
+    check_int(replicas, "--replicas", 1)
     ifs = _load_ifs(source, direction, None)
-    pf = parse_frac(p)
+    pf = check_rational(p, "--p")
     rows = ["replica,retained_count,proj_measure,longest_run,extinct_level"]
     for r in range(replicas):
         s = sample_survival(ifs.M, pf, depth, seed + r)
@@ -166,7 +164,7 @@ def verify_slice(step, threads, out) -> None:
     """Certify the plane-slice inequality on the grid region."""
     from .slices import verify_grid
 
-    report = verify_grid(parse_frac(step), workers=threads)
+    report = verify_grid(check_rational(step, "--step"), workers=threads)
     payload = {
         "step": frac_str(report.d_hat),
         "point_count": report.point_count,

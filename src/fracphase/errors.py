@@ -1,8 +1,15 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the two argument checks.
 
 The CLI maps these onto exit codes: InputError -> 2, AmbiguityError -> 3,
 InvariantError -> 4.
+
+Every public integer argument goes through :func:`check_int`, which takes only
+an ``int`` that is not a ``bool`` (no float, numpy integer or string) within
+its bounds; every public rational argument goes through
+:func:`check_rational`, which takes whatever ``Fraction`` takes.
 """
+
+from fractions import Fraction
 
 
 class FracphaseError(Exception):
@@ -19,3 +26,20 @@ class AmbiguityError(FracphaseError):
 
 class InvariantError(FracphaseError):
     """An internal consistency check failed; indicates a bug."""
+
+
+def check_int(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """``x`` if it is an int, not a bool, with lo <= x < hi (hi needs lo); else InputError."""
+    is_int = isinstance(x, int) and type(x) is not bool
+    if is_int and (lo is None or x >= lo) and (hi is None or x < hi):
+        return x
+    bounds = f" in [{lo}, {hi})" if hi is not None else f" >= {lo}" if lo is not None else ""
+    raise InputError(f"{what} must be an integer{bounds}, got {x!r}")
+
+
+def check_rational(x, what: str) -> Fraction:
+    """``Fraction(x)``, or InputError when ``x`` is not a finite rational."""
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise InputError(f"{what} must be a rational number, got {x!r}") from None

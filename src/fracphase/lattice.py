@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, check_int
 from .line_ifs import LineIFS, normalize
 
 
@@ -22,17 +22,15 @@ class LatticeIFS:
     cells: frozenset[tuple[int, ...]]
 
     def __post_init__(self) -> None:
-        if self.d < 1:
-            raise InputError(f"dimension must be >= 1, got {self.d}")
-        if self.L < 2:
-            raise InputError(f"base must be >= 2, got {self.L}")
+        check_int(self.d, "dimension", 1)
+        check_int(self.L, "base", 2)
         if not self.cells:
             raise InputError("cell set is empty")
         for cell in self.cells:
             if len(cell) != self.d:
                 raise InputError(f"cell {cell} has wrong dimension")
-            if any(not 0 <= x < self.L for x in cell):
-                raise InputError(f"cell {cell} outside [0, {self.L})^{self.d}")
+            for x in cell:
+                check_int(x, "cell coordinate", 0, self.L)
 
     @property
     def M(self) -> int:
@@ -41,9 +39,7 @@ class LatticeIFS:
 
 def make_direction(components) -> tuple[int, ...]:
     """Validate and gcd-reduce an integer projection direction."""
-    vec = tuple(components)
-    if any(isinstance(x, bool) or not isinstance(x, int) for x in vec):
-        raise InputError(f"direction components must be integers, got {vec!r}")
+    vec = tuple(check_int(x, "direction component") for x in components)
     if all(x == 0 for x in vec):
         raise InputError("direction must be nonzero")
     g = math.gcd(*(abs(x) for x in vec))

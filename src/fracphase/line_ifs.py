@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InputError
+from .errors import InputError, check_int
 
 
 @dataclass(frozen=True)
@@ -31,20 +31,17 @@ class LineIFS:
     applied_factor: int = 1
 
     def __post_init__(self) -> None:
-        if self.L < 2:
-            raise InputError(f"contraction base must be >= 2, got {self.L}")
+        check_int(self.L, "contraction base", 2)
         if not self.translations:
             raise InputError("translation set is empty")
-        ts = [t for t, _ in self.translations]
-        ns = [n for _, n in self.translations]
+        ts = [check_int(t, "translation") for t, _ in self.translations]
+        for _, n in self.translations:
+            check_int(n, "multiplicity", 1)
+        check_int(self.applied_factor, "applied factor", 1)
         if ts[0] != 0:
             raise InputError("normal form requires t_0 = 0")
         if any(ts[i] >= ts[i + 1] for i in range(len(ts) - 1)):
             raise InputError("translations must be strictly increasing")
-        if any(n < 1 for n in ns):
-            raise InputError("multiplicities must be >= 1")
-        if self.applied_factor < 1:
-            raise InputError(f"applied factor must be >= 1, got {self.applied_factor}")
         if ts[-1] % (self.L - 1) != 0:
             raise InputError(
                 f"(L-1) = {self.L - 1} does not divide t_max = {ts[-1]}; "
@@ -79,15 +76,12 @@ def normalize(L: int, raw_translations) -> LineIFS:
     multiplied by ``k = (L-1) / gcd(L-1, t_max)`` -- an affine conjugation
     that preserves all phase properties -- and the factor is recorded.
     """
-    if L < 2:
-        raise InputError(f"contraction base must be >= 2, got {L}")
-    raw = list(raw_translations)
+    check_int(L, "contraction base", 2)
+    raw = [check_int(t, "translation") for t in raw_translations]
     if not raw:
         raise InputError("translation set is empty")
-    if any(t != int(t) for t in raw):
-        raise InputError("translations must be integers")
     low = min(raw)
-    shifted = [int(t) - low for t in raw]
+    shifted = [t - low for t in raw]
     t_max = max(shifted)
     factor = 1
     if t_max > 0 and t_max % (L - 1) != 0:
@@ -104,8 +98,7 @@ def scale(ifs: LineIFS, factor: int) -> LineIFS:
     Used to reproduce alternative (non-minimal) representations of the same
     system, e.g. the translation set {0, 3, 6} instead of {0, 1, 2}.
     """
-    if factor < 1:
-        raise InputError(f"scale factor must be a positive integer, got {factor}")
+    check_int(factor, "scale factor", 1)
     translations = tuple((t * factor, n) for t, n in ifs.translations)
     return LineIFS(L=ifs.L, translations=translations,
                    applied_factor=ifs.applied_factor)

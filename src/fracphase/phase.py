@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError
+from .errors import InputError, check_int, check_rational
 from .spectral import SpectralEnclosure, rho_sign, spectral_radius
 from .type_system import TypeSystem, pattern, row_mul
 
@@ -40,8 +40,8 @@ class RootThreshold:
     root: int
 
     def __post_init__(self) -> None:
-        if self.base < 1 or self.root < 1:
-            raise InputError(f"base and root must be >= 1, got {self.base} and {self.root}")
+        check_int(self.base, "base", 1)
+        check_int(self.root, "root", 1)
 
     @property
     def value_float(self) -> float:
@@ -112,6 +112,7 @@ def extinction_probability(M: int, p: float) -> float:
     two terms of h nearly cancel close to q = 1, so h is evaluated from
     x = 1 - q as expm1(M log1p(-p x)) + x, which keeps its accuracy there.
     """
+    check_int(M, "M", 1)
     if not 0 <= p <= 1:
         raise InputError("p must be in [0, 1]")
     if M * p <= 1:
@@ -199,10 +200,7 @@ class PhaseReport:
         "boundary" means equality, or an inconclusive witness search.  A p
         that is not a rational in [0, 1] is an input error.
         """
-        try:
-            p = Fraction(p)
-        except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-            raise InputError(f"p must be a rational number, got {p!r}") from None
+        p = check_rational(p, "p")
         if not 0 <= p <= 1:
             raise InputError(f"p must be in [0, 1], got {p}")
         if name == "extinction":

@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import InputError, check_int
 from .simulate import _check_seed, stream
 from .type_system import TypeSystem
 
@@ -104,7 +104,6 @@ def _sampled_words(L: int, n: int, seed: int, start: int, stop: int) -> np.ndarr
     """Words i of the sampled-word scheme for start <= i < stop (L <= 2^32)."""
     import numpy as np
 
-    _check_seed(seed)
     bits, key = np.random.Philox(0), [seed, 0]  # lists convert faster than arrays
     state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": key},
              "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
@@ -117,7 +116,7 @@ def _sampled_words(L: int, n: int, seed: int, start: int, stop: int) -> np.ndarr
     prod *= L  # u L < 2^64; its little-endian halves are the remainder, then the digit
     halves = prod.view("<u4")
     words = halves[:, 1::2].astype(np.min_scalar_type(L - 1))
-    for row in np.flatnonzero((halves[:, 0::2] < (2**32 - L) % L).any(axis=1)):
+    for row in np.flatnonzero((halves[:, 0::2] < (2**32 - L) % L).any(axis=1)).tolist():
         words[row] = stream(seed, start + row).integers(0, L, size=n)
     return words
 
@@ -140,8 +139,6 @@ def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight)
     """
     import numpy as np
 
-    if n < 1 or samples < 1:
-        raise InputError("n and samples must be >= 1")
     if samples * n > _DRAW_BUDGET:
         raise InputError(f"{samples} samples of {n} digits exceed the budget {_DRAW_BUDGET}")
     L, k = ts.L, _block_digits(ts)
@@ -188,12 +185,10 @@ def pressure(
     seed: int = 0,
 ) -> PressureEstimate:
     """Finite-depth pressure P_n(t) by exact enumeration or Monte Carlo."""
-    if n < 1:
-        raise InputError("depth n must be >= 1")
-    if not math.isfinite(t):
-        raise InputError(f"t must be finite, got {t}")
-    if samples < 1:  # checked in exact mode too, which draws none
-        raise InputError("samples must be >= 1")
+    check_int(n, "depth n", 1)
+    if not isinstance(t, (int, float)) or type(t) is bool or not math.isfinite(t):
+        raise InputError(f"t must be a finite int or float, got {t!r}")
+    check_int(samples, "samples", 1)  # checked in exact mode too, which draws none
     _check_seed(seed)
     L = ts.L
     log_l = math.log(L)
@@ -257,6 +252,9 @@ def lyapunov(ts: TypeSystem, n: int, samples: int, seed: int = 0) -> LyapunovEst
     """Monte Carlo estimate of the Lyapunov exponent of the norm cocycle (-inf if a word dies)."""
     import numpy as np
 
+    check_int(n, "depth n", 1)
+    check_int(samples, "samples", 1)
+    _check_seed(seed)
     L = ts.L
     vals = _sampled_log_masses(ts, n, samples, seed, np.ones(ts.N)) / n
     w_hat = float(vals.mean())

@@ -22,13 +22,6 @@ def frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
-def parse_frac(s: str) -> Fraction:
-    try:
-        return Fraction(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational literal {s!r}") from exc
-
-
 def line_ifs_to_json(ifs: LineIFS) -> dict:
     factor = {"applied_factor": ifs.applied_factor} if ifs.applied_factor != 1 else {}
     return {
@@ -39,13 +32,6 @@ def line_ifs_to_json(ifs: LineIFS) -> dict:
     }
 
 
-def _json_int(x, what: str) -> int:
-    """An integer field of IFS JSON; floats, bools and strings are rejected."""
-    if isinstance(x, bool) or not isinstance(x, int):
-        raise InputError(f"{what} must be an integer, got {x!r}")
-    return x
-
-
 def ifs_from_json(data: dict):
     """Parse either IFS schema; returns LineIFS or LatticeIFS."""
     if not isinstance(data, dict) or "kind" not in data:
@@ -53,20 +39,13 @@ def ifs_from_json(data: dict):
     kind = data["kind"]
     try:
         if kind == "line":
-            translations = tuple(
-                (_json_int(t, "translation"), _json_int(n, "multiplicity"))
-                for t, n in data["translations"]
-            )
-            factor = _json_int(data.get("applied_factor", 1), "applied_factor")
-            return LineIFS(L=_json_int(data["L"], "L"), translations=translations,
-                           applied_factor=factor)
+            return LineIFS(data["L"], tuple((t, n) for t, n in data["translations"]),
+                           data.get("applied_factor", 1))
         if kind == "lattice":
-            cells = frozenset(
-                tuple(_json_int(x, "cell coordinate") for x in c) for c in data["cells"]
-            )
-            return LatticeIFS(
-                d=_json_int(data["d"], "d"), L=_json_int(data["L"], "L"), cells=cells
-            )
+            cells = frozenset(map(tuple, data["cells"]))
+            if len(cells) < len(data["cells"]):  # (1,) would hide (1.0,) or (True,)
+                raise InputError("lattice cells must be distinct")
+            return LatticeIFS(d=data["d"], L=data["L"], cells=cells)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed {kind!r} IFS JSON: {exc}") from exc
     raise InputError(f"unknown IFS kind {kind!r}")

@@ -22,7 +22,7 @@ from hashlib import blake2b
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .errors import InputError
+from .errors import InputError, check_int, check_rational
 from .line_ifs import LineIFS
 from .phase import extinction_probability
 
@@ -34,9 +34,8 @@ _INTERFACE_CAP = 10**7  # population at which a replica counts as surviving
 _NODE_BUDGET = 10**6  # most nodes one realization hashes, at 1-3 us a node
 
 
-def _check_seed(seed: int) -> None:
-    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < _TWO64:
-        raise InputError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+def _check_seed(seed: int) -> int:
+    return check_int(seed, "seed", 0, _TWO64)
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
@@ -44,6 +43,7 @@ def stream(seed: int, index: int) -> np.random.Generator:
     import numpy as np
 
     _check_seed(seed)
+    check_int(index, "index", 0, _TWO64)
     key = np.array([seed, index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -91,12 +91,10 @@ class SurvivalSet:
 
 def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
     """Draw one realization of the retention tree down to ``depth``, depth first."""
-    if M < 2:
-        raise InputError("arity M must be >= 2")
-    if not 0 <= depth <= _NODE_BUDGET:  # deeper, only a dead tree fits the budget
-        raise InputError(f"depth must be in [0, {_NODE_BUDGET}]")
+    check_int(M, "arity M", 2)
+    check_int(depth, "depth", 0, _NODE_BUDGET + 1)  # deeper, only a dead tree fits the budget
     _check_seed(seed)
-    pf = Fraction(p)
+    pf = check_rational(p, "p")
     if not 0 <= pf <= 1:
         raise InputError("p must be in [0, 1]")
     # h / 2^64 < p  <=>  h < ceil(p * 2^64), as h is an integer; the digest's
@@ -207,10 +205,8 @@ def interface_process(
     """
     if not 0 <= p <= 1:
         raise InputError("p must be in [0, 1]")
-    if depth < 0:
-        raise InputError("depth must be >= 0")
-    if replicas < 1:
-        raise InputError("replicas must be >= 1")
+    check_int(depth, "depth", 0)
+    check_int(replicas, "replicas", 1)
     pp = p * p
     extinct = 0
     for i in range(replicas):

@@ -44,7 +44,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError
+from .errors import InputError, check_int, check_rational
 from .lattice import MENGER_REMOVED
 
 
@@ -313,14 +313,13 @@ def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
     same way; c from 2/3 - (a + b) stepping d_hat while it stays <= 1/3.
     Certifies global nonnegativity on the grid-covered region iff the exact
     minimum m satisfies m > 0 and m^2 > 675 * d_hat^2.  ``workers`` deals the
-    a-slices out in turn to that many processes, at most ``os.cpu_count()``.
+    a-slices out in turn to that many processes, at most ``os.cpu_count()``
+    because the pool starts them all at once.
     """
-    d = Fraction(d_hat)
+    d = check_rational(d_hat, "grid step")
     if not 0 < d <= _THIRD:
         raise InputError(f"grid step must be in (0, 1/3], got {d}")
-    cpus = os.cpu_count() or 1
-    if not 1 <= workers <= cpus:  # the pool starts every worker at once
-        raise InputError(f"workers must be in [1, {cpus}] (the CPU count), got {workers}")
+    check_int(workers, "workers (at most os.cpu_count())", 1, (os.cpu_count() or 1) + 1)
     y = d.denominator
     D = 3 * y  # common denominator of all grid coordinates
     if D > _MAX_D:

@@ -6,17 +6,34 @@ or 3 (ambiguity), and never prints a traceback: exit 4 (invariant) is a bug.
 Depth, replicas, samples, n and the grid step are capped so that each
 example runs well under a second; ``--threads`` stays at most 1 so that no
 example starts a process pool.
+
+At the library boundary, an integer argument that is not an ``int`` (a float,
+even an integral one, a bool, a string, None or a numpy integer) or is out of
+its range, and a rational argument that ``Fraction`` rejects, raise
+``InputError`` and nothing else.
 """
 
 import contextlib
 import io
 import json
+import math
 import sys
+from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fracphase.cli import main
+from fracphase.cli import cli, main
+from fracphase.errors import InputError
+from fracphase.lattice import LatticeIFS, make_direction
+from fracphase.line_ifs import LineIFS, normalize, scale
+from fracphase.phase import RootThreshold, extinction_probability, phase_report
+from fracphase.pressure import lyapunov, pressure
+from fracphase.simulate import _check_seed, interface_process, sample_survival, stream
+from fracphase.slices import verify_grid
+from fracphase.type_system import compute_type_system
 
 JUNK = st.sampled_from(["", "x", "1/0", "nan", "-", "1,", "0x10", "1e400", "--", "é"])
 SOURCES = st.sampled_from(["menger", "sierpinski", "no-such-input.json"])
@@ -180,3 +197,115 @@ def test_fuzzed_pressure_keeps_the_exit_code_contract(tmp_path_factory, data):
         for t in ("0", "-1", "0.5"):
             check(["pressure", "--ifs", str(path), "--t", t, "--n", "3", "--mode", mode,
                    "--samples", "50"])
+
+
+CANTOR = normalize(3, [0, 2])
+CANTOR_TS = compute_type_system(CANTOR)
+
+# one call per library entry point and argument, with that argument replaced
+# by v: (call, whether the argument has a lower bound of 0 or more)
+INT_ARGS = {
+    "LatticeIFS d": (lambda v: LatticeIFS(d=v, L=3, cells=frozenset({(0,)})), True),
+    "LatticeIFS L": (lambda v: LatticeIFS(d=1, L=v, cells=frozenset({(0,)})), True),
+    "LatticeIFS cell": (lambda v: LatticeIFS(d=2, L=3, cells=frozenset({(v, 0)})), True),
+    "LineIFS L": (lambda v: LineIFS(v, ((0, 1), (2, 1))), True),
+    "LineIFS translation": (lambda v: LineIFS(3, ((0, 1), (v, 1))), False),
+    "LineIFS multiplicity": (lambda v: LineIFS(3, ((0, 1), (2, v))), True),
+    "LineIFS applied_factor": (lambda v: LineIFS(3, ((0, 1), (2, 1)), v), True),
+    "normalize L": (lambda v: normalize(v, [0, 2]), True),
+    "normalize translation": (lambda v: normalize(3, [0, v]), False),
+    "scale factor": (lambda v: scale(CANTOR, v), True),
+    "make_direction": (lambda v: make_direction([1, v]), False),
+    "RootThreshold base": (lambda v: RootThreshold(v, 2), True),
+    "RootThreshold root": (lambda v: RootThreshold(8, v), True),
+    "extinction_probability M": (lambda v: extinction_probability(v, 0.9), True),
+    "sample_survival M": (lambda v: sample_survival(v, Fraction(1, 2), 2, 0), True),
+    "sample_survival depth": (lambda v: sample_survival(20, Fraction(1, 2), v, 0), True),
+    "sample_survival seed": (lambda v: sample_survival(20, Fraction(1, 2), 2, v), True),
+    "stream seed": (lambda v: stream(v, 0), True),
+    "stream index": (lambda v: stream(0, v), True),
+    "_check_seed": (_check_seed, True),
+    "interface_process depth": (lambda v: interface_process(0.5, v, 3), True),
+    "interface_process replicas": (lambda v: interface_process(0.5, 2, v), True),
+    "interface_process seed": (lambda v: interface_process(0.5, 2, 3, v), True),
+    "pressure n": (lambda v: pressure(CANTOR_TS, 0.5, v), True),
+    "pressure samples": (lambda v: pressure(CANTOR_TS, 0.5, 2, samples=v), True),
+    "pressure seed": (lambda v: pressure(CANTOR_TS, 0.5, 2, seed=v), True),
+    "pressure mc samples": (lambda v: pressure(CANTOR_TS, 0.5, 2, "mc", samples=v), True),
+    "lyapunov n": (lambda v: lyapunov(CANTOR_TS, v, 5), True),
+    "lyapunov samples": (lambda v: lyapunov(CANTOR_TS, 2, v), True),
+    "lyapunov seed": (lambda v: lyapunov(CANTOR_TS, 2, 5, v), True),
+    "verify_grid workers": (lambda v: verify_grid(Fraction(1, 3), workers=v), True),
+}
+RATIONAL_ARGS = {
+    "sample_survival p": lambda v: sample_survival(20, v, 2, 0),
+    "verdict p": lambda v: phase_report(CANTOR_TS).verdict("extinction", v),
+    "verify_grid step": lambda v: verify_grid(v),
+}
+BAD_INTS = [2.5, 3.0, math.nan, math.inf, None, True, "3", np.int64(3)]
+BAD_RATIONALS = [math.nan, math.inf, None, "x"]
+
+
+@st.composite
+def bad_calls(draw):
+    """An entry point with one integer or rational argument replaced by a bad value."""
+    if draw(st.integers(0, 4)):
+        name = draw(st.sampled_from(sorted(INT_ARGS)))
+        call, bounded = INT_ARGS[name]
+        value = draw(st.sampled_from(BAD_INTS + [-1] * bounded))
+    else:
+        name = draw(st.sampled_from(sorted(RATIONAL_ARGS)))
+        call, value = RATIONAL_ARGS[name], draw(st.sampled_from(BAD_RATIONALS))
+    event(name)
+    return call, value
+
+
+@settings(max_examples=300, deadline=None)
+@given(bad_calls())
+def test_bad_library_arguments_raise_input_error(case):
+    call, value = case
+    with pytest.raises(InputError):
+        call(value)
+
+
+def _cli(*argv):
+    cli.main(list(argv), standalone_mode=False)
+
+
+# each raised OverflowError, TypeError or ValueError, or returned a value,
+# before every argument went through errors.check_int or check_rational
+NAMED_BAD_CALLS = {
+    "LineIFS multiplicity 1.5": lambda: LineIFS(3, ((0, 1.5), (2, 1))),
+    "RootThreshold root 2.0": lambda: RootThreshold(8, 2.0),
+    "normalize translation 2.0": lambda: normalize(3, [0, 2.0]),
+    "sample_survival depth 2.5": lambda: sample_survival(20, 0.5, 2.5, 0),
+    "sample_survival p nan": lambda: sample_survival(20, float("nan"), 2, 0),
+    "stream index -1": lambda: stream(0, -1),
+    "stream index 2**64": lambda: stream(0, 2**64),
+    "interface_process depth 2.5": lambda: interface_process(0.5, 2.5, 3),
+    "verify_grid workers 1.0": lambda: verify_grid(Fraction(1, 30), 1.0),
+    "verify_grid step x": lambda: verify_grid("x"),
+    "extinction_probability M 2.5": lambda: extinction_probability(2.5, 0.9),
+    "LatticeIFS L 3.0": lambda: LatticeIFS(d=2, L=3.0, cells=frozenset({(0, 0)})),
+    "LatticeIFS cell np.int64": lambda: LatticeIFS(d=1, L=3, cells=frozenset({(np.int64(1),)})),
+    "scale factor 2.0": lambda: scale(CANTOR, 2.0),
+    "make_direction True": lambda: make_direction([1, True]),
+    "pressure t '0.5'": lambda: pressure(CANTOR_TS, "0.5", 3),
+    "pressure t None": lambda: pressure(CANTOR_TS, None, 3),
+    "pressure t True": lambda: pressure(CANTOR_TS, True, 3),
+    "pressure n np.int64": lambda: pressure(CANTOR_TS, 0.5, np.int64(3)),
+    "pressure samples 2.0": lambda: pressure(CANTOR_TS, 0.5, 2, "mc", samples=2.0),
+    "lyapunov seed 1.0": lambda: lyapunov(CANTOR_TS, 2, 5, seed=1.0),
+    "lyapunov n 2.0": lambda: lyapunov(CANTOR_TS, 2.0, 5),
+    "verdict p inf": lambda: phase_report(CANTOR_TS).verdict("extinction", math.inf),
+    "cli --replicas 0": lambda: _cli("simulate", "--ifs", "menger", "--dir", "1,1,1",
+                                     "--p", "1/2", "--replicas", "0"),
+    "cli --p x": lambda: _cli("simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "x"),
+    "cli --step 1/0": lambda: _cli("verify-slice", "--step", "1/0"),
+}
+
+
+@pytest.mark.parametrize("call", NAMED_BAD_CALLS.values(), ids=list(NAMED_BAD_CALLS))
+def test_named_bad_calls_raise_input_error(call):
+    with pytest.raises(InputError):
+        call()

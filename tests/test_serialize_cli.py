@@ -7,14 +7,13 @@ import pytest
 from click.testing import CliRunner
 
 from fracphase.cli import cli
-from fracphase.errors import InputError
+from fracphase.errors import InputError, check_rational
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.phase import phase_report
 from fracphase.serialize import (
     frac_str,
     ifs_from_json,
     line_ifs_to_json,
-    parse_frac,
     phase_report_to_csv,
     phase_report_to_json,
     svg_band_chart,
@@ -25,12 +24,12 @@ from fracphase.type_system import compute_type_system
 
 def test_frac_round_trip():
     for x in (Fraction(1, 6), Fraction(-3, 7), Fraction(5), Fraction(0)):
-        assert parse_frac(frac_str(x)) == x
+        assert check_rational(frac_str(x), "x") == x
     assert frac_str(Fraction(4, 2)) == "2"
     with pytest.raises(InputError):
-        parse_frac("1/0")
+        check_rational("1/0", "x")
     with pytest.raises(InputError):
-        parse_frac("abc")
+        check_rational("abc", "x")
 
 
 def test_ifs_json_round_trip():
@@ -83,10 +82,17 @@ DEAD_DIGIT_IFS = [
 ]
 
 
-@pytest.mark.parametrize("data", NON_INTEGER_IFS)
+@pytest.mark.parametrize("data", NON_INTEGER_IFS + BAD_FACTOR_IFS)
 def test_ifs_from_json_rejects_non_integers(data):
     with pytest.raises(InputError, match="must be an integer"):
         ifs_from_json(data)
+
+
+def test_ifs_from_json_rejects_duplicate_cells():
+    # a frozenset keeps one of equal cells, so (1,) would hide (1.0,) or (True,)
+    for dup in ([1], [1.0], [True]):
+        with pytest.raises(InputError):
+            ifs_from_json({"kind": "lattice", "d": 1, "L": 3, "cells": [[1], dup]})
 
 
 def _menger_report_json():
@@ -274,7 +280,7 @@ def test_cli_verify_slice_coarse():
     assert result.exit_code == 0
     data = json.loads(result.output)
     assert data["certified"] is False  # far too coarse for the certificate
-    assert parse_frac(data["min"]) > 0
+    assert check_rational(data["min"], "min") > 0
 
 
 def test_cli_exit_codes():
