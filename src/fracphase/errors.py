@@ -6,7 +6,8 @@ InvariantError -> 4.
 Every public integer argument goes through :func:`check_int`, which takes only
 an ``int`` that is not a ``bool`` (no float, numpy integer or string) within
 its bounds; every public rational argument goes through
-:func:`check_rational`, which takes whatever ``Fraction`` takes.
+:func:`check_rational`, which takes whatever ``Fraction`` takes, within its
+closed range when it has one.
 """
 
 from fractions import Fraction
@@ -37,9 +38,12 @@ def check_int(x, what: str, lo: int | None = None, hi: int | None = None) -> int
     raise InputError(f"{what} must be an integer{bounds}, got {x!r}")
 
 
-def check_rational(x, what: str) -> Fraction:
-    """``Fraction(x)``, or InputError when ``x`` is not a finite rational."""
+def check_rational(x, what: str, lo: int | None = None, hi: int | None = None) -> Fraction:
+    """``Fraction(x)`` if it is a finite rational with lo <= x <= hi (given both); else InputError."""
     try:
-        return Fraction(x)
+        q = Fraction(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InputError(f"{what} must be a rational number, got {x!r}") from None
+    if lo is None or lo <= q <= hi:
+        return q
+    raise InputError(f"{what} must be in [{lo}, {hi}], got {x}")

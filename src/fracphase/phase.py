@@ -13,10 +13,10 @@ Each threshold marks a *sufficient* condition for one regime of the random
 :func:`phase_report` computes every threshold and its witnesses once, and
 keeps each digit's enclosure with its characteristic polynomial, so
 :meth:`PhaseReport.verdict` decides each condition at a p in [0, 1] from the
-report alone.  Verdicts are three-valued (holds / fails / boundary) because the
-underlying conditions are strict inequalities that say nothing at equality.
-Thresholds involving roots are kept as exact power predicates;
-floats appear only in rendered output.
+report alone.  Each verdict is one exact sign of p against a threshold, read
+as holds / boundary / fails: the conditions are strict inequalities that say
+nothing at equality.  Thresholds involving roots are kept as exact power
+predicates; floats appear only in rendered output.
 """
 
 from __future__ import annotations
@@ -30,6 +30,10 @@ from .spectral import SpectralEnclosure, rho_sign, spectral_radius
 from .type_system import TypeSystem, pattern, row_mul
 
 _ROW_BUDGET = 10**6  # distinct zero-pattern rows the witness BFS may visit
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
 
 
 @dataclass(frozen=True)
@@ -55,15 +59,10 @@ class RootThreshold:
             return f"1/{self.base}"
         return f"({self.base})^(-1/{self.root})"
 
-    def above(self, p) -> bool:
-        """Exact test p > base**(-1/root), i.e. p > 0 and p^root * base > 1."""
-        p = Fraction(p)
-        return p > 0 and p**self.root * self.base > 1
-
-    def below(self, p) -> bool:
-        """Exact test p < base**(-1/root)."""
-        p = Fraction(p)
-        return p <= 0 or p**self.root * self.base < 1
+    def sign(self, p) -> int:
+        """Exact sign of p - base**(-1/root): -1 for p <= 0, else that of p^root * base - 1."""
+        p = check_rational(p, "p")
+        return -1 if p <= 0 else _sign(p**self.root * self.base - 1)
 
 
 def positive_row_witness(ts: TypeSystem):
@@ -113,8 +112,7 @@ def extinction_probability(M: int, p: float) -> float:
     x = 1 - q as expm1(M log1p(-p x)) + x, which keeps its accuracy there.
     """
     check_int(M, "M", 1)
-    if not 0 <= p <= 1:
-        raise InputError("p must be in [0, 1]")
+    p = float(check_rational(p, "p", 0, 1))
     if M * p <= 1:
         return 1.0
     if p == 1:  # h(q) = q^M - q
@@ -138,15 +136,8 @@ def extinction_probability(M: int, p: float) -> float:
 
 def menger_disconnection_threshold() -> RootThreshold:
     """Face-interface subcriticality threshold 1/sqrt(8) for the sponge:
-    ``below(p)`` is the exact test 8 * p^2 < 1."""
+    ``sign(p) < 0`` is the exact test 8 * p^2 < 1."""
     return RootThreshold(8, 2)
-
-
-def _compare(lhs, rhs) -> str:
-    """Verdict "holds" if lhs > rhs, "boundary" if they are equal, else "fails"."""
-    if lhs > rhs:
-        return "holds"
-    return "boundary" if lhs == rhs else "fails"
 
 
 @dataclass(frozen=True)
@@ -197,35 +188,29 @@ class PhaseReport:
         thresholds and fail wherever their witness condition is certainly
         unmet.  "no-interval" holds when p * rho(A_a) < 1 for some digit a,
         decided on the kept characteristic polynomials without a tolerance.
-        "boundary" means equality, or an inconclusive witness search.  A p
-        that is not a rational in [0, 1] is an input error.
+        Each is one exact sign s (1 holds, 0 boundary, -1 fails); "boundary"
+        means equality, or an inconclusive witness search.  A p that is not a
+        rational in [0, 1] is an input error.
         """
-        p = check_rational(p, "p")
-        if not 0 <= p <= 1:
-            raise InputError(f"p must be in [0, 1], got {p}")
+        p = check_rational(p, "p", 0, 1)
         if name == "extinction":
-            return _compare(self.p_extinction, p)
-        if name == "dimension-one":
-            return _compare(p, self.p_dim1)
-        if name == "interval-sufficient":
-            if self.interval_threshold is None or (
-                self.interval_witness is None and not self.interval_inconclusive
-            ):
-                return "fails"
-            v = _compare(p, self.interval_threshold)
-            return "boundary" if v == "holds" and self.interval_inconclusive else v
-        if name == "no-interval":
-            if p == 0:
-                return "holds"
-            # p * rho < 1  <=>  1/p > rho
-            signs = {rho_sign(e.coeffs, 1 / p) for e in self.digit_radii}
-            return "holds" if 1 in signs else "boundary" if 0 in signs else "fails"
-        if name == "positive-measure":
+            s = _sign(self.p_extinction - p)
+        elif name == "dimension-one":
+            s = _sign(p - self.p_dim1)
+        elif name == "interval-sufficient":
+            thr = self.interval_threshold
+            if thr is None or (self.interval_witness is None and not self.interval_inconclusive):
+                s = -1
+            else:  # an inconclusive witness search caps the verdict at "boundary"
+                s = min(_sign(p - thr), 0 if self.interval_inconclusive else 1)
+        elif name == "no-interval":  # p * rho < 1  <=>  1/p > rho
+            s = 1 if p == 0 else max(rho_sign(e.coeffs, 1 / p) for e in self.digit_radii)
+        elif name == "positive-measure":
             thr = self.positive_measure_threshold
-            if thr is None or thr.below(p):
-                return "fails"
-            return "holds" if thr.above(p) else "boundary"
-        raise InputError(f"no exact verdict for threshold {name!r}")
+            s = -1 if thr is None else thr.sign(p)
+        else:
+            raise InputError(f"no exact verdict for threshold {name!r}")
+        return ("fails", "boundary", "holds")[s + 1]
 
 
 def phase_report(ts: TypeSystem) -> PhaseReport:

@@ -59,42 +59,25 @@ def type_system_to_json(ts: TypeSystem) -> dict:
     }
 
 
-# The Fraction test comes last: it goes through ABCMeta and is slow for
-# values of other types.
-
-
-def _exact_str(value) -> str | None:
-    """Exact rendering of a threshold value; None when it has none."""
+def _render(value) -> tuple[str | None, float | None]:
+    """Exact and float renderings of a threshold value (an enclosure's float is
+    its midpoint).  Fraction is the fallback, as an isinstance test against it
+    goes through ABCMeta and is slow for values of other types."""
+    if value is None:
+        return None, None
     if isinstance(value, RootThreshold):
-        return value.exact_str()
+        return value.exact_str(), value.value_float
     if isinstance(value, SpectralEnclosure):
-        return frac_str(value.lower) if value.is_exact else None
-    if isinstance(value, Fraction):
-        return frac_str(value)
-    return None
-
-
-def _float(value) -> float | None:
-    """Float rendering of a threshold value (an enclosure gives its midpoint)."""
-    if isinstance(value, RootThreshold):
-        return value.value_float
-    if isinstance(value, SpectralEnclosure):
-        return value.midpoint_float
-    if isinstance(value, Fraction):
-        return float(value)
-    return value
+        return frac_str(value.lower) if value.is_exact else None, value.midpoint_float
+    return frac_str(value), float(value)
 
 
 def phase_report_to_json(report: PhaseReport) -> dict:
     thresholds = [
-        {
-            "name": name,
-            "theorem": theorem,
-            "value_exact": _exact_str(value),
-            "value_float": _float(value),
-            "witness": None if witness is None else "".join(map(str, witness)),
-        }
+        {"name": name, "theorem": theorem, "value_exact": exact, "value_float": approx,
+         "witness": None if witness is None else "".join(map(str, witness))}
         for name, theorem, value, witness in report.thresholds()
+        for exact, approx in [_render(value)]
     ]
     return {
         "ifs": line_ifs_to_json(report.ts.parent),

@@ -94,9 +94,7 @@ def sample_survival(M: int, p, depth: int, seed: int) -> SurvivalSet:
     check_int(M, "arity M", 2)
     check_int(depth, "depth", 0, _NODE_BUDGET + 1)  # deeper, only a dead tree fits the budget
     _check_seed(seed)
-    pf = check_rational(p, "p")
-    if not 0 <= pf <= 1:
-        raise InputError("p must be in [0, 1]")
+    pf = check_rational(p, "p", 0, 1)
     # h / 2^64 < p  <=>  h < ceil(p * 2^64), as h is an integer; the digest's
     # last byte is h's top byte, so it decides unless it equals the bound's
     if not depth:
@@ -203,8 +201,7 @@ def interface_process(
     Models the count of face-adjacent retained cube pairs across a shared
     face of the level-n sponge approximations; subcritical iff 8 p^2 < 1.
     """
-    if not 0 <= p <= 1:
-        raise InputError("p must be in [0, 1]")
+    p = float(check_rational(p, "p", 0, 1))
     check_int(depth, "depth", 0)
     check_int(replicas, "replicas", 1)
     pp = p * p

@@ -62,7 +62,7 @@ class PlaneParams:
 
 
 def plane(a, b, c) -> PlaneParams:
-    return PlaneParams(Fraction(a), Fraction(b), Fraction(c))
+    return PlaneParams(check_rational(a, "a"), check_rational(b, "b"), check_rational(c, "c"))
 
 
 # Lower-left corners of the 7 removed level-1 cubes, in units of 1/3.

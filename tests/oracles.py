@@ -9,9 +9,10 @@ all candidate intervals, a BFS over whole zero-patterns for positive-row
 witnesses, one hash per simulator node, the set of every covered cell of a
 projected realization, one Generator per sampled word, one cocycle walk per
 sampled word, full integer matrix products for every word of exact pressure,
-exact rational bisection for the extinction probability, and the dense
+exact rational bisection for the extinction probability, the dense
 Fraction characteristic polynomial, Taylor coefficients from binomial sums and
-a linear-scan bisection for Perron-root enclosures.
+a linear-scan bisection for Perron-root enclosures, and every phase verdict
+read off its definition.
 """
 
 from __future__ import annotations
@@ -508,3 +509,46 @@ def perron_enclosure(matrix, tol) -> tuple[Fraction, Fraction]:
         mid = (lo + up) / 2
         lo, up = (lo, mid) if dominates(mid) else (mid, up)
     return lo, up
+
+
+def phase_verdict(ts, name: str, p, gave_up: bool = False) -> str:
+    """The verdict of threshold ``name`` at p, from its definition on exact values.
+
+    extinction: p < 1/M; dimension-one: p > L/M; interval-sufficient:
+    p * min CS > 1 and some A_w has a positive row, by :func:`pattern_witness`
+    (a witness search that ``gave_up`` leaves it at most "boundary");
+    no-interval: p * rho(A_a) < 1 for some digit a, from the dense char polys
+    and binomial shifts; positive-measure: every A_a has a positive row and
+    p^L * min_U prod_a CS_a(U) > 1.  Equality gives "boundary".
+    """
+    def strict(lhs, rhs):  # the verdict of lhs > rhs
+        return "holds" if lhs > rhs else "boundary" if lhs == rhs else "fails"
+
+    p = Fraction(p)
+    cs = [[sum(col) for col in zip(*A)] for A in ts.matrices]
+    if name == "extinction":
+        return strict(Fraction(1, ts.M), p)
+    if name == "dimension-one":
+        return strict(p, Fraction(ts.L, ts.M))
+    if name == "interval-sufficient":
+        word, undecided = pattern_witness(ts, budget=10**4)
+        assert not undecided
+        min_cs = min(map(min, cs))
+        if min_cs == 0 or not (gave_up or word):
+            return "fails"
+        v = strict(p * min_cs, 1)
+        return "boundary" if gave_up and v == "holds" else v
+    if name == "no-interval":
+        if p == 0:
+            return "holds"
+        at_rho = set()  # for each digit with 1/p >= rho: is 1/p a root?
+        for A in ts.matrices:
+            shifted = taylor_shift(char_poly_dense(A), 1 / p)
+            if min(shifted) >= 0:
+                at_rho.add(shifted[0] == 0)
+        return "holds" if False in at_rho else "boundary" if True in at_rho else "fails"
+    if name == "positive-measure":
+        if not all(any(min(row) > 0 for row in A) for A in ts.matrices):
+            return "fails"
+        return strict(p**ts.L * min(math.prod(col) for col in zip(*cs)), 1)
+    raise ValueError(f"no verdict {name!r}")

@@ -74,7 +74,7 @@ def test_acceptance_2_exact_thresholds(capsys):
     ok &= rep.interval_witness is not None and len(rep.interval_witness) == 1
     thr = rep.positive_measure_threshold
     ok &= (thr.base, thr.root) == (288, 3)
-    ok &= thr.above(Fraction(16, 100)) and thr.below(Fraction(15, 100))
+    ok &= thr.sign(Fraction(16, 100)) > 0 and thr.sign(Fraction(15, 100)) < 0
     axis = phase_report(
         compute_type_system(scale(project(menger(), (1, 0, 0)), 3))
     )
@@ -84,7 +84,7 @@ def test_acceptance_2_exact_thresholds(capsys):
     dthr = diag.positive_measure_threshold
     ok &= (dthr.base, dthr.root) == (18, 3)
     disc = menger_disconnection_threshold()
-    ok &= disc.below(Fraction(35, 100)) and not disc.below(Fraction(36, 100))
+    ok &= disc.sign(Fraction(35, 100)) < 0 and not disc.sign(Fraction(36, 100)) < 0
     ok &= time.monotonic() - start < 1.0
     _verdict(capsys, 2, "exact phase thresholds", bool(ok))
 

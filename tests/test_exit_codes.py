@@ -32,7 +32,7 @@ from fracphase.line_ifs import LineIFS, normalize, scale
 from fracphase.phase import RootThreshold, extinction_probability, phase_report
 from fracphase.pressure import lyapunov, pressure
 from fracphase.simulate import _check_seed, interface_process, sample_survival, stream
-from fracphase.slices import verify_grid
+from fracphase.slices import plane, verify_grid
 from fracphase.type_system import compute_type_system
 
 JUNK = st.sampled_from(["", "x", "1/0", "nan", "-", "1,", "0x10", "1e400", "--", "é"])
@@ -241,6 +241,10 @@ RATIONAL_ARGS = {
     "sample_survival p": lambda v: sample_survival(20, v, 2, 0),
     "verdict p": lambda v: phase_report(CANTOR_TS).verdict("extinction", v),
     "verify_grid step": lambda v: verify_grid(v),
+    "RootThreshold.sign p": lambda v: RootThreshold(8, 2).sign(v),
+    "plane a": lambda v: plane(v, 0, 0),
+    "extinction_probability p": lambda v: extinction_probability(3, v),
+    "interface_process p": lambda v: interface_process(v, 2, 3),
 }
 BAD_INTS = [2.5, 3.0, math.nan, math.inf, None, True, "3", np.int64(3)]
 BAD_RATIONALS = [math.nan, math.inf, None, "x"]
@@ -285,6 +289,10 @@ NAMED_BAD_CALLS = {
     "interface_process depth 2.5": lambda: interface_process(0.5, 2.5, 3),
     "verify_grid workers 1.0": lambda: verify_grid(Fraction(1, 30), 1.0),
     "verify_grid step x": lambda: verify_grid("x"),
+    "interface_process p x": lambda: interface_process("x", 2, 3),
+    "extinction_probability p None": lambda: extinction_probability(3, None),
+    "plane a x": lambda: plane("x", 0, 0),
+    "RootThreshold.sign p x": lambda: RootThreshold(8, 2).sign("x"),
     "extinction_probability M 2.5": lambda: extinction_probability(2.5, 0.9),
     "LatticeIFS L 3.0": lambda: LatticeIFS(d=2, L=3.0, cells=frozenset({(0, 0)})),
     "LatticeIFS cell np.int64": lambda: LatticeIFS(d=1, L=3, cells=frozenset({(np.int64(1),)})),

@@ -1,16 +1,12 @@
+import functools
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (
-    char_poly_dense,
-    extinction_root,
-    pattern_witness,
-    perron_enclosure,
-    taylor_shift,
-)
+from oracles import extinction_root, pattern_witness, perron_enclosure, phase_verdict
 from test_type_system import line_systems
 
 from fracphase import phase
@@ -88,9 +84,9 @@ def test_sierpinski_thresholds():
 
 def test_root_threshold_predicates():
     thr = RootThreshold(288, 3)
-    assert thr.above(Fraction(16, 100))
-    assert thr.below(Fraction(15, 100))
-    assert not thr.above(Fraction(15, 100))
+    assert thr.sign(Fraction(16, 100)) > 0
+    assert thr.sign(Fraction(15, 100)) < 0
+    assert RootThreshold(4, 2).sign(Fraction(1, 2)) == RootThreshold(6, 1).sign(Fraction(1, 6)) == 0
     assert thr.value_float == 288 ** (-1 / 3)
     # past the float range the root is taken in logs
     assert RootThreshold(3**1000, 1000).value_float == pytest.approx(1 / 3, rel=1e-12)
@@ -101,8 +97,8 @@ def test_root_threshold_predicates():
             RootThreshold(base, root)
     # an even root of a negative p is not p: p <= 0 is below every threshold
     for p in (-1, Fraction(-1, 2), 0):
-        assert RootThreshold(8, 2).below(p) and not RootThreshold(8, 2).above(p)
-        assert RootThreshold(1, 1).below(p) and not RootThreshold(1, 1).above(p)
+        assert RootThreshold(8, 2).sign(p) < 0
+        assert RootThreshold(1, 1).sign(p) < 0
 
 
 def test_interval_check_three_valued(menger_report):
@@ -197,29 +193,36 @@ def test_checks_never_both_hold(menger_report, p):
     assert not (a == "holds" and b == "holds")
 
 
-def _no_interval_oracle(ts, p) -> str:
-    """The no-interval verdict from the dense char polys and binomial shifts."""
-    if p == 0:
-        return "holds"
-    at_rho = set()  # for each digit with 1/p >= rho: is 1/p a root?
-    for A in ts.matrices:
-        shifted = taylor_shift(char_poly_dense(A), 1 / p)
-        if min(shifted) >= 0:
-            at_rho.add(shifted[0] == 0)
-    return "holds" if False in at_rho else "boundary" if True in at_rho else "fails"
+@functools.cache
+def _capped_report():
+    """menger --dir 3,2,0, whose witness (0, 0) lies past a row budget of 1."""
+    with mock.patch.object(phase, "_ROW_BUDGET", 1):
+        return phase_report(compute_type_system(project(menger(), (3, 2, 0))))
+
+
+def _exact_points(rep) -> set[Fraction]:
+    """0, 1 and every threshold of ``rep`` in [0, 1] that is rational: where "boundary" shows."""
+    points = {Fraction(0), Fraction(1), rep.p_extinction, rep.p_dim1}
+    if rep.interval_threshold is not None:
+        points.add(rep.interval_threshold)
+    points |= {1 / e.lower for e in rep.digit_radii if e.is_exact and e.lower >= 1}
+    thr = rep.positive_measure_threshold
+    if thr is not None and round(1 / thr.value_float) ** thr.root == thr.base:
+        points.add(Fraction(1, round(1 / thr.value_float)))
+    return {p for p in points if p <= 1}
 
 
 @settings(max_examples=40, deadline=None)
 @given(ifs=line_systems(scales=(1,)), data=st.data())
-def test_no_interval_verdict_matches_the_dense_oracle(ifs, data):
-    rep = phase_report(compute_type_system(ifs))
-    # 1/rho of a digit with an integer radius is where "boundary" shows
-    exact = [1 / e.lower for e in rep.digit_radii if e.is_exact and e.lower >= 1]
-    points = [data.draw(unit_fractions)]
-    if exact:
-        points.append(data.draw(st.sampled_from(exact)))
-    for p in points:
-        assert rep.verdict("no-interval", p) == _no_interval_oracle(rep.ts, p), p
+def test_verdicts_match_the_definition_oracle(ifs, data):
+    capped = _capped_report()
+    assert capped.interval_inconclusive
+    for rep in (phase_report(compute_type_system(ifs)), capped):
+        points = _exact_points(rep) | {data.draw(unit_fractions)}
+        for name in EXACT_VERDICTS:
+            for p in sorted(points):
+                expected = phase_verdict(rep.ts, name, p, rep.interval_inconclusive)
+                assert rep.verdict(name, p) == expected, (name, p)
 
 
 def test_positive_measure_check(menger_report):
@@ -340,8 +343,8 @@ def test_extinction_probability_matches_exact_root(M, p):
 
 def test_disconnection_threshold():
     thr = menger_disconnection_threshold()
-    assert thr.below(Fraction(3, 10))
-    assert not thr.below(Fraction(4, 10))
+    assert thr.sign(Fraction(3, 10)) < 0
+    assert not thr.sign(Fraction(4, 10)) < 0
     assert thr == RootThreshold(8, 2)
 
 
