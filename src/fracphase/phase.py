@@ -221,7 +221,11 @@ def phase_report(ts: TypeSystem) -> PhaseReport:
     witness, inconclusive = positive_row_witness(ts)
     interval_threshold = Fraction(1, min_cs) if min_cs > 0 else None
 
-    radii = tuple(spectral_radius(A) for A in ts.matrices)
+    seen = {}  # A and its mirror J A J (J the reversal) are similar: one enclosure
+    for A in ts.matrices:
+        if A not in seen:
+            seen[A] = seen[tuple(row[::-1] for row in reversed(A))] = spectral_radius(A)
+    radii = tuple(seen[A] for A in ts.matrices)
     best = min(radii, key=lambda e: e.upper)
     # threshold 1 / min_a rho(A_a), capped at 1 (p never exceeds 1)
     no_int = SpectralEnclosure(1 / max(best.upper, Fraction(1)),

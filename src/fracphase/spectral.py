@@ -10,17 +10,19 @@ exactly when all roots have modulus <= x.)
 
 One bisection on this predicate gives the least multiple of 2^-30 at or above
 rho and the one below it (width 2^-30, below 10^-9), or rho itself when it is
-an integer.  p comes from a Faddeev-LeVerrier recursion in Fractions over A's
-nonzero entries; each enclosure keeps it.
+an integer, from any bracket with grid ends, a power-of-two width and rho in
+(lo, up]: one certified around a float estimate of rho, else [-1, 2^b - 1].
+p comes from a Faddeev-LeVerrier recursion in Fractions over A's nonzero
+entries; each enclosure keeps it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from numbers import Integral
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, check_int, check_rational
 
 _STEP = Fraction(1, 2**30)  # width of an enclosure that is not exact
 
@@ -48,10 +50,14 @@ def char_poly(matrix) -> list[Fraction]:
     Uses the Faddeev-LeVerrier recursion in exact rational arithmetic, forming
     A @ M_k from each row's nonzero entries only.
     """
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
+    try:
+        entries = [[check_rational(a, "matrix entry") for a in row] for row in matrix]
+    except TypeError:
+        raise InputError("matrix must be a sequence of rows of numbers") from None
+    n = len(entries)
+    if any(len(row) != n for row in entries):
         raise InputError("matrix must be square")
-    rows = [[(t, Fraction(a)) for t, a in enumerate(row) if a] for row in matrix]
+    rows = [[(t, a) for t, a in enumerate(row) if a] for row in entries]
     coeffs = [Fraction(0)] * (n + 1)
     coeffs[n] = Fraction(1)
     Mk = [[int(i == j) for j in range(n)] for i in range(n)]
@@ -88,29 +94,47 @@ def dominates_rho(coeffs, x: Fraction) -> bool:
     return rho_sign(coeffs, x) >= 0
 
 
+def _bracket(coeffs, bound: int) -> tuple[Fraction, Fraction]:
+    """The first of (k -+ h) * _STEP, k = round(r / _STEP) for a float estimate
+    r of rho and h = 1, 2^9, 2^19 times the float spacing at r (about the error
+    at a simple, double, triple root), with lo < rho <= up certified exactly;
+    else [-1, 2^b - 1] for the bit length b of the row/column-sum bound."""
+    try:
+        fcoeffs = [float(c) for c in coeffs]
+        flo, r = 0.0, float(bound)
+        for _ in range(bound.bit_length() + 34):
+            mid = (flo + r) / 2
+            flo, r = (flo, mid) if rho_sign(fcoeffs, mid) >= 0 else (mid, r)
+        k, base = round(r * 2**30), max(1, int(math.ulp(r) * 2**30))
+    except OverflowError:  # a coefficient, the bound or r / _STEP past the float range
+        pass
+    else:
+        for j in (0, 9, 19):
+            lo, up = (k - (base << j)) * _STEP, (k + (base << j)) * _STEP
+            if dominates_rho(coeffs, up) and not dominates_rho(coeffs, lo):
+                return lo, up
+    return Fraction(-1), Fraction((1 << bound.bit_length()) - 1)
+
+
 def spectral_radius(matrix) -> SpectralEnclosure:
     """Certified enclosure of the Perron root of a nonnegative integer matrix."""
-    n = len(matrix)
-    if not n or any(len(row) != n for row in matrix):
-        raise InputError("matrix must be square and nonempty")
-    if any(not isinstance(x, Integral) or x < 0 for row in matrix for x in row):
-        raise InputError("matrix entries must be nonnegative integers")
-    coeffs = tuple(char_poly(matrix))
+    coeffs = tuple(char_poly(matrix))  # an InputError unless matrix is square
+    rows = [[check_int(x, "matrix entry", 0) for x in row] for row in matrix]
+    if not rows:
+        raise InputError("matrix must be nonempty")
     # rho is at most the largest row or column sum
-    bound = int(min(max(map(sum, matrix)), max(map(sum, zip(*matrix)))))
+    bound = min(max(map(sum, rows)), max(map(sum, zip(*rows))))
     if not dominates_rho(coeffs, Fraction(bound)):
         raise InvariantError("column/row-sum bound failed to dominate rho")
-    # lo < rho <= up: integer ends and a power-of-two width keep every
-    # midpoint on the grid of step _STEP
-    lo, up = Fraction(-1), Fraction((1 << bound.bit_length()) - 1)
-    while up - lo > _STEP:
-        if up - lo == 1 and rho_sign(coeffs, up) == 0:
-            # up is the least integer >= rho, and any rational root of a
-            # monic integer polynomial is an integer
-            return SpectralEnclosure(up, up, coeffs)
+    lo, up = _bracket(coeffs, bound)
+    while up - lo > _STEP:  # every midpoint stays on the grid
         mid = (lo + up) / 2
         if dominates_rho(coeffs, mid):
             up = mid
         else:
             lo = mid
+    # up is the least multiple of _STEP >= rho, and any rational root of a
+    # monic integer polynomial is an integer
+    if up.denominator == 1 and rho_sign(coeffs, up) == 0:
+        return SpectralEnclosure(up, up, coeffs)
     return SpectralEnclosure(lo, up, coeffs)

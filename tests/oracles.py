@@ -11,8 +11,8 @@ projected realization, one Generator per sampled word, one cocycle walk per
 sampled word, full integer matrix products for every word of exact pressure,
 exact rational bisection for the extinction probability, the dense
 Fraction characteristic polynomial, Taylor coefficients from binomial sums and
-a linear-scan bisection for Perron-root enclosures, and every phase verdict
-read off its definition.
+a doubling-then-bisection search for Perron-root enclosures, and every phase
+verdict read off its definition.
 """
 
 from __future__ import annotations
@@ -494,14 +494,20 @@ def taylor_shift(coeffs, x) -> list[Fraction]:
 
 
 def perron_enclosure(matrix, tol) -> tuple[Fraction, Fraction]:
-    """(lower, upper) from the least integer u >= rho, found by a linear scan,
+    """(lower, upper) from the least integer u >= rho, found by doubling an
+    integer until it dominates and then bisecting the integers below it,
     then halving [u - 1, u] until its width is at most tol (exact at a root u)."""
     coeffs = char_poly_dense(matrix)
 
     def dominates(x):
         return x >= 0 and all(c >= 0 for c in taylor_shift(coeffs, x))
 
-    u = next(u for u in itertools.count() if dominates(u))
+    below, u = -1, 1
+    while not dominates(u):
+        below, u = u, 2 * u
+    while u - below > 1:  # below < rho <= u
+        mid = (below + u) // 2
+        below, u = (below, mid) if dominates(mid) else (mid, u)
     if taylor_shift(coeffs, u)[0] == 0:
         return Fraction(u), Fraction(u)
     lo, up = Fraction(u - 1), Fraction(u)

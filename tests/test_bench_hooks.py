@@ -36,6 +36,7 @@ def test_hooked_calls_go_through_the_hooked_names(monkeypatch):
         count(module, attr)
     ts = fp.type_system.compute_type_system(fp.lattice.project(fp.lattice.menger(), (1, 1, 1)))
     fp.phase.phase_report(ts)
+    # digit 2's matrix is digit 0's mirrored, so it reuses that enclosure
     assert {k: calls[k] for k in ("spectral_radius", "positive_row_witness", "char_poly")} == {
-        "spectral_radius": 3, "positive_row_witness": 1, "char_poly": 3}
+        "spectral_radius": 2, "positive_row_witness": 1, "char_poly": 2}
     assert calls["dominates_rho"] > 0

@@ -33,6 +33,7 @@ from fracphase.phase import RootThreshold, extinction_probability, phase_report
 from fracphase.pressure import lyapunov, pressure
 from fracphase.simulate import _check_seed, interface_process, sample_survival, stream
 from fracphase.slices import plane, verify_grid
+from fracphase.spectral import char_poly, spectral_radius
 from fracphase.type_system import compute_type_system
 
 JUNK = st.sampled_from(["", "x", "1/0", "nan", "-", "1,", "0x10", "1e400", "--", "é"])
@@ -306,6 +307,12 @@ NAMED_BAD_CALLS = {
     "lyapunov seed 1.0": lambda: lyapunov(CANTOR_TS, 2, 5, seed=1.0),
     "lyapunov n 2.0": lambda: lyapunov(CANTOR_TS, 2.0, 5),
     "verdict p inf": lambda: phase_report(CANTOR_TS).verdict("extinction", math.inf),
+    "char_poly entry x": lambda: char_poly([["x"]]),
+    "char_poly entry nan": lambda: char_poly([[float("nan")]]),
+    "char_poly matrix 5": lambda: char_poly(5),
+    "spectral_radius entry True": lambda: spectral_radius([[True, False], [True, True]]),
+    "spectral_radius entry np.int64": lambda: spectral_radius([[np.int64(3)]]),
+    "spectral_radius np.array": lambda: spectral_radius(np.array([[2, 1], [1, 2]])),
     "cli --replicas 0": lambda: _cli("simulate", "--ifs", "menger", "--dir", "1,1,1",
                                      "--p", "1/2", "--replicas", "0"),
     "cli --p x": lambda: _cli("simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "x"),

@@ -20,7 +20,7 @@ from fracphase.phase import (
     phase_report,
     positive_row_witness,
 )
-from fracphase.spectral import SpectralEnclosure, char_poly
+from fracphase.spectral import SpectralEnclosure, char_poly, spectral_radius
 from fracphase.type_system import compute_type_system
 
 
@@ -152,10 +152,24 @@ def test_no_interval_verdict_computes_char_polys_once_per_report(monkeypatch):
     monkeypatch.setattr(spectral_mod, "char_poly", counting)
     ts = compute_type_system(project(menger(), (1, 1, 1)))
     rep = phase_report(ts)
-    assert len(calls) == ts.L  # one per digit, inside spectral_radius
+    # one per digit up to mirroring, inside spectral_radius: digit 2's matrix
+    # is digit 0's reversed in both axes
+    assert ts.matrices[2] == tuple(row[::-1] for row in reversed(ts.matrices[0]))
+    assert len(calls) == 2
     for p in (Fraction(1, 7), Fraction(1, 6), Fraction(1, 5), Fraction(1, 7)):
         rep.verdict("no-interval", p)
-    assert len(calls) == ts.L  # the verdicts read the report's polynomials
+    assert len(calls) == 2  # the verdicts read the report's polynomials
+
+
+@settings(max_examples=25, deadline=None)
+@given(ifs=line_systems())
+def test_reused_enclosures_equal_each_digits_own(ifs):
+    # a digit whose matrix repeats or mirrors an earlier one reuses its
+    # enclosure; that must be the enclosure the digit's own matrix gives
+    ts = compute_type_system(ifs)
+    radii = phase_report(ts).digit_radii
+    own = [spectral_radius(A) for A in ts.matrices]
+    assert [(e.lower, e.upper, e.coeffs) for e in radii] == [(e.lower, e.upper, e.coeffs) for e in own]
 
 
 def test_no_interval_check_exact_for_irrational_radius():

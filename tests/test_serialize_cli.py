@@ -124,12 +124,14 @@ def test_analyze_matches_golden_outputs(tmp_path):
     # the fixtures pin every byte analyze writes, floats and notes included
     runner = CliRunner()
     for args, golden in (
-        (["--dir", "1,1,1"], "menger_1_1_1.json"),
-        (["--dir", "1,3,7"], "menger_1_3_7.json"),
+        (["menger", "--dir", "1,1,1"], "menger_1_1_1.json"),
+        (["menger", "--dir", "1,3,7"], "menger_1_3_7.json"),
         # no interval row, and positive measure null
-        (["--dir", "1,0,0", "--scale", "3"], "menger_1_0_0_scale3.json"),
+        (["menger", "--dir", "1,0,0", "--scale", "3"], "menger_1_0_0_scale3.json"),
+        # no digit matrix repeats or mirrors another
+        ([str(DATA / "line_2_0_1_3_5.ifs.json")], "line_2_0_1_3_5.json"),
     ):
-        result = runner.invoke(cli, ["analyze", "menger", *args])
+        result = runner.invoke(cli, ["analyze", *args])
         assert result.exit_code == 0
         assert result.stdout_bytes == (DATA / golden).read_bytes()
     csv_path, svg_path = tmp_path / "report.csv", tmp_path / "bands.svg"

@@ -155,15 +155,52 @@ def test_shift_matches_the_binomial_oracle(case):
     assert rho_sign(coeffs, x) == (-1 if x < 0 or min(expected) < 0 else 1 if expected[0] else 0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(matrix=random_matrices(max_n=5))
-@example(matrix=[[0, 0], [0, 0]])  # bound 0: the bracket starts at width 1
+def block_diagonal(blocks):
+    n = sum(map(len, blocks))
+    out = [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            out[at + i][at:at + len(row)] = row
+        at += len(block)
+    return out
+
+
+FIB = [[1, 1], [1, 0]]
+
+
+@st.composite
+def float_hard_matrices(draw):
+    """Matrices whose float estimate of rho is poor: a block repeated two or
+    three times on the diagonal (a double or triple root), entries near 10^20
+    (float spacing far above 2^-30), or entries near 10^200 (coefficients
+    past the float range)."""
+    kind = draw(st.sampled_from(["repeat", "near 1e20", "near 1e200"]))
+    if kind == "repeat":
+        return block_diagonal([draw(random_matrices(max_n=3))] * draw(st.integers(2, 3)))
+    big = 10**20 if kind == "near 1e20" else 10**200
+    n = draw(st.integers(1, 3))
+    return [[big * draw(st.integers(0, 1)) + draw(st.integers(0, 9)) for _ in range(n)]
+            for _ in range(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(matrix=st.one_of(random_matrices(max_n=5), float_hard_matrices()))
+@example(matrix=[[0, 0], [0, 0]])  # bound 0 and rho 0
 @example(matrix=[[0, 1], [0, 0]])  # nilpotent: rho 0 under a bound of 1
-@example(matrix=[[3]])  # integer rho at the bracket's top end
+@example(matrix=[[3]])  # integer rho equal to its bound
 @example(matrix=[[0, 1], [1, 0]])
 @example(matrix=[[2, 1], [1, 2]])  # rho 3 under a bound of 3
 @example(matrix=[[1, 1], [1, 0]])  # irrational rho
+@example(matrix=block_diagonal([FIB, FIB]))  # double irrational root
+@example(matrix=block_diagonal([FIB, FIB, FIB]))  # triple irrational root
+@example(matrix=block_diagonal([[[1, 2], [3, 1]]] * 3))  # triple root 1 + sqrt 6
+@example(matrix=[[10**20, 1], [1, 10**20]])  # float spacing 2^14 at rho
+@example(matrix=[[10**20, 3], [7, 10**20 + 5]])  # irrational rho near 10^20
+@example(matrix=[[10**200, 1], [1, 10**200]])  # coefficient 10^400 - 1
+@example(matrix=[[10**400]])  # the bound itself past the float range
 def test_enclosure_equals_the_oracle_bisection(matrix):
     enc = spectral_radius(matrix)
     assert (enc.lower, enc.upper) == perron_enclosure(matrix, Fraction(1, 10**9))
     assert enc.coeffs == tuple(char_poly_dense(matrix))  # kept for later comparisons
+
