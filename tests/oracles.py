@@ -171,14 +171,21 @@ def grid_scan(d: Fraction):
     return minimum, argmin, count, minimum > 0 and minimum**2 > 675 * d**2
 
 
-def slice_min_exact(args):
-    """slices._slice_min without blocks or the float screen.
+def diagonal_rows(ts, D, S, y) -> list:
+    """The grid rows (A, B) with (A + B - 2y) / S in ts, in ascending (A, B)."""
+    sums = [2 * y + S * t for t in ts]
+    return sorted((A, s - A) for s in sums for A in range(y, s // 2 + 1, S) if s - A <= D)
 
-    The kernel takes all rows of the task (As, D, S, y) in one call, and every
-    row's minimum is compared with the best so far in cross-multiplied ints.
+
+def diagonal_min_exact(args):
+    """slices._diagonal_min without batches, blocks, the row screen or the float screen.
+
+    The kernel takes every row of the diagonals of the task (ts, D, S, y) in one
+    call, in ascending (A, B), and every row's minimum is compared with the best
+    so far in cross-multiplied ints.
     """
-    As, D, S, y = args
-    rows = [(A, B) for A in As for B in range(A, D + 1, S)]
+    ts, D, S, y = args
+    rows = diagonal_rows(ts, D, S, y)
     A, B = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows))
     m, j = slices._row_minima(A, B, D, S, y, slices._work(len(rows)))
     best = None  # (N, A, B, j) with value N / (162*A*B)

@@ -1,6 +1,8 @@
+import functools
 import math
 import os
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +18,7 @@ from fracphase.slices import (
     TAG_POSITIVE_C,
     TAG_SMALL_A,
     TAG_SMALL_SUM,
+    REMOVED_CORNERS,
     WedgeError,
     _SLICE_KNOTS,
     _row_knots,
@@ -25,7 +28,14 @@ from fracphase.slices import (
     plane,
     verify_grid,
 )
-from oracles import clip_area, grid_scan, htilde_oracle, sample_nonnegativity, slice_min_exact
+from oracles import (
+    clip_area,
+    diagonal_min_exact,
+    diagonal_rows,
+    grid_scan,
+    htilde_oracle,
+    sample_nonnegativity,
+)
 
 
 def _random_wedge_point(rng, denom=720):
@@ -281,46 +291,107 @@ def test_verify_grid_rejects_bad_step(monkeypatch):
         verify_grid(Fraction(1, 5_000_000))
 
 
-@pytest.mark.parametrize("step", ["1/6", "1/12"])
-def test_slice_minima_take_the_smallest_tied_point(step):
-    # both steps have slices whose minimum is attained more than once in a
-    # row; at 1/6 the slice a = 1/2 also attains it in two rows (b = 5/6, 1)
+def test_verify_grid_rejects_steps_past_the_row_budget(monkeypatch):
+    def no_work(*args, **kwargs):
+        pytest.fail("the grid started work")
+
+    monkeypatch.setattr(slices, "_diagonal_min", no_work)
+    monkeypatch.setattr(slices, "ProcessPoolExecutor", no_work)
+    # both within the int64 range of the kernel: 1/4340344 has 4.19e12 rows,
+    # 1/21212 has 14142 b values, so 14142 * 14143 / 2 = 100,005,153 rows
+    for step in ("1/4340344", "1/21212"):
+        with pytest.raises(InputError, match="more than the budget of 100000000 rows"):
+            verify_grid(Fraction(step))
+    # 1/21211 has 99,991,011 rows; 1/30 has 21 b values, so 231 rows
+    monkeypatch.setattr(slices, "_diagonal_min", lambda task: (Fraction(1), 1, 1, 0, 0))
+    assert verify_grid(Fraction(1, 21211)).minimum == 1
+    monkeypatch.setattr(slices, "_MAX_ROWS", 230)
+    with pytest.raises(InputError, match="231 grid rows"):
+        verify_grid(Fraction(1, 30))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fine_grids_keep_their_minima(workers):
+    third = Fraction(1, 3)
+    for step, minimum, c, count in (
+        ("1/500", "62509/1125000", "83/500", 27_972_500),
+        ("1/1000", "250009/4500000", "167/1000", 222_778_000),
+        ("2/1001", "501113/9018009", "166/1001", 27_972_500),
+    ):
+        report = verify_grid(Fraction(step), workers)
+        got = (report.minimum, report.argmin, report.point_count, report.certified)
+        assert got == (Fraction(minimum), (third, third, Fraction(c)), count, True)
+
+
+def test_grid_memory_does_not_grow_with_the_grid():
+    # diagonals are laid out a batch at a time, and 1/2000 has 16x the rows of 1/500
+    def peak(step):
+        tracemalloc.start()
+        try:
+            verify_grid(step)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(Fraction(1, 2000)) <= 1.5 * peak(Fraction(1, 500))
+
+
+def _grid(step):
     d = Fraction(step)
     y, S = d.denominator, 3 * d.numerator
-    D = 3 * y
-    for A in range(y, D + 1, S):
-        points = [
-            (A, B, C)
-            for B in range(A, D + 1, S)
-            for C in range(2 * y - A - B, y + 1, S)
-        ]
-        values = [htilde(plane(*(Fraction(x, D) for x in p))) for p in points]
-        best = min(values)
-        expected = (best, *points[values.index(best)], len(points))
-        assert slices._slice_min((range(A, A + S, S), D, S, y)) == expected
+    return 3 * y, S, y, 2 * y // S  # D, S, y and M: a and b run over y + S*(0 .. M)
+
+
+def _smallest_minimizer(ts, D, S, y):
+    """(value, A, B, C, count) of the diagonals ts, from htilde at every grid point."""
+    points = [
+        (A, B, C) for A, B in diagonal_rows(ts, D, S, y) for C in range(2 * y - A - B, y + 1, S)
+    ]
+    values = [htilde(plane(*(Fraction(x, D) for x in p))) for p in points]
+    best = min(values)
+    return (best, *points[values.index(best)], len(points)), values.count(best)
+
+
+@pytest.mark.parametrize("step", ["1/6", "1/12"])
+def test_slice_minima_take_the_smallest_tied_point(step, monkeypatch):
+    # both steps have rows whose minimum is attained at two c; at 1/6 the rows
+    # (a, b) = (1/2, 5/6) and (1/2, 1), on diagonals 4 and 5, attain it too
+    D, S, y, M = _grid(step)
+    tasks = [[t] for t in range(2 * M + 1)] + [range(2 * M + 1), range(1, 2 * M + 1, 2)]
+    ties = 0
+    for ts in tasks:
+        expected, count = _smallest_minimizer(ts, D, S, y)
+        ties += count > 1
+        for stride in (1, 2, 3, 64):
+            monkeypatch.setattr(slices, "_STRIDE", stride)
+            assert slices._diagonal_min((ts, D, S, y)) == expected
+    assert ties >= 3
 
 
 @settings(max_examples=60, deadline=None)
-@example(k=1, n=6, block=1, picks={1})  # slice a = 1/2 ties in its rows 2 and 3 of 4
-@example(k=1, n=6, block=3, picks={1})
+@example(k=1, n=6, block=1, batch=1, stride=2, picks={4, 5})  # tied rows on diagonals 4, 5
+@example(k=1, n=6, block=3, batch=3, stride=1, picks={0, 4, 5})
+@example(k=2, n=75, block=7, batch=40, stride=3, picks={20, 21, 40})
 @given(
     st.integers(1, 3),
-    st.integers(3, 40),
+    st.integers(3, 80),
     st.integers(1, 7),
-    st.sets(st.integers(0, 40), min_size=1, max_size=3),
+    st.integers(1, 80),
+    st.sampled_from([1, 2, 3, 5, 64]),
+    st.sets(st.integers(0, 120), min_size=1, max_size=4),
 )
-def test_screened_slice_minima_match_the_exact_loop(k, n, block, picks):
+def test_screened_slice_minima_match_the_exact_loop(k, n, block, batch, stride, picks):
     # blocks of 1-7 rows leave partial last blocks and put tied rows in
-    # different blocks; the oracle compares every row exactly in one block
+    # different blocks, and small batches split the diagonals every few rows;
+    # the oracle compares every row exactly in one block
     d = Fraction(k, n)
     assume(d <= Fraction(1, 3))
-    y, S = d.denominator, 3 * d.numerator
-    D = 3 * y
-    a_slices = range(y, D + 1, S)
-    task = (sorted({a_slices[i % len(a_slices)] for i in picks}), D, S, y)
+    D, S, y, M = _grid(d)
+    task = (sorted({i % (2 * M + 1) for i in picks}), D, S, y)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(slices, "_BLOCK", block)
-        assert slices._slice_min(task) == slice_min_exact(task)
+        for name, value in (("_BLOCK", block), ("_BATCH", batch), ("_STRIDE", stride)):
+            mp.setattr(slices, name, value)
+        assert slices._diagonal_min(task) == diagonal_min_exact(task)
 
 
 def test_screen_keeps_exact_ties_whose_floats_differ(monkeypatch):
@@ -330,7 +401,114 @@ def test_screen_keeps_exact_ties_whose_floats_differ(monkeypatch):
     monkeypatch.setattr(
         slices, "_row_minima", lambda A, B, *_: ((c * (A * B // 3))[:, 0], np.zeros(len(A), int))
     )
-    assert slices._slice_min(([99], 297, 3, 99))[:4] == (Fraction(c, 3 * 162), 99, 99, 0)
+    A, B = (np.array(col) for col in zip(*diagonal_rows([58], 297, 3, 99)))
+    v = (c * (A * B // 3)) / (A * B)
+    assert len(A) <= slices._BLOCK and v[0] > v.min()
+    for stride in (1, 2, 64):  # all rows in one kernel call; coarse and screened rows
+        monkeypatch.setattr(slices, "_STRIDE", stride)
+        got = slices._diagonal_min(([58], 297, 3, 99))[:4]
+        assert got == (Fraction(c, 3 * 162), 99, 273, -174)
+
+
+def test_screen_keeps_a_row_whose_bound_equals_the_least_value(monkeypatch):
+    # rows k = 0, 1, 2 of one diagonal, with stride 2: row 1 is screened, its
+    # bound (m0 + m2)/2 - _CURVE*S^2 is exactly m1, and m1/(A1*B1) equals
+    # m2/(A2*B2), the least coarse value.  Row 1 must be evaluated and win the
+    # tie on its smaller A; with curvature 0 it would be pruned
+    D, S, y, M = _grid(Fraction(1, 9))
+    t = 4  # rows (A, B) = (9, 21), (12, 18), (15, 15)
+    monkeypatch.setattr(slices, "_STRIDE", 2)
+    real = slices._row_minima
+    extra = {9: 650 * S * S}  # row 0 lies above the others
+
+    def row_minima(A, B, *args):
+        m, j = real(A, B, *args)
+        return (A * B)[:, 0] + [extra.get(a, 0) for a in A[:, 0].tolist()], j
+
+    monkeypatch.setattr(slices, "_row_minima", row_minima)
+    assert slices._CURVE == 324  # row 0's excess 650 S^2 = 2 * 324 S^2 + 2 S^2
+    value, A, B, _, _ = slices._diagonal_min(([t], D, S, y))
+    assert (value, A, B) == (Fraction(1, 162), 12, 18)
+
+
+def test_curvature_constant_recomputed_from_the_tables():
+    # 162*A*B*htilde = sum over base knots 3*kappa of weight 5*sigma and removed-cube
+    # knots kappa - u*A - v*B + w*D of weight -9*sigma; along a diagonal a knot
+    # e*D + f*A + g*B moves by (f - g)*S a step.  Equal knots add their weights.
+    weights = {}
+    for s, e, f, g in _SLICE_KNOTS:
+        knots = [((3 * e, 3 * f, 3 * g), 5 * s)]
+        knots += [((e + w, f - u, g - v), -9 * s) for u, v, w in REMOVED_CORNERS]
+        for knot, weight in knots:
+            weights[knot] = weights.get(knot, 0) + weight
+    moves = [(w, (f - g) ** 2) for (e, f, g), w in weights.items()]
+    # the positive terms bound the second derivative; with every term active
+    # the numerator is the zero area of an empty slice, so the signs balance
+    up = sum(w * q for w, q in moves if w > 0)
+    assert up == sum(-w * q for w, q in moves if w < 0) == slices._CURVE == 324
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.integers(3, 4_340_344), st.data())
+def test_diagonal_bound_is_below_every_row_between(k, n, data):
+    # over rows k0 < k < k1 of one diagonal, with any coarse rows k0 and k1,
+    # ((k1-k)*m(k0) + (k-k0)*m(k1))/(k1-k0) - _CURVE*S^2*(k-k0)*(k1-k) <= m(k)
+    d = Fraction(k, n)
+    assume(d <= Fraction(1, 3))
+    D, S, y, M = _grid(d)
+    rows = diagonal_rows([data.draw(st.integers(0, 2 * M))], D, S, y)
+    k0 = data.draw(st.integers(0, len(rows) - 1))
+    k1 = data.draw(st.integers(k0, min(k0 + 80, len(rows) - 1)))
+    A, B = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows[k0 : k1 + 1]))
+    m = slices._row_minima(A, B, D, S, y, slices._work(len(A)))[0].tolist()
+    w, curve = k1 - k0, slices._CURVE * S * S
+    for i, mk in enumerate(m):  # row k = k0 + i
+        assert (w - i) * m[0] + i * m[-1] - curve * i * (w - i) * w <= w * mk
+
+
+positive_fractions = st.fractions(0, 1, max_denominator=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(positive_fractions, positive_fractions, st.fractions(-2, 1, max_denominator=12),
+       st.fractions(0, Fraction(1, 8), max_denominator=24).filter(bool))
+def test_numerator_curvature_along_a_diagonal_is_bounded(a, b, c, h):
+    # the exact rational htilde, not the knot table: at fixed c, 162*a*b*htilde
+    # at (a - h, b + h), (a, b), (a + h, b - h) has a second difference of at
+    # most 2 * _CURVE * h^2 (htilde is symmetric in a and b)
+    points = [(a - h, b + h), (a, b), (a + h, b - h)]
+    assume(all(0 < p <= 1 and 0 < q <= 1 for p, q in points))
+    N = [162 * p * q * htilde(plane(min(p, q), max(p, q), c)) for p, q in points]
+    assert N[0] - 2 * N[1] + N[2] <= 2 * slices._CURVE * h * h
+
+
+_scan = functools.cache(grid_scan)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3, 10**9])
+@pytest.mark.parametrize("step", ["1/37", "2/75", "1/100"])
+def test_verify_grid_matches_grid_scan_at_every_stride(step, stride, monkeypatch):
+    D, S, y, M = _grid(step)
+    rows = []
+    real = slices._row_minima
+
+    def row_minima(A, *args):
+        rows.append(len(A))
+        return real(A, *args)
+
+    monkeypatch.setattr(slices, "_row_minima", row_minima)
+    monkeypatch.setattr(slices, "_STRIDE", stride)
+    report = verify_grid(Fraction(step))
+    got = (report.minimum, report.argmin, report.point_count, report.certified)
+    assert got == _scan(Fraction(step))
+    # every stride-th row of a diagonal and its last are coarse; the rest are screened
+    lengths = [t // 2 - max(t - M, 0) + 1 for t in range(2 * M + 1)]
+    coarse = sum(len(range(0, n, stride)) + ((n - 1) % stride > 0) for n in lengths)
+    assert coarse <= sum(rows) <= sum(lengths)
+    if stride in (2, 3):
+        assert sum(rows) < sum(lengths)  # the screen ruled rows out
+    if stride == 10**9:
+        assert sum(rows) > coarse  # and evaluated some it could not rule out
 
 
 def test_warm_grid_reuses_its_work_arrays():
