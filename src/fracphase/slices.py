@@ -25,22 +25,26 @@ integer quadratic on each of 41 pieces between sorted knots; the row's exact
 minimum over the grid's c values is among two candidates per piece: the grid
 points around a convex piece's vertex, else the piece's end points.
 
-Most rows never reach the kernel.  The rows with equal a + b form a diagonal
-and share their c values, and a step along it, (A, B) -> (A + S, B - S),
-moves each knot e*D + f*A + g*B by (f - g)*S.  So at each c the numerator is
-C^1 in the row position k with second derivative at most 2*_CURVE*S^2
-(_CURVE = 324 sums w*(f - g)^2 over the knots of positive weight), and for
-rows k0 < k < k1 with minima m0, m1 every c gives, by concavity of the
-numerator plus _CURVE*S^2*(k - k0)*(k1 - k), the bound
-((k1 - k)*m0 + (k - k0)*m1) / (k1 - k0) - _CURVE*S^2*(k - k0)*(k1 - k).
-The kernel takes every _STRIDE-th row of a diagonal and its last, then only
-the rows whose bound is not strictly above the least value found so far, so
-every minimizer is among them: at step 1/500, 1,888 of the 55,945 rows.
-Floats locate each vertex, exactly, and screen out rows and bounds above the
-least value by more than their rounding.  Every knot, piece coefficient and
-piece value fits in int64 while ``D <= _MAX_D`` (about 1.3e7; the derivation
-is at ``_MAX_D``); finer steps are rejected, and so are steps of more than
-``_MAX_ROWS`` rows.
+Few rows reach the kernel.  With y = D/3 and S = D*d, row (i, j) of the box
+0 <= i, j <= M = 2y // S has A = y + S*i, B = y + S*j (grid rows: i <= j) and
+takes C = -S*t .. y for a t >= i + j (i + j: its own c values).  At fixed X
+its numerator N = sum w*(K - X)_+^2 is q + r: q = sum over w > 0 of w*(K -
+X)^2 has the constant Hessian H = 2*sum_{w>0} w*(f, g)^T (f, g) = [[1224, 900],
+[900, 1224]] in (A, B), and r = -sum_{w>0} w*(K - X)_-^2 + sum_{w<0} w*(K -
+X)_+^2 is concave.  So at x = sum_c l_c*v_c in a cell with corners v_c, N(x) >=
+sum_c l_c*(N(v_c) - (v_c - x)^T H (v_c - x)/2), q's chord gap (the alpha-BB
+underestimator of Adjiman, Dallwig, Floudas and Neumaier, 1998).  At row x's
+minimizing X, inside the cell's widest c-range t = i1 + j1, N(v_c) is at least
+corner c's minimum m_c over that range, and H01 > 0 bounds the gap by
+S^2*(612*di^2 + 900*di*dj + 612*dj^2), di = i1 - i0, dj = j1 - j0.  The kernel
+cuts the box into _SPLIT x _SPLIT cells; breadth first it drops a cell if
+min m_c less that slack is above the least value for each row in it, and
+halves the rest.  Corner (i1, j1) takes its own c values, so single-row cells
+are exact.  About 1,000 rows are evaluated at any step.  Floats locate each
+vertex, exactly, and screen out rows and cells above the least value by more
+than their rounding.  Every knot, piece coefficient and piece value fits in
+int64, all over the box, while ``D <= _MAX_D`` (about 1.3e7; the derivation is
+at ``_MAX_D``); finer steps are rejected.
 """
 
 from __future__ import annotations
@@ -198,18 +202,17 @@ def _row_knots() -> np.ndarray:
 _W, _E, _F, _G = _row_knots()
 _BLOCK = 256  # grid rows per kernel call; its reused work arrays take 0.96 MiB
 _INT64_MAX = np.iinfo(np.int64).max
-# int64 range of the kernel.  0 < A <= B <= D puts every kappa in [-2D, D], so
-# |K| <= 6D (base knots 3*kappa; removed-cube knots lie in [-4D, 3D]), and the
-# grid's X = 3C lies in [-4D, D].  With sum |w| = 400 <= 8*5 + 56*9 = 544, a
-# piece's alpha = sum w, beta = sum w*K, gamma = sum w*K^2 obey |alpha| <= 544,
-# |beta| <= 3264*D, |gamma| <= 19584*D^2, so (alpha*X - 2*beta)*X + gamma
-# stays within (544*4 + 2*3264)*4*D^2 + 19584*D^2 = 54400*D^2; the vertex
-# numerator beta - alpha*X is within 5440*D.  Everything fits for D <= _MAX_D.
+# int64 range of the kernel.  0 < A, B <= D puts every kappa in [-2D, D], so
+# |K| <= 6D (base knots 3*kappa; removed-cube knots lie in [-4D, 3D]), and every
+# c-range the kernel takes has X = 3C in [-4D, D].  With sum |w| = 400 <= 8*5 +
+# 56*9 = 544, a piece's alpha = sum w, beta = sum w*K, gamma = sum w*K^2 obey
+# |alpha| <= 544, |beta| <= 3264*D, |gamma| <= 19584*D^2, so (alpha*X - 2*beta)*X
+# + gamma stays within (544*4 + 2*3264)*4*D^2 + 19584*D^2 = 54400*D^2; the
+# vertex numerator beta - alpha*X is within 5440*D.  All fit for D <= _MAX_D.
 _MAX_D = math.isqrt(_INT64_MAX // 54400)
-_MAX_ROWS = 10**8  # grid rows a step may have; step 1/21211 has 99,991,011
-_STRIDE = 64  # a diagonal's coarse rows: every _STRIDE-th, and its last
-_BATCH = 4096  # rows of whole diagonals laid out at a time
-_CURVE = int((np.maximum(_W, 0) * (_F - _G) ** 2).sum())  # see the module docstring
+_SPLIT = 16  # the first partition cuts each side of the row box into _SPLIT cells
+# (612, 450, 612): sum of w*(f^2, f*g, g^2) over w > 0, half of H in the module docstring
+_Q = tuple(int((np.maximum(_W, 0) * p).sum()) for p in (_F * _F, _F * _G, _G * _G))
 
 
 def _work(rows: int) -> tuple[np.ndarray, ...]:
@@ -223,9 +226,10 @@ def _work(rows: int) -> tuple[np.ndarray, ...]:
     return tuple(np.empty(shape, np.int64) for shape in shapes)
 
 
-def _row_minima(A: np.ndarray, B: np.ndarray, D: int, S: int, y: int, work):
-    """Exact minimum of htilde over C along the grid rows (A, B), given as columns.
+def _row_minima(A: np.ndarray, B: np.ndarray, t: np.ndarray, D: int, S: int, y: int, work):
+    """Exact minimum of the htilde numerator over C along the rows (A, B), given as columns.
 
+    Row (A, B) takes C = -S*t .. y in steps of S, for a column t >= (A + B - 2y)/S.
     In X = 3C the numerator N = 162*A*B*htilde = sum_j w_j * (K_j - X)_+^2 is
     the integer quadratic alpha*X^2 - 2*beta*X + gamma on each of the 41 pieces
     between the sorted knots, with alpha, beta, gamma the sums of w, w*K, w*K^2
@@ -237,9 +241,9 @@ def _row_minima(A: np.ndarray, B: np.ndarray, D: int, S: int, y: int, work):
     minimum of N and the smallest j attaining it.
     """
     terms, sums, bounds, X, vals = (a[..., : len(A), :] for a in work)
-    x0 = 3 * (2 * y - A - B)  # X at the row's first grid point
     T = 3 * S
-    last = (A + B - y) // S  # j of the row's last grid point
+    x0 = -T * t  # X at the row's first grid point
+    last = y // S + t  # j of the row's last grid point
     # sort the knots, carrying each one's table index in the low 6 bits
     K = (_F << 6) * A
     K += (_G << 6) * B + ((_E * D << 6) + np.arange(len(_W)))
@@ -286,62 +290,83 @@ def _row_minima(A: np.ndarray, B: np.ndarray, D: int, S: int, y: int, work):
     return m, (X.min(axis=(0, 2)) - x0[:, 0]) // T
 
 
-def _evaluate(best, A, B, D, S, y, work):
-    """``best`` and the kernel's rows (A, B), _BLOCK at a time: the least, and their minima.
+def _least(best, m, A, B, j):
+    """``best`` and the rows (N/(A*B), A, B, j) of minima m: the least, ties to the least (A, B, j).
 
-    ``best`` is (N/(A*B), A, B, j), so a tie goes to the least (A, B, j).
-    Screen: A*B <= D^2 < 2^53 is exact in float, and m and the division round
-    once each, so v is within 2^-52 of m/(A*B) relative.  A row above v_min +
-    2^-50 |v_min| (covering both rows' errors and the sum's rounding) exceeds
-    the block's least row; the rest are compared exactly.
+    Screen: A*B <= D^2 < 2^53 is exact in float, and m and the division round once
+    each, so v is within 2^-52 of m/(A*B) relative.  A row above v_min + 2^-50 |v_min|
+    (covering both rows' errors and the sum's rounding) exceeds the least row.
     """
-    ms = [np.empty(0, np.int64)]
-    for r in range(0, len(A), _BLOCK):
-        a, b = A[r : r + _BLOCK], B[r : r + _BLOCK]
-        m, j = _row_minima(a[:, None], b[:, None], D, S, y, work)
-        ms.append(m)
-        v = m / (a * b)
-        rows = zip(*(x[v <= v.min() + abs(v.min()) * 2.0**-50].tolist() for x in (m, a, b, j)))
-        best = min(best, *((Fraction(N, p * q), p, q, i) for N, p, q, i in rows))
-    return best, np.concatenate(ms)
+    v = m / (A * B)
+    rows = zip(*(x[v <= v.min() + abs(v.min()) * 2.0**-50].tolist() for x in (m, A, B, j)))
+    return min(best, *((Fraction(N, p * q), p, q, i) for N, p, q, i in rows))
 
 
-def _diagonal_min(args):
-    """Exact minimum of htilde over the diagonals ts of one task (ts, D, S, y).
+def _bounds(i0, i1, j0, j1, D, S, y, work):
+    """Lower bounds on N over the rows in the cells [i0, i1] x [j0, j1], and exact row minima.
 
-    Diagonal t holds the rows A = y + S*i, B = y + S*(t - i) with A <= B <= D,
-    at positions k = 0, 1, ... in ascending A, and is screened as the module
-    docstring says.  Whole diagonals are laid out about _BATCH rows at a time.
-    Returns (value, A, B, C, count): the task's minimum, its lexicographically
-    smallest grid point in 1/D units, and the number of grid points.
+    The bound is the least corner minimum over the cell's widest c-range,
+    t = i1 + j1, less the curvature slack of the module docstring.  A corner
+    that is a grid row and whose smallest minimizer lies in its own c-range,
+    as corner (i1, j1)'s always does, also gives its row's (m, A, B, j).
     """
-    ts, D, S, y = args
-    M = 2 * y // S  # b runs over y + S*(0 .. M)
-    t = np.array(ts, dtype=np.int64)
-    n = t // 2 - np.maximum(t - M, 0) + 1  # rows per diagonal
-    count = sum((n * (y // S + t + 1)).tolist())  # a row of diagonal t has y//S + t + 1 points
+    i, j, t = np.concatenate((i1, i0, i1, i0)), np.concatenate((j1, j1, j0, j0)), np.tile(i1 + j1, 4)
+    A, B = y + S * i, y + S * j
+    rows = [_row_minima(*(x[r : r + _BLOCK, None] for x in (A, B, t)), D, S, y, work)
+            for r in range(0, len(A), _BLOCK)]
+    m, k = (np.concatenate(x) for x in zip(*rows))
+    k -= t - i - j  # counted from the corner's own first grid point
+    own = (i <= j) & (k >= 0)
+    di, dj = i1 - i0, j1 - j0
+    slack = S * S * ((_Q[0] * di + 2 * _Q[1] * dj) * di + _Q[2] * dj * dj)
+    return m.reshape(4, -1).min(axis=0), slack, (m[own], A[own], B[own], k[own])
+
+
+def _cells_min(args):
+    """Exact minimum of htilde over the grid rows in the cells of one task (cells, D, S, y).
+
+    A cell (i0, i1, j0, j1) holds the rows A = y + S*i, B = y + S*j with
+    i0 <= i <= i1, j0 <= j <= j1 and i <= j, corner (i1, j1) among them.
+    Breadth first, each cell is bounded, dropped if its bound is above the
+    least value for each of its rows, and else halved along each side longer
+    than one row.  Returns (value, A, B, C): the least value and its smallest
+    grid point in 1/D units.
+    """
+    cells, D, S, y = args
+    c = np.array(cells, dtype=np.int64).reshape(-1, 4).T
     best, work = (math.inf,), _work(_BLOCK)
-    for t in filter(len, np.split(t, np.cumsum(n).searchsorted(range(_BATCH, n.sum(), _BATCH)))):
-        n = t // 2 - np.maximum(t - M, 0) + 1
-        k = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
-        A = y + S * (np.repeat(np.maximum(t - M, 0), n) + k)
-        B = 2 * y + S * np.repeat(t, n) - A
-        coarse = (k % _STRIDE == 0) | (k == np.repeat(n - 1, n))
-        best, m = _evaluate(best, A[coarse], B[coarse], D, S, y, work)
-        c = np.cumsum(coarse)[~coarse]  # the other rows lie between coarse rows c - 1 and c
-        k0, k1, k = k[coarse][c - 1], k[coarse][c], k[~coarse]
-        m0, m1 = m[c - 1].astype(float), m[c].astype(float)
-        P = (m0 * (k1 - k) + m1 * (k - k0)) / (k1 - k0)
-        Q = float(_CURVE * S * S) * ((k - k0) * (k1 - k))
-        A, B = A[~coarse], B[~coarse]
-        R = float(best[0]) * (A * B)
-        # Prune where P - Q > R: the bound is above the least value.  In float,
-        # P - Q - R is within 8 * 2^-53 (|m0| + |m1| + Q + |R|) of its exact
-        # value, so a margin of 2^-46 times that sum prunes only exactly.
-        keep = P - Q - R <= 2.0**-46 * (abs(m0) + abs(m1) + Q + abs(R))
-        best = _evaluate(best, A[keep], B[keep], D, S, y, work)[0]
+    while c.size:
+        low, slack, rows = _bounds(*c, D, S, y, work)
+        best = _least(best, *rows)
+        # Drop a cell if low - slack > best*A*B for each of its rows: at its
+        # largest A*B if best > 0, else at its smallest.  In float the
+        # difference is within 8 * 2^-53 (|low| + slack + |R|) of its exact
+        # value, so beyond 2^-46 times that sum it decides; otherwise ints do.
+        v = best[0]
+        A0, A1, B0, B1 = y + S * c
+        AB = A1 * B1 if v > 0 else A0 * B0
+        R = float(v) * AB
+        diff, err = low - (slack + R), 2.0**-46 * (abs(low) + (slack + abs(R)))
+        keep = (diff <= err) & ((c[0] < c[1]) | (c[2] < c[3]))  # a single row is done
+        for k in np.flatnonzero(keep & (diff >= -err)).tolist():
+            keep[k] = (int(low[k]) - int(slack[k])) * v.denominator <= v.numerator * int(AB[k])
+        c = c[:, keep]
+        for a in (0, 2):  # halve the sides [c[a], c[a + 1]] longer than one row
+            mid, cut = (c[a] + c[a + 1]) // 2, c[a] < c[a + 1]
+            upper = c[:, cut]
+            upper[a] = mid[cut] + 1
+            c[a + 1] = mid
+            c = np.concatenate((c, upper), axis=1)
+        c = c[:, c[0] <= c[3]]  # the cells with a grid row
     value, A, B, j = best
-    return value / 162, A, B, 2 * y - A - B + S * j, count
+    return value / 162, A, B, 2 * y - A - B + S * j
+
+
+def _first_cells(M: int) -> list:
+    """Each side of the row box 0 <= i, j <= M cut into _SPLIT runs: the cells with a grid row."""
+    n = min(_SPLIT, M + 1)
+    e = [(M + 1) * k // n for k in range(n + 1)]
+    return [(e[p], e[p + 1] - 1, e[q], e[q + 1] - 1) for p in range(n) for q in range(p, n)]
 
 
 def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
@@ -351,8 +376,8 @@ def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
     same way; c from 2/3 - (a + b) stepping d_hat while it stays <= 1/3.
     Certifies global nonnegativity on the grid-covered region iff the exact
     minimum m satisfies m > 0 and m^2 > 675 * d_hat^2.  ``workers`` deals the
-    diagonals out in turn to that many processes, at most ``os.cpu_count()``
-    because the pool starts them all at once.
+    cells of the first partition out in turn to that many processes, at most
+    ``os.cpu_count()`` because the pool starts them all at once.
     """
     d = check_rational(d_hat, "grid step")
     if not 0 < d <= _THIRD:
@@ -366,29 +391,24 @@ def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
             "int64 grid kernel evaluates exactly"
         )
     S = 3 * d.numerator  # grid step in units of 1/D
-    M = 2 * y // S  # a and b run over y + S*(0 .. M), so diagonals t = 0 .. 2M
-    if (M + 1) * (M + 2) // 2 > _MAX_ROWS:
-        raise InputError(
-            f"grid step {d} has {(M + 1) * (M + 2) // 2} grid rows, more than the "
-            f"budget of {_MAX_ROWS} rows"
-        )
+    M = 2 * y // S  # a and b run over y + S*(0 .. M)
     start = time.monotonic()
-    # Neighbouring diagonals differ by at most one row, so dealt out in turn they balance.
-    tasks = [(range(t, 2 * M + 1, workers), D, S, y) for t in range(2 * M + 1)[:workers]]
+    cells = _first_cells(M)
+    tasks = [(cells[w::workers], D, S, y) for w in range(len(cells))[:workers]]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_diagonal_min, tasks))
+            results = list(pool.map(_cells_min, tasks))
     else:
-        results = [_diagonal_min(t) for t in tasks]
+        results = [_cells_min(t) for t in tasks]
 
-    best_val, A, B, C, _ = min(results, key=lambda r: r[:4])  # ties: least (A, B, C)
-    argmin = (Fraction(A, D), Fraction(B, D), Fraction(C, D))
+    best_val, A, B, C = min(results)  # ties: least (A, B, C)
     certified = best_val > 0 and best_val**2 > 675 * d**2
     return VerificationReport(
         d_hat=d,
-        point_count=sum(r[4] for r in results),
+        # row (i, j) has y//S + i + j + 1 points, and i + j sums to M(M+1)(M+2)/2
+        point_count=(M + 1) * (M + 2) * (y // S + 1 + M) // 2,
         minimum=best_val,
-        argmin=argmin,
+        argmin=(Fraction(A, D), Fraction(B, D), Fraction(C, D)),
         certified=certified,
         wall_time=time.monotonic() - start,
         workers=workers,

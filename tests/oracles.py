@@ -171,30 +171,35 @@ def grid_scan(d: Fraction):
     return minimum, argmin, count, minimum > 0 and minimum**2 > 675 * d**2
 
 
-def diagonal_rows(ts, D, S, y) -> list:
-    """The grid rows (A, B) with (A + B - 2y) / S in ts, in ascending (A, B)."""
-    sums = [2 * y + S * t for t in ts]
-    return sorted((A, s - A) for s in sums for A in range(y, s // 2 + 1, S) if s - A <= D)
+def cell_rows(cells, S, y) -> list:
+    """The grid rows (A, B), A <= B, of the cells (i0, i1, j0, j1), in ascending (A, B)."""
+    rows = {
+        (y + S * i, y + S * j)
+        for i0, i1, j0, j1 in cells
+        for i in range(i0, i1 + 1)
+        for j in range(max(i, j0), j1 + 1)
+    }
+    return sorted(rows)
 
 
-def diagonal_min_exact(args):
-    """slices._diagonal_min without batches, blocks, the row screen or the float screen.
+def cells_min_exact(args):
+    """slices._cells_min without blocks, the branch and bound or the float screen.
 
-    The kernel takes every row of the diagonals of the task (ts, D, S, y) in one
-    call, in ascending (A, B), and every row's minimum is compared with the best
-    so far in cross-multiplied ints.
+    The kernel takes every grid row of the cells of the task (cells, D, S, y)
+    in one call, over its own c values, in ascending (A, B), and every row's
+    minimum is compared with the best so far in cross-multiplied ints.
     """
-    ts, D, S, y = args
-    rows = diagonal_rows(ts, D, S, y)
+    cells, D, S, y = args
+    rows = cell_rows(cells, S, y)
     A, B = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows))
-    m, j = slices._row_minima(A, B, D, S, y, slices._work(len(rows)))
+    t = (A + B - 2 * y) // S
+    m, j = slices._row_minima(A, B, t, D, S, y, slices._work(len(rows)))
     best = None  # (N, A, B, j) with value N / (162*A*B)
     for row in zip(m.tolist(), A[:, 0].tolist(), B[:, 0].tolist(), j.tolist()):
         if best is None or row[0] * best[1] * best[2] < best[0] * row[1] * row[2]:
             best = row
-    count = sum(len(range(2 * y - A - B, y + 1, S)) for A, B in rows)
     N, A, B, j = best
-    return Fraction(N, 162 * A * B), A, B, 2 * y - A - B + S * j, count
+    return Fraction(N, 162 * A * B), A, B, 2 * y - A - B + S * j
 
 
 def sample_nonnegativity(region: str, count: int, seed: int) -> list:

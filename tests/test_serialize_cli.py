@@ -389,9 +389,9 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
     for n in ("10000", "10000000"):
         exits_with_input_error(["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "0.5",
                                 "--n", n], f"needs 3^{n} words, budget is 1000000")
-    # within the int64 range of the grid kernel, but 4.19e12 grid rows
-    exits_with_input_error(["verify-slice", "--step", "1/4340344"],
-                           "more than the budget of 100000000 rows")
+    # one past the int64 range of the grid kernel, the only limit on the step
+    exits_with_input_error(["verify-slice", "--step", "1/4340345"],
+                           "grid step denominator 4340345 exceeds 4340344")
     # L^n = 3^700 is past the float range whatever t is, so the message names n
     for t in ("0", "0.01", "0.5"):
         exits_with_input_error(["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", t,

@@ -29,9 +29,9 @@ from fracphase.slices import (
     verify_grid,
 )
 from oracles import (
+    cell_rows,
+    cells_min_exact,
     clip_area,
-    diagonal_min_exact,
-    diagonal_rows,
     grid_scan,
     htilde_oracle,
     sample_nonnegativity,
@@ -203,24 +203,24 @@ def test_row_knots_are_merged_within_the_int64_derivation():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.integers(3, 20), st.data())
 def test_row_minima_match_brute_force(k, n, data):
-    # each row's minimum numerator and its smallest minimizing j, for rows of
-    # several a-slices in one kernel call, against htilde at every grid point
+    # each row's minimum numerator and its smallest minimizing j, for rows all
+    # over the box 0 <= i, j <= M in one kernel call, against htilde at every
+    # point of the row's c-range: its own c values extended downwards by up to
+    # 2M - i - j steps, as a cell corner takes them.  Rows with A > B are no
+    # grid rows; htilde is symmetric in a and b
     d = Fraction(k, n)
     assume(d <= Fraction(1, 3))
-    y, S = d.denominator, 3 * d.numerator
-    D = 3 * y
-    a_slices = data.draw(st.sets(st.sampled_from(range(y, D + 1, S)), min_size=1, max_size=3))
-    rows = [(A, B) for A in sorted(a_slices) for B in range(A, D + 1, S)]
-    A, B = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows))
+    D, S, y, M = _grid(d)
+    ij = data.draw(st.lists(st.tuples(st.integers(0, M), st.integers(0, M)), min_size=1, max_size=12))
+    rows = [(y + S * i, y + S * j, data.draw(st.integers(i + j, 2 * M))) for i, j in ij]
+    A, B, t = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows))
     work = slices._work(len(rows))
     for a in work:
         a.fill(12345)  # stale values of an earlier call must not leak in
-    m, j = slices._row_minima(A, B, D, S, y, work)
-    for (A, B), got_m, got_j in zip(rows, m.tolist(), j.tolist()):
-        N = [
-            162 * A * B * htilde(plane(Fraction(A, D), Fraction(B, D), Fraction(C, D)))
-            for C in range(2 * y - A - B, y + 1, S)
-        ]
+    m, j = slices._row_minima(A, B, t, D, S, y, work)
+    for (A, B, t), got_m, got_j in zip(rows, m.tolist(), j.tolist()):
+        a, b = sorted((Fraction(A, D), Fraction(B, D)))
+        N = [162 * A * B * htilde(plane(a, b, Fraction(C, D))) for C in range(-S * t, y + 1, S)]
         assert (got_m, got_j) == (min(N), N.index(min(N)))
 
 
@@ -292,22 +292,19 @@ def test_verify_grid_rejects_bad_step(monkeypatch):
 
 
 def test_verify_grid_rejects_steps_past_the_row_budget(monkeypatch):
+    # the int64 range of the kernel is the only limit on the step: 1/4340344
+    # is the finest 1/n, and 1/4340345 is rejected before any work starts
     def no_work(*args, **kwargs):
         pytest.fail("the grid started work")
 
-    monkeypatch.setattr(slices, "_diagonal_min", no_work)
+    monkeypatch.setattr(slices, "_cells_min", no_work)
     monkeypatch.setattr(slices, "ProcessPoolExecutor", no_work)
-    # both within the int64 range of the kernel: 1/4340344 has 4.19e12 rows,
-    # 1/21212 has 14142 b values, so 14142 * 14143 / 2 = 100,005,153 rows
-    for step in ("1/4340344", "1/21212"):
-        with pytest.raises(InputError, match="more than the budget of 100000000 rows"):
+    assert slices._MAX_D // 3 == 4_340_344
+    for step in ("1/4340345", "2/8680691"):
+        with pytest.raises(InputError, match="exceeds 4340344"):
             verify_grid(Fraction(step))
-    # 1/21211 has 99,991,011 rows; 1/30 has 21 b values, so 231 rows
-    monkeypatch.setattr(slices, "_diagonal_min", lambda task: (Fraction(1), 1, 1, 0, 0))
-    assert verify_grid(Fraction(1, 21211)).minimum == 1
-    monkeypatch.setattr(slices, "_MAX_ROWS", 230)
-    with pytest.raises(InputError, match="231 grid rows"):
-        verify_grid(Fraction(1, 30))
+    monkeypatch.setattr(slices, "_cells_min", lambda task: (Fraction(1), 1, 1, 0))
+    assert verify_grid(Fraction(1, 4_340_344)).minimum == 1
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -317,14 +314,34 @@ def test_fine_grids_keep_their_minima(workers):
         ("1/500", "62509/1125000", "83/500", 27_972_500),
         ("1/1000", "250009/4500000", "167/1000", 222_778_000),
         ("2/1001", "501113/9018009", "166/1001", 27_972_500),
+        ("1/4000", "4000009/72000000", "667/4000", 14_231_112_000),
+        ("1/8000", "16000009/288000000", "1333/8000", 113_827_560_000),
+        ("1/21211", "224953265/4049158689", "3535/21211", 2_120_909_334_321),
     ):
         report = verify_grid(Fraction(step), workers)
         got = (report.minimum, report.argmin, report.point_count, report.certified)
         assert got == (Fraction(minimum), (third, third, Fraction(c)), count, True)
 
 
+def _kernel_rows(monkeypatch):
+    """A list that gets the number of rows of every kernel call from now on."""
+    rows, real = [], slices._row_minima
+    monkeypatch.setattr(slices, "_row_minima", lambda A, *args: rows.append(len(A)) or real(A, *args))
+    return rows
+
+
+def test_grid_work_does_not_grow_with_the_grid(monkeypatch):
+    # 1/21211 has 1.0e8 grid rows and 1/4340344, the finest step, 4.2e12
+    rows = _kernel_rows(monkeypatch)
+    for step in (Fraction(1, 21211), Fraction(1, 4_340_344)):
+        rows.clear()
+        verify_grid(step)
+        assert 0 < sum(rows) <= 2000
+
+
 def test_grid_memory_does_not_grow_with_the_grid():
-    # diagonals are laid out a batch at a time, and 1/2000 has 16x the rows of 1/500
+    # the cells of one level are all that is laid out at a time, and 1/2000
+    # has 16x the rows of 1/500, 1/21211 1,787x
     def peak(step):
         tracemalloc.start()
         try:
@@ -333,7 +350,9 @@ def test_grid_memory_does_not_grow_with_the_grid():
         finally:
             tracemalloc.stop()
 
-    assert peak(Fraction(1, 2000)) <= 1.5 * peak(Fraction(1, 500))
+    least = peak(Fraction(1, 500))
+    assert peak(Fraction(1, 2000)) <= 1.5 * least
+    assert peak(Fraction(1, 21211)) <= 1.5 * least
 
 
 def _grid(step):
@@ -342,173 +361,188 @@ def _grid(step):
     return 3 * y, S, y, 2 * y // S  # D, S, y and M: a and b run over y + S*(0 .. M)
 
 
-def _smallest_minimizer(ts, D, S, y):
-    """(value, A, B, C, count) of the diagonals ts, from htilde at every grid point."""
-    points = [
-        (A, B, C) for A, B in diagonal_rows(ts, D, S, y) for C in range(2 * y - A - B, y + 1, S)
-    ]
+def _split_cells(M, split, monkeypatch):
+    monkeypatch.setattr(slices, "_SPLIT", split)
+    return slices._first_cells(M)
+
+
+def _smallest_minimizer(cells, D, S, y):
+    """(value, A, B, C) of the grid rows in cells, from htilde at every grid point."""
+    points = [(A, B, C) for A, B in cell_rows(cells, S, y) for C in range(2 * y - A - B, y + 1, S)]
     values = [htilde(plane(*(Fraction(x, D) for x in p))) for p in points]
     best = min(values)
-    return (best, *points[values.index(best)], len(points)), values.count(best)
+    return (best, *points[values.index(best)]), values.count(best)
 
 
 @pytest.mark.parametrize("step", ["1/6", "1/12"])
 def test_slice_minima_take_the_smallest_tied_point(step, monkeypatch):
     # both steps have rows whose minimum is attained at two c; at 1/6 the rows
-    # (a, b) = (1/2, 5/6) and (1/2, 1), on diagonals 4 and 5, attain it too
+    # (a, b) = (1/2, 5/6) and (1/2, 1) attain it too.  Each first cell, all of
+    # them and every other one, at one first cell up to single-row cells
     D, S, y, M = _grid(step)
-    tasks = [[t] for t in range(2 * M + 1)] + [range(2 * M + 1), range(1, 2 * M + 1, 2)]
     ties = 0
-    for ts in tasks:
-        expected, count = _smallest_minimizer(ts, D, S, y)
-        ties += count > 1
-        for stride in (1, 2, 3, 64):
-            monkeypatch.setattr(slices, "_STRIDE", stride)
-            assert slices._diagonal_min((ts, D, S, y)) == expected
+    for split in (1, 2, 3, 10**9):
+        cells = _split_cells(M, split, monkeypatch)
+        for task in [[c] for c in cells] + [cells, cells[1::2]]:
+            if not task:
+                continue
+            expected, count = _smallest_minimizer(task, D, S, y)
+            ties += count > 1
+            assert slices._cells_min((task, D, S, y)) == expected
     assert ties >= 3
 
 
 @settings(max_examples=60, deadline=None)
-@example(k=1, n=6, block=1, batch=1, stride=2, picks={4, 5})  # tied rows on diagonals 4, 5
-@example(k=1, n=6, block=3, batch=3, stride=1, picks={0, 4, 5})
-@example(k=2, n=75, block=7, batch=40, stride=3, picks={20, 21, 40})
+@example(k=1, n=6, block=1, split=10**9, picks={7, 8})  # the tied rows (1/2, 5/6), (1/2, 1)
+@example(k=1, n=6, block=3, split=2, picks={0, 1, 2})
+@example(k=2, n=75, block=7, split=1, picks={0})
 @given(
     st.integers(1, 3),
     st.integers(3, 80),
     st.integers(1, 7),
-    st.integers(1, 80),
-    st.sampled_from([1, 2, 3, 5, 64]),
-    st.sets(st.integers(0, 120), min_size=1, max_size=4),
+    st.sampled_from([1, 2, 3, 5, 16, 10**9]),
+    st.sets(st.integers(0, 200), min_size=1, max_size=4),
 )
-def test_screened_slice_minima_match_the_exact_loop(k, n, block, batch, stride, picks):
+def test_screened_slice_minima_match_the_exact_loop(k, n, block, split, picks):
     # blocks of 1-7 rows leave partial last blocks and put tied rows in
-    # different blocks, and small batches split the diagonals every few rows;
-    # the oracle compares every row exactly in one block
+    # different kernel calls; the oracle compares every row exactly in one call
     d = Fraction(k, n)
     assume(d <= Fraction(1, 3))
     D, S, y, M = _grid(d)
-    task = (sorted({i % (2 * M + 1) for i in picks}), D, S, y)
     with pytest.MonkeyPatch.context() as mp:
-        for name, value in (("_BLOCK", block), ("_BATCH", batch), ("_STRIDE", stride)):
-            mp.setattr(slices, name, value)
-        assert slices._diagonal_min(task) == diagonal_min_exact(task)
+        cells = _split_cells(M, split, mp)
+        task = ([cells[i % len(cells)] for i in sorted(picks)], D, S, y)
+        mp.setattr(slices, "_BLOCK", block)
+        assert slices._cells_min(task) == cells_min_exact(task)
 
 
 def test_screen_keeps_exact_ties_whose_floats_differ(monkeypatch):
-    # past 2^53 a row minimum m rounds to float: here every row's m / (A*B)
-    # is c/3 exactly, yet row 0's float quotient is above the least one
+    # past 2^53 a row minimum m rounds to float: here every row's m / (A*B) is
+    # c/3 exactly, at every c-range, yet the float quotient of the least row
+    # (A, B) = (99, 99) is above the least one.  No cell can be ruled out, so
+    # every row is evaluated, at one first cell and at single-row cells
     c = 2**45 + 1
     monkeypatch.setattr(
         slices, "_row_minima", lambda A, B, *_: ((c * (A * B // 3))[:, 0], np.zeros(len(A), int))
     )
-    A, B = (np.array(col) for col in zip(*diagonal_rows([58], 297, 3, 99)))
+    D, S, y, M = _grid(Fraction(1, 99))
+    A, B = (np.array(col) for col in zip(*cell_rows([(0, M, 0, M)], S, y)))
     v = (c * (A * B // 3)) / (A * B)
-    assert len(A) <= slices._BLOCK and v[0] > v.min()
-    for stride in (1, 2, 64):  # all rows in one kernel call; coarse and screened rows
-        monkeypatch.setattr(slices, "_STRIDE", stride)
-        got = slices._diagonal_min(([58], 297, 3, 99))[:4]
-        assert got == (Fraction(c, 3 * 162), 99, 273, -174)
+    assert (A[0], B[0]) == (99, 99) and v[0] > v.min()
+    for split in (1, 10**9):
+        got = slices._cells_min((_split_cells(M, split, monkeypatch), D, S, y))
+        assert got == (Fraction(c, 3 * 162), 99, 99, 0)
 
 
 def test_screen_keeps_a_row_whose_bound_equals_the_least_value(monkeypatch):
-    # rows k = 0, 1, 2 of one diagonal, with stride 2: row 1 is screened, its
-    # bound (m0 + m2)/2 - _CURVE*S^2 is exactly m1, and m1/(A1*B1) equals
-    # m2/(A2*B2), the least coarse value.  Row 1 must be evaluated and win the
-    # tie on its smaller A; with curvature 0 it would be pruned
+    # cells (i, j) in [5, 5] x [6, 6] and [1, 3] x [4, 6] at step 1/9.  On its
+    # own c-range row (5, 6) takes N = A*B, value 1, and so does the second
+    # cell's middle row (2, 5), (A, B) = (15, 24); its other rows take 10^6
+    # more.  Over a wider c-range every row takes 18*27 + S^2 (612 + 2*450 +
+    # 612)*2^2, so the second cell's bound is exactly 1 * 18*27, at its largest
+    # A*B.  It must be kept, and row (2, 5) must win the tie on its smaller A.
+    # With curvature 0, a bound equal to the least value ruled out, or corners
+    # taken over their own c-ranges, the cell would be dropped
     D, S, y, M = _grid(Fraction(1, 9))
-    t = 4  # rows (A, B) = (9, 21), (12, 18), (15, 15)
-    monkeypatch.setattr(slices, "_STRIDE", 2)
-    real = slices._row_minima
-    extra = {9: 650 * S * S}  # row 0 lies above the others
+    wide = 18 * 27 + S * S * (612 + 2 * 450 + 612) * 2**2
 
-    def row_minima(A, B, *args):
-        m, j = real(A, B, *args)
-        return (A * B)[:, 0] + [extra.get(a, 0) for a in A[:, 0].tolist()], j
+    def row_minima(A, B, t, *args):
+        own = (A + B - 2 * y) // S == t
+        m = np.where(own, A * B + 10**6 * ((A < 24) & (A * B != 15 * 24)), wide)
+        return m[:, 0], np.zeros(len(A), int)
 
     monkeypatch.setattr(slices, "_row_minima", row_minima)
-    assert slices._CURVE == 324  # row 0's excess 650 S^2 = 2 * 324 S^2 + 2 S^2
-    value, A, B, _, _ = slices._diagonal_min(([t], D, S, y))
-    assert (value, A, B) == (Fraction(1, 162), 12, 18)
+    assert slices._Q == (612, 450, 612)
+    got = slices._cells_min(([(5, 5, 6, 6), (1, 3, 4, 6)], D, S, y))
+    assert got == (Fraction(1, 162), 15, 24, 2 * y - 15 - 24)
 
 
 def test_curvature_constant_recomputed_from_the_tables():
     # 162*A*B*htilde = sum over base knots 3*kappa of weight 5*sigma and removed-cube
-    # knots kappa - u*A - v*B + w*D of weight -9*sigma; along a diagonal a knot
-    # e*D + f*A + g*B moves by (f - g)*S a step.  Equal knots add their weights.
+    # knots kappa - u*A - v*B + w*D of weight -9*sigma, at fixed X a sum of
+    # w * (K - X)_+^2 with K = e*D + f*A + g*B.  Equal knots add their weights.
     weights = {}
     for s, e, f, g in _SLICE_KNOTS:
         knots = [((3 * e, 3 * f, 3 * g), 5 * s)]
         knots += [((e + w, f - u, g - v), -9 * s) for u, v, w in REMOVED_CORNERS]
         for knot, weight in knots:
             weights[knot] = weights.get(knot, 0) + weight
-    moves = [(w, (f - g) ** 2) for (e, f, g), w in weights.items()]
-    # the positive terms bound the second derivative; with every term active
-    # the numerator is the zero area of an empty slice, so the signs balance
-    up = sum(w * q for w, q in moves if w > 0)
-    assert up == sum(-w * q for w, q in moves if w < 0) == slices._CURVE == 324
+    # the full squares of positive weight have Hessian H = 2 * sum w (f, g)^T (f, g)
+    # in (A, B); with every term active the numerator is the zero area of an
+    # empty slice, so the negative terms balance it
+    H = [[2 * sum(w * knot[p] * knot[q] for knot, w in weights.items() if w > 0) for q in (1, 2)]
+         for p in (1, 2)]
+    down = [[2 * sum(-w * knot[p] * knot[q] for knot, w in weights.items() if w < 0) for q in (1, 2)]
+            for p in (1, 2)]
+    assert H == down == [[1224, 900], [900, 1224]]
+    assert slices._Q == (H[0][0] // 2, H[0][1] // 2, H[1][1] // 2)
+    # along a + b = const, h = (1, -1): h^T H h = 648, twice the 324 of the diagonal screen
+    assert H[0][0] - 2 * H[0][1] + H[1][1] == 648
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 7), st.integers(3, 4_340_344), st.data())
-def test_diagonal_bound_is_below_every_row_between(k, n, data):
-    # over rows k0 < k < k1 of one diagonal, with any coarse rows k0 and k1,
-    # ((k1-k)*m(k0) + (k-k0)*m(k1))/(k1-k0) - _CURVE*S^2*(k-k0)*(k1-k) <= m(k)
+@example(k=1, n=70, i=36, j=1, di=7, dj=4)  # with curvature 0 these bounds are above a row
+@example(k=3, n=52, i=1, j=7, di=0, dj=4)
+@example(k=2, n=283, i=74, j=10, di=10, dj=7)
+@given(st.integers(1, 7), st.integers(3, 4_340_344), st.integers(0, 2**23), st.integers(0, 2**23),
+       st.integers(0, 24), st.integers(0, 24))
+def test_cell_bound_is_below_every_row_inside(k, n, i, j, di, dj):
+    # for any cell [i0, i1] x [j0, j1] of the box 0 <= i, j <= M, rows with
+    # i > j included, the bound of _bounds is at most the exact minimum of
+    # every row inside over the row's own c-range
     d = Fraction(k, n)
     assume(d <= Fraction(1, 3))
     D, S, y, M = _grid(d)
-    rows = diagonal_rows([data.draw(st.integers(0, 2 * M))], D, S, y)
-    k0 = data.draw(st.integers(0, len(rows) - 1))
-    k1 = data.draw(st.integers(k0, min(k0 + 80, len(rows) - 1)))
-    A, B = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows[k0 : k1 + 1]))
-    m = slices._row_minima(A, B, D, S, y, slices._work(len(A)))[0].tolist()
-    w, curve = k1 - k0, slices._CURVE * S * S
-    for i, mk in enumerate(m):  # row k = k0 + i
-        assert (w - i) * m[0] + i * m[-1] - curve * i * (w - i) * w <= w * mk
+    i0, j0 = i % (M + 1), j % (M + 1)
+    i1, j1 = min(i0 + di, M), min(j0 + dj, M)
+    low, slack, _ = slices._bounds(*(np.array([x]) for x in (i0, i1, j0, j1)), D, S, y, slices._work(4))
+    rows = [(y + S * i, y + S * j, i + j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
+    A, B, t = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows))
+    m = slices._row_minima(A, B, t, D, S, y, slices._work(len(rows)))[0]
+    assert int(low[0]) - int(slack[0]) <= min(m.tolist())
 
 
 positive_fractions = st.fractions(0, 1, max_denominator=12)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(positive_fractions, positive_fractions, st.fractions(-2, 1, max_denominator=12),
-       st.fractions(0, Fraction(1, 8), max_denominator=24).filter(bool))
-def test_numerator_curvature_along_a_diagonal_is_bounded(a, b, c, h):
+       st.fractions(-Fraction(1, 8), Fraction(1, 8), max_denominator=24),
+       st.fractions(-Fraction(1, 8), Fraction(1, 8), max_denominator=24))
+def test_numerator_curvature_in_any_direction_is_bounded(a, b, c, ha, hb):
     # the exact rational htilde, not the knot table: at fixed c, 162*a*b*htilde
-    # at (a - h, b + h), (a, b), (a + h, b - h) has a second difference of at
-    # most 2 * _CURVE * h^2 (htilde is symmetric in a and b)
-    points = [(a - h, b + h), (a, b), (a + h, b - h)]
+    # at (a, b) - h, (a, b), (a, b) + h has a second difference of at most
+    # h^T H h for every direction h = (ha, hb) (htilde is symmetric in a and b)
+    points = [(a - ha, b - hb), (a, b), (a + ha, b + hb)]
     assume(all(0 < p <= 1 and 0 < q <= 1 for p, q in points))
     N = [162 * p * q * htilde(plane(min(p, q), max(p, q), c)) for p, q in points]
-    assert N[0] - 2 * N[1] + N[2] <= 2 * slices._CURVE * h * h
+    Q00, Q01, Q11 = slices._Q
+    assert N[0] - 2 * N[1] + N[2] <= 2 * (Q00 * ha * ha + 2 * Q01 * ha * hb + Q11 * hb * hb)
 
 
 _scan = functools.cache(grid_scan)
 
 
-@pytest.mark.parametrize("stride", [1, 2, 3, 10**9])
+@pytest.mark.parametrize("split", [1, 2, 3, 10**9])
 @pytest.mark.parametrize("step", ["1/37", "2/75", "1/100"])
-def test_verify_grid_matches_grid_scan_at_every_stride(step, stride, monkeypatch):
+def test_verify_grid_matches_grid_scan_at_every_stride(step, split, monkeypatch):
+    # the first partition cuts each side of the row box into `split` cells: one
+    # first cell, 2 or 3 a side, or single-row cells
     D, S, y, M = _grid(step)
-    rows = []
-    real = slices._row_minima
+    singles, real = [], slices._bounds
 
-    def row_minima(A, *args):
-        rows.append(len(A))
-        return real(A, *args)
+    def bounds(i0, i1, j0, j1, *args):
+        singles.append(int(((i0 == i1) & (j0 == j1)).sum()))
+        return real(i0, i1, j0, j1, *args)
 
-    monkeypatch.setattr(slices, "_row_minima", row_minima)
-    monkeypatch.setattr(slices, "_STRIDE", stride)
+    monkeypatch.setattr(slices, "_bounds", bounds)
+    monkeypatch.setattr(slices, "_SPLIT", split)
     report = verify_grid(Fraction(step))
     got = (report.minimum, report.argmin, report.point_count, report.certified)
     assert got == _scan(Fraction(step))
-    # every stride-th row of a diagonal and its last are coarse; the rest are screened
-    lengths = [t // 2 - max(t - M, 0) + 1 for t in range(2 * M + 1)]
-    coarse = sum(len(range(0, n, stride)) + ((n - 1) % stride > 0) for n in lengths)
-    assert coarse <= sum(rows) <= sum(lengths)
-    if stride in (2, 3):
-        assert sum(rows) < sum(lengths)  # the screen ruled rows out
-    if stride == 10**9:
-        assert sum(rows) > coarse  # and evaluated some it could not rule out
+    # each grid row is in one single-row cell at most, unless a cell holding it was dropped
+    grid_rows = (M + 1) * (M + 2) // 2
+    assert sum(singles) == grid_rows if split == 10**9 else 0 < sum(singles) < grid_rows / 4
 
 
 def test_warm_grid_reuses_its_work_arrays():
