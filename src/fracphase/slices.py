@@ -35,16 +35,20 @@ X)_+^2 is concave.  So at x = sum_c l_c*v_c in a cell with corners v_c, N(x) >=
 sum_c l_c*(N(v_c) - (v_c - x)^T H (v_c - x)/2), q's chord gap (the alpha-BB
 underestimator of Adjiman, Dallwig, Floudas and Neumaier, 1998).  At row x's
 minimizing X, inside the cell's widest c-range t = i1 + j1, N(v_c) is at least
-corner c's minimum m_c over that range, and H01 > 0 bounds the gap by
-S^2*(612*di^2 + 900*di*dj + 612*dj^2), di = i1 - i0, dj = j1 - j0.  The kernel
-cuts the box into _SPLIT x _SPLIT cells; breadth first it drops a cell if
-min m_c less that slack is above the least value for each row in it, and
-halves the rest.  Corner (i1, j1) takes its own c values, so single-row cells
-are exact.  About 1,000 rows are evaluated at any step.  Floats locate each
-vertex, exactly, and screen out rows and cells above the least value by more
-than their rounding.  Every knot, piece coefficient and piece value fits in
-int64, all over the box, while ``D <= _MAX_D`` (about 1.3e7; the derivation is
-at ``_MAX_D``); finer steps are rejected.
+corner c's minimum m_c over any range t' >= t, which holds those grid points,
+and H01 > 0 bounds the gap by S^2*(612*di^2 + 900*di*dj + 612*dj^2), di = i1 -
+i0, dj = j1 - j0.  The kernel cuts the box into _SPLIT x _SPLIT closed cells,
+which share their boundary rows; breadth first it drops a cell if min m_c less
+that slack is above the least value for each row in it, and halves the rest
+into [i0, mid] and [mid, i1].  A level evaluates each distinct corner once,
+over the widest range its cells ask, unless the last level did over one as
+wide.  A corner whose smallest minimizer is in its own c-range is exact; the
+other rows of a cell at most one step a side are evaluated over their own a
+level later.  About 300-500 rows are evaluated at any step.  Floats locate
+each vertex, exactly, and screen out rows and cells above the least value by
+more than their rounding.  Every knot, piece coefficient and piece value fits
+in int64, all over the box, while ``D <= _MAX_D`` (about 1.3e7; the derivation
+is at ``_MAX_D``); finer steps are rejected.
 """
 
 from __future__ import annotations
@@ -53,7 +57,6 @@ import math
 import os
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -267,7 +270,8 @@ def _row_minima(A: np.ndarray, B: np.ndarray, t: np.ndarray, D: int, S: int, y: 
     # a piece without grid points gets alpha = beta = 0 and gamma = _INT64_MAX
     sums *= valid
     gamma += np.multiply(~valid, _INT64_MAX, out=vals[0])
-    np.clip(bounds, 0, last, out=bounds)  # keep every candidate on the row
+    np.maximum(bounds, 0, out=bounds)  # keep every candidate on the row
+    np.minimum(bounds, last, out=bounds)
     # the vertex floor((beta - alpha*x0) / (alpha*T)) in j units: the numerator
     # is within 5440*D < 2^53, so the floor of the float quotient is exact
     np.subtract(beta, np.multiply(alpha, x0, out=X[0]), out=X[0])
@@ -278,7 +282,8 @@ def _row_minima(A: np.ndarray, B: np.ndarray, t: np.ndarray, D: int, S: int, y: 
     np.multiply(alpha <= 0, 2**62, out=vals[0])
     X[0] -= vals[0]
     X[1] += vals[0]
-    np.clip(X, lo, hi, out=X)
+    np.maximum(X, lo, out=X)
+    np.minimum(X, hi, out=X)
     X *= T
     X += x0
     np.multiply(alpha, X, out=vals)
@@ -295,78 +300,92 @@ def _least(best, m, A, B, j):
 
     Screen: A*B <= D^2 < 2^53 is exact in float, and m and the division round once
     each, so v is within 2^-52 of m/(A*B) relative.  A row above v_min + 2^-50 |v_min|
-    (covering both rows' errors and the sum's rounding) exceeds the least row.
+    (covering both rows' errors and the sum's rounding) exceeds the least row, and
+    one above b + 2^-49 |b|, b = float(best), exceeds best.
     """
-    v = m / (A * B)
-    rows = zip(*(x[v <= v.min() + abs(v.min()) * 2.0**-50].tolist() for x in (m, A, B, j)))
-    return min(best, *((Fraction(N, p * q), p, q, i) for N, p, q, i in rows))
-
-
-def _bounds(i0, i1, j0, j1, D, S, y, work):
-    """Lower bounds on N over the rows in the cells [i0, i1] x [j0, j1], and exact row minima.
-
-    The bound is the least corner minimum over the cell's widest c-range,
-    t = i1 + j1, less the curvature slack of the module docstring.  A corner
-    that is a grid row and whose smallest minimizer lies in its own c-range,
-    as corner (i1, j1)'s always does, also gives its row's (m, A, B, j).
-    """
-    i, j, t = np.concatenate((i1, i0, i1, i0)), np.concatenate((j1, j1, j0, j0)), np.tile(i1 + j1, 4)
-    A, B = y + S * i, y + S * j
-    rows = [_row_minima(*(x[r : r + _BLOCK, None] for x in (A, B, t)), D, S, y, work)
-            for r in range(0, len(A), _BLOCK)]
-    m, k = (np.concatenate(x) for x in zip(*rows))
-    k -= t - i - j  # counted from the corner's own first grid point
-    own = (i <= j) & (k >= 0)
-    di, dj = i1 - i0, j1 - j0
-    slack = S * S * ((_Q[0] * di + 2 * _Q[1] * dj) * di + _Q[2] * dj * dj)
-    return m.reshape(4, -1).min(axis=0), slack, (m[own], A[own], B[own], k[own])
+    v, b = m / (A * B), float(best[0])
+    low = v.min(initial=math.inf)
+    if low > b + abs(b) * 2.0**-49:  # every row is above the least row so far
+        return best
+    rows = zip(*(x[v <= low + abs(low) * 2.0**-50].tolist() for x in (m, A, B, j)))
+    return min([best, *((Fraction(N, p * q), p, q, i) for N, p, q, i in rows)])
 
 
 def _cells_min(args):
     """Exact minimum of htilde over the grid rows in the cells of one task (cells, D, S, y).
 
-    A cell (i0, i1, j0, j1) holds the rows A = y + S*i, B = y + S*j with
-    i0 <= i <= i1, j0 <= j <= j1 and i <= j, corner (i1, j1) among them.
-    Breadth first, each cell is bounded, dropped if its bound is above the
-    least value for each of its rows, and else halved along each side longer
-    than one row.  Returns (value, A, B, C): the least value and its smallest
+    A cell (i0, i1, j0, j1), i0 < j1, holds the rows A = y + S*i, B = y + S*j
+    with i0 <= i <= i1, j0 <= j <= j1 and i <= j.  Breadth first, a level
+    evaluates the corners and left-over rows of its cells in one kernel call,
+    then drops each cell whose bound is above the least value for each of its
+    rows, finishes those no side of which is longer than one step, and halves
+    the others.  Returns (value, A, B, C): the least value and its smallest
     grid point in 1/D units.
     """
     cells, D, S, y = args
     c = np.array(cells, dtype=np.int64).reshape(-1, 4).T
+    rest = 2 * (np.empty(0, np.int64),)  # rows of finished cells left to evaluate
+    seen = 3 * (np.full(1, -1),) + (np.zeros(1, bool),)  # the last level's (key, t, m, settled)
     best, work = (math.inf,), _work(_BLOCK)
-    while c.size:
-        low, slack, rows = _bounds(*c, D, S, y, work)
-        best = _least(best, *rows)
+    while c.size or rest[0].size:
+        i0, i1, j0, j1 = c
+        i, j = np.concatenate((i1, i0, i1, i0, rest[0])), np.concatenate((j1, j1, j0, j0, rest[1]))
+        t = np.concatenate(4 * [i1 + j1] + [rest[0] + rest[1]])
+        # one entry per distinct row (i, j), over the widest c-range asked of it
+        keys = i * D + j  # i, j <= M < D, so keys stay below D^2 < 2^48
+        order = np.argsort(keys)
+        first = np.flatnonzero(np.concatenate(([True], np.diff(keys[order]) != 0)))
+        key, t = keys[order[first]], np.maximum.reduceat(t[order], first)
+        slot, (i, j) = np.searchsorted(key, keys), np.divmod(key, D)
+        # the last level's minimum over a c-range at least as wide still bounds
+        # a row, and one asked for its own c-range needs no second look if settled
+        p = np.searchsorted(seen[0], key, side="right") - 1
+        hit = (seen[0][p] == key) & (seen[1][p] >= t) & (seen[3][p] | (t > i + j))
+        ev, t, m, k = np.flatnonzero(~hit), np.where(hit, seen[1][p], t), seen[2][p], np.full(len(key), -1)
+        A, B = y + S * i, y + S * j
+        for r in range(0, len(ev), _BLOCK):
+            e = ev[r : r + _BLOCK]
+            m[e], k[e] = _row_minima(*(x[e, None] for x in (A, B, t)), D, S, y, work)
+        k -= t - i - j  # counted from the row's own first grid point
+        own = (i <= j) & (k >= 0)
+        best = _least(best, m[own], A[own], B[own], k[own])
+        own |= hit & seen[3][p]
+        seen = key, t, m, own
         # Drop a cell if low - slack > best*A*B for each of its rows: at its
         # largest A*B if best > 0, else at its smallest.  In float the
         # difference is within 8 * 2^-53 (|low| + slack + |R|) of its exact
         # value, so beyond 2^-46 times that sum it decides; otherwise ints do.
-        v = best[0]
-        A0, A1, B0, B1 = y + S * c
+        corner = slot[: 4 * len(i0)].reshape(4, -1)
+        low, di, dj = m[corner].min(axis=0), i1 - i0, j1 - j0
+        slack = S * S * ((_Q[0] * di + 2 * _Q[1] * dj) * di + _Q[2] * dj * dj)
+        v, (A0, A1, B0, B1) = best[0], y + S * c
         AB = A1 * B1 if v > 0 else A0 * B0
         R = float(v) * AB
         diff, err = low - (slack + R), 2.0**-46 * (abs(low) + (slack + abs(R)))
-        keep = (diff <= err) & ((c[0] < c[1]) | (c[2] < c[3]))  # a single row is done
-        for k in np.flatnonzero(keep & (diff >= -err)).tolist():
-            keep[k] = (int(low[k]) - int(slack[k])) * v.denominator <= v.numerator * int(AB[k])
-        c = c[:, keep]
-        for a in (0, 2):  # halve the sides [c[a], c[a + 1]] longer than one row
-            mid, cut = (c[a] + c[a + 1]) // 2, c[a] < c[a + 1]
+        keep = diff <= err
+        for n in np.flatnonzero(keep & (diff >= -err)).tolist():
+            keep[n] = (int(low[n]) - int(slack[n])) * v.denominator <= v.numerator * int(AB[n])
+        # a finished cell's rows are its corners: those not settled above are left over
+        done = keep & (di <= 1) & (dj <= 1)
+        left = done & ~own[corner] & (i[corner] <= j[corner])
+        rest = i[corner][left], j[corner][left]
+        c = c[:, keep & ~done]
+        for a in (0, 2):  # halve the sides [c[a], c[a + 1]] longer than one step
+            cut = c[a + 1] - c[a] > 1
             upper = c[:, cut]
-            upper[a] = mid[cut] + 1
-            c[a + 1] = mid
+            upper[a] = (upper[a] + upper[a + 1]) // 2
+            c[a + 1, cut] = upper[a]
             c = np.concatenate((c, upper), axis=1)
-        c = c[:, c[0] <= c[3]]  # the cells with a grid row
+        c = c[:, c[0] < c[3]]  # i0 = j1 leaves one grid row, which a sibling holds
     value, A, B, j = best
     return value / 162, A, B, 2 * y - A - B + S * j
 
 
 def _first_cells(M: int) -> list:
-    """Each side of the row box 0 <= i, j <= M cut into _SPLIT runs: the cells with a grid row."""
-    n = min(_SPLIT, M + 1)
-    e = [(M + 1) * k // n for k in range(n + 1)]
-    return [(e[p], e[p + 1] - 1, e[q], e[q + 1] - 1) for p in range(n) for q in range(p, n)]
+    """Each side of the row box 0 <= i, j <= M cut into _SPLIT runs sharing their ends: cells with i0 < j1."""
+    n = min(_SPLIT, M)
+    e = [M * k // n for k in range(n + 1)]
+    return [(e[p], e[p + 1], e[q], e[q + 1]) for p in range(n) for q in range(p, n)]
 
 
 def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
@@ -396,6 +415,7 @@ def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
     cells = _first_cells(M)
     tasks = [(cells[w::workers], D, S, y) for w in range(len(cells))[:workers]]
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_cells_min, tasks))
     else:

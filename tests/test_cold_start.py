@@ -1,5 +1,6 @@
-"""The exact commands and ``simulate`` run without numpy, and the package
-imports none of its submodules.
+"""The exact commands and ``simulate`` run without numpy, a one-worker grid
+without the process pool's modules, and the package imports none of its
+submodules.
 
 Each check runs in a fresh interpreter, since the test session itself has
 long since imported numpy and every submodule.
@@ -35,6 +36,18 @@ for argv in (["analyze", "menger", "--dir", "1,1,1"],
     result = runner.invoke(fracphase.cli.cli, argv)
     assert result.exit_code == 0, (argv, result.output)
 print(*(m for m in ("numpy", "concurrent.futures") if m in sys.modules))
+""")
+    assert loaded.split() == []
+
+
+def test_one_worker_grid_leaves_the_pool_unloaded():
+    loaded = run_fresh("""
+import fracphase.cli
+from click.testing import CliRunner
+
+result = CliRunner().invoke(fracphase.cli.cli, ["verify-slice", "--step", "1/30"])
+assert result.exit_code == 0, result.output
+print(*(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
 """)
     assert loaded.split() == []
 

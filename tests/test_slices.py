@@ -1,3 +1,4 @@
+import concurrent.futures
 import functools
 import math
 import os
@@ -279,7 +280,7 @@ def test_verify_grid_rejects_bad_step(monkeypatch):
     def no_pool(*args, **kwargs):
         pytest.fail("a process pool was started")
 
-    monkeypatch.setattr(slices, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     with pytest.raises(InputError):
         verify_grid(Fraction(1, 2))
     with pytest.raises(InputError):
@@ -298,7 +299,7 @@ def test_verify_grid_rejects_steps_past_the_row_budget(monkeypatch):
         pytest.fail("the grid started work")
 
     monkeypatch.setattr(slices, "_cells_min", no_work)
-    monkeypatch.setattr(slices, "ProcessPoolExecutor", no_work)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_work)
     assert slices._MAX_D // 3 == 4_340_344
     for step in ("1/4340345", "2/8680691"):
         with pytest.raises(InputError, match="exceeds 4340344"):
@@ -331,12 +332,13 @@ def _kernel_rows(monkeypatch):
 
 
 def test_grid_work_does_not_grow_with_the_grid(monkeypatch):
-    # 1/21211 has 1.0e8 grid rows and 1/4340344, the finest step, 4.2e12
+    # 1/500 has 55,945 grid rows, 1/21211 1.0e8 and 1/4340344, the finest
+    # step, 4.2e12.  Cells share their corners, so a level evaluates each once
     rows = _kernel_rows(monkeypatch)
-    for step in (Fraction(1, 21211), Fraction(1, 4_340_344)):
+    for step, budget in (("1/500", 400), ("1/2000", 550), ("1/21211", 550), ("1/4340344", 550)):
         rows.clear()
-        verify_grid(step)
-        assert 0 < sum(rows) <= 2000
+        verify_grid(Fraction(step))
+        assert 0 < sum(rows) <= budget
 
 
 def test_grid_memory_does_not_grow_with_the_grid():
@@ -378,7 +380,7 @@ def _smallest_minimizer(cells, D, S, y):
 def test_slice_minima_take_the_smallest_tied_point(step, monkeypatch):
     # both steps have rows whose minimum is attained at two c; at 1/6 the rows
     # (a, b) = (1/2, 5/6) and (1/2, 1) attain it too.  Each first cell, all of
-    # them and every other one, at one first cell up to single-row cells
+    # them and every other one, at one first cell up to cells one step a side
     D, S, y, M = _grid(step)
     ties = 0
     for split in (1, 2, 3, 10**9):
@@ -420,35 +422,44 @@ def test_screen_keeps_exact_ties_whose_floats_differ(monkeypatch):
     # past 2^53 a row minimum m rounds to float: here every row's m / (A*B) is
     # c/3 exactly, at every c-range, yet the float quotient of the least row
     # (A, B) = (99, 99) is above the least one.  No cell can be ruled out, so
-    # every row is evaluated, at one first cell and at single-row cells
-    c = 2**45 + 1
-    monkeypatch.setattr(
-        slices, "_row_minima", lambda A, B, *_: ((c * (A * B // 3))[:, 0], np.zeros(len(A), int))
-    )
+    # every row is evaluated, at one first cell and at cells one step a side.
+    # Of the cells [0, 1]^2 and the single row (M - 1, M), a level settles
+    # (102, 102) first and leaves (99, 99) and (99, 102) alone to the next,
+    # where at 2^45 + 36 both float quotients are above float(c/3), the least
+    # value found so far
     D, S, y, M = _grid(Fraction(1, 99))
     A, B = (np.array(col) for col in zip(*cell_rows([(0, M, 0, M)], S, y)))
-    v = (c * (A * B // 3)) / (A * B)
-    assert (A[0], B[0]) == (99, 99) and v[0] > v.min()
-    for split in (1, 10**9):
-        got = slices._cells_min((_split_cells(M, split, monkeypatch), D, S, y))
-        assert got == (Fraction(c, 3 * 162), 99, 99, 0)
+    for c in (2**45 + 1, 2**45 + 36):
+        monkeypatch.setattr(
+            slices, "_row_minima", lambda A, B, *_: ((c * (A * B // 3))[:, 0], np.zeros(len(A), int))
+        )
+        v = (c * (A * B // 3)) / (A * B)
+        assert (A[0], B[0]) == (99, 99) and v[0] > v.min()
+        late = min(float(c * (99 * q // 3)) / (99 * q) for q in (99, 102))
+        assert (late > float(Fraction(c, 3))) == (c == 2**45 + 36)
+        pair = [(0, 1, 0, 1), (M - 1, M - 1, M, M)]
+        for cells in (_split_cells(M, 1, monkeypatch), _split_cells(M, 10**9, monkeypatch), pair):
+            got = slices._cells_min((cells, D, S, y))
+            assert got == (Fraction(c, 3 * 162), 99, 99, 0)
 
 
 def test_screen_keeps_a_row_whose_bound_equals_the_least_value(monkeypatch):
-    # cells (i, j) in [5, 5] x [6, 6] and [1, 3] x [4, 6] at step 1/9.  On its
-    # own c-range row (5, 6) takes N = A*B, value 1, and so does the second
-    # cell's middle row (2, 5), (A, B) = (15, 24); its other rows take 10^6
-    # more.  Over a wider c-range every row takes 18*27 + S^2 (612 + 2*450 +
-    # 612)*2^2, so the second cell's bound is exactly 1 * 18*27, at its largest
-    # A*B.  It must be kept, and row (2, 5) must win the tie on its smaller A.
-    # With curvature 0, a bound equal to the least value ruled out, or corners
-    # taken over their own c-ranges, the cell would be dropped
+    # cells (i, j) in [5, 5] x [6, 6] and [1, 3] x [4, 6] at step 1/9.  Row
+    # (5, 6) takes N = A*B, value 1, and so does the second cell's middle row
+    # (2, 5), (A, B) = (15, 24), over any c-range.  Its other rows take 10^6
+    # more over their own c-range, and over a wider one 18*27 + S^2 (612 +
+    # 2*450 + 612)*2^2, which is less: a wider range holds more grid points.  So
+    # the second cell's bound is exactly 1 * 18*27, at its largest A*B.  It
+    # must be kept, and row (2, 5) must win the tie on its smaller A.  With
+    # curvature 0, a bound equal to the least value ruled out, or corners taken
+    # over their own c-ranges, the cell would be dropped
     D, S, y, M = _grid(Fraction(1, 9))
     wide = 18 * 27 + S * S * (612 + 2 * 450 + 612) * 2**2
 
     def row_minima(A, B, t, *args):
         own = (A + B - 2 * y) // S == t
-        m = np.where(own, A * B + 10**6 * ((A < 24) & (A * B != 15 * 24)), wide)
+        lone = (A < 24) & (A * B != 15 * 24)  # every row but (2, 5) and (5, 6)
+        m = np.where(lone & ~own, wide, A * B + 10**6 * lone)
         return m[:, 0], np.zeros(len(A), int)
 
     monkeypatch.setattr(slices, "_row_minima", row_minima)
@@ -481,25 +492,33 @@ def test_curvature_constant_recomputed_from_the_tables():
 
 
 @settings(max_examples=100, deadline=None)
-@example(k=1, n=70, i=36, j=1, di=7, dj=4)  # with curvature 0 these bounds are above a row
-@example(k=3, n=52, i=1, j=7, di=0, dj=4)
-@example(k=2, n=283, i=74, j=10, di=10, dj=7)
+@example(k=1, n=70, i=36, j=1, di=7, dj=4, w=0)  # with curvature 0 these bounds are above a row
+@example(k=3, n=52, i=1, j=7, di=0, dj=4, w=0)
+@example(k=2, n=283, i=74, j=10, di=10, dj=7, w=0)
+@example(k=1, n=70, i=36, j=1, di=7, dj=4, w=3)
 @given(st.integers(1, 7), st.integers(3, 4_340_344), st.integers(0, 2**23), st.integers(0, 2**23),
-       st.integers(0, 24), st.integers(0, 24))
-def test_cell_bound_is_below_every_row_inside(k, n, i, j, di, dj):
+       st.integers(0, 24), st.integers(0, 24), st.integers(0, 2**23))
+def test_cell_bound_is_below_every_row_inside(k, n, i, j, di, dj, w):
     # for any cell [i0, i1] x [j0, j1] of the box 0 <= i, j <= M, rows with
-    # i > j included, the bound of _bounds is at most the exact minimum of
-    # every row inside over the row's own c-range
+    # i > j included, the least corner minimum over any c-range at least as
+    # wide as the cell's widest, t = i1 + j1 + w (at most 2M, the widest the
+    # kernel takes), less the curvature slack of the module docstring, is at
+    # most the exact minimum of every row inside over the row's own c-range
     d = Fraction(k, n)
     assume(d <= Fraction(1, 3))
     D, S, y, M = _grid(d)
     i0, j0 = i % (M + 1), j % (M + 1)
     i1, j1 = min(i0 + di, M), min(j0 + dj, M)
-    low, slack, _ = slices._bounds(*(np.array([x]) for x in (i0, i1, j0, j1)), D, S, y, slices._work(4))
+    t = min(i1 + j1 + w, 2 * M)
+    corners = np.array([(y + S * i, y + S * j, t) for i in (i0, i1) for j in (j0, j1)])[:, :, None]
+    low = min(slices._row_minima(*corners.transpose(1, 0, 2), D, S, y, slices._work(4))[0].tolist())
+    Q00, Q01, Q11 = slices._Q
+    di, dj = i1 - i0, j1 - j0
+    slack = S * S * (Q00 * di * di + 2 * Q01 * di * dj + Q11 * dj * dj)
     rows = [(y + S * i, y + S * j, i + j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
     A, B, t = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows))
     m = slices._row_minima(A, B, t, D, S, y, slices._work(len(rows)))[0]
-    assert int(low[0]) - int(slack[0]) <= min(m.tolist())
+    assert low - slack <= min(m.tolist())
 
 
 positive_fractions = st.fractions(0, 1, max_denominator=12)
@@ -527,22 +546,32 @@ _scan = functools.cache(grid_scan)
 @pytest.mark.parametrize("step", ["1/37", "2/75", "1/100"])
 def test_verify_grid_matches_grid_scan_at_every_stride(step, split, monkeypatch):
     # the first partition cuts each side of the row box into `split` cells: one
-    # first cell, 2 or 3 a side, or single-row cells
+    # first cell, 2 or 3 a side, or cells one step a side
     D, S, y, M = _grid(step)
-    singles, real = [], slices._bounds
+    exact, alone, real = set(), set(), slices._row_minima
 
-    def bounds(i0, i1, j0, j1, *args):
-        singles.append(int(((i0 == i1) & (j0 == j1)).sum()))
-        return real(i0, i1, j0, j1, *args)
+    def row_minima(A, B, t, *args):
+        m, k = real(A, B, t, *args)
+        for a, b, wide, j in zip(A[:, 0].tolist(), B[:, 0].tolist(), t[:, 0].tolist(), k.tolist()):
+            own = (a + b - 2 * y) // S  # the row's own c-range
+            if a <= b and j >= wide - own:
+                exact.add((a, b))  # its smallest minimizer lies in its own c-range
+            if a <= b and wide == own:
+                alone.add((a, b))
+        return m, k
 
-    monkeypatch.setattr(slices, "_bounds", bounds)
+    monkeypatch.setattr(slices, "_row_minima", row_minima)
     monkeypatch.setattr(slices, "_SPLIT", split)
     report = verify_grid(Fraction(step))
     got = (report.minimum, report.argmin, report.point_count, report.certified)
     assert got == _scan(Fraction(step))
-    # each grid row is in one single-row cell at most, unless a cell holding it was dropped
+    # cells one step a side get every grid row's exact minimum; else few rows
+    # are evaluated over their own c-range, the rest only as shared corners
     grid_rows = (M + 1) * (M + 2) // 2
-    assert sum(singles) == grid_rows if split == 10**9 else 0 < sum(singles) < grid_rows / 4
+    if split == 10**9:
+        assert len(exact) == grid_rows
+    else:
+        assert 0 < len(alone) < grid_rows / 4
 
 
 def test_warm_grid_reuses_its_work_arrays():
