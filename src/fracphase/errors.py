@@ -7,9 +7,11 @@ Every public integer argument goes through :func:`check_int`, which takes only
 an ``int`` that is not a ``bool`` (no float, numpy integer or string) within
 its bounds; every public rational argument goes through
 :func:`check_rational`, which takes whatever ``Fraction`` takes, within its
-closed range when it has one.
+closed range when it has one.  Their messages, and every other message that
+can echo a user's number, render it with :func:`shown`.
 """
 
+import math
 from fractions import Fraction
 
 
@@ -29,13 +31,27 @@ class InvariantError(FracphaseError):
     """An internal consistency check failed; indicates a bug."""
 
 
+def shown(x) -> str:
+    """``x`` for a message: ``repr``, but an int or Fraction as its digits, with
+    each integer past 60 digits given by its digit count (``str`` refuses one
+    past 4,300 digits, and a message stays one line)."""
+    if isinstance(x, Fraction):
+        den = f"/{shown(x.denominator)}" if x.denominator != 1 else ""
+        return shown(x.numerator) + den
+    if not isinstance(x, int) or abs(x) < 10**60:
+        return repr(x)
+    k = int(math.log10(abs(x)))  # within one of the exact floor
+    k += (abs(x) >= 10 ** (k + 1)) - (abs(x) < 10**k)
+    return f"{'-' * (x < 0)}<{k + 1} digits>"
+
+
 def check_int(x, what: str, lo: int | None = None, hi: int | None = None) -> int:
     """``x`` if it is an int, not a bool, with lo <= x < hi (hi needs lo); else InputError."""
     is_int = isinstance(x, int) and type(x) is not bool
     if is_int and (lo is None or x >= lo) and (hi is None or x < hi):
         return x
-    bounds = f" in [{lo}, {hi})" if hi is not None else f" >= {lo}" if lo is not None else ""
-    raise InputError(f"{what} must be an integer{bounds}, got {x!r}")
+    bounds = f" in [{lo}, {shown(hi)})" if hi is not None else f" >= {lo}" if lo is not None else ""
+    raise InputError(f"{what} must be an integer{bounds}, got {shown(x)}")
 
 
 def check_rational(x, what: str, lo: int | None = None, hi: int | None = None) -> Fraction:
@@ -46,4 +62,4 @@ def check_rational(x, what: str, lo: int | None = None, hi: int | None = None) -
         raise InputError(f"{what} must be a rational number, got {x!r}") from None
     if lo is None or lo <= q <= hi:
         return q
-    raise InputError(f"{what} must be in [{lo}, {hi}], got {x}")
+    raise InputError(f"{what} must be in [{lo}, {hi}], got {shown(q)}")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InputError, check_int
+from .errors import InputError, check_int, shown
 from .line_ifs import LineIFS, normalize
 
 
@@ -28,7 +28,7 @@ class LatticeIFS:
             raise InputError("cell set is empty")
         for cell in self.cells:
             if len(cell) != self.d:
-                raise InputError(f"cell {cell} has wrong dimension")
+                raise InputError(f"cell ({', '.join(map(shown, cell))}) has wrong dimension")
             for x in cell:
                 check_int(x, "cell coordinate", 0, self.L)
 

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import InputError, check_int
+from .errors import InputError, check_int, shown
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ class LineIFS:
             raise InputError("translations must be strictly increasing")
         if ts[-1] % (self.L - 1) != 0:
             raise InputError(
-                f"(L-1) = {self.L - 1} does not divide t_max = {ts[-1]}; "
+                f"(L-1) = {shown(self.L - 1)} does not divide t_max = {shown(ts[-1])}; "
                 "use normalize() to repair by conjugation"
             )
 

@@ -35,7 +35,7 @@ from fractions import Fraction
 from operator import mul
 from typing import TYPE_CHECKING
 
-from .errors import InputError, check_int
+from .errors import InputError, check_int, shown
 from .simulate import _check_seed, stream
 from .type_system import TypeSystem
 
@@ -140,7 +140,9 @@ def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight)
     import numpy as np
 
     if samples * n > _DRAW_BUDGET:
-        raise InputError(f"{samples} samples of {n} digits exceed the budget {_DRAW_BUDGET}")
+        raise InputError(
+            f"{shown(samples)} samples of {shown(n)} digits exceed the budget {_DRAW_BUDGET}"
+        )
     L, k = ts.L, _block_digits(ts)
     try:
         tables = _product_tables(np.array(ts.matrices, dtype=float), min(n, k))
@@ -195,7 +197,7 @@ def pressure(
     if mode == "exact":
         if L ** min(n, 64) > _WORD_BUDGET:  # L >= 2, so L^64 is past any budget
             raise InputError(
-                f"exact enumeration needs {L}^{n} words, budget is {_WORD_BUDGET}"
+                f"exact enumeration needs {shown(L)}^{shown(n)} words, budget is {_WORD_BUDGET}"
             )
         # m(w) = k / den with integer k, once nu is scaled to integers
         den = math.lcm(*(x.denominator for x in ts.nu))

@@ -22,7 +22,7 @@ from hashlib import blake2b
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
-from .errors import InputError, check_int, check_rational
+from .errors import InputError, check_int, check_rational, shown
 from .line_ifs import LineIFS
 from .phase import extinction_probability
 
@@ -156,7 +156,7 @@ def project_survival(ifs: LineIFS, s: SurvivalSet) -> CoverageStats:
     integers.
     """
     if ifs.M != s.M:
-        raise InputError(f"arity mismatch: ifs.M = {ifs.M}, survival M = {s.M}")
+        raise InputError(f"arity mismatch: ifs.M = {shown(ifs.M)}, survival M = {shown(s.M)}")
     L, nt, n = ifs.L, ifs.n_tilde, s.depth
     maps = ifs.map_translations() if s.digits else []  # depth 0 maps no digit
     total_cells = nt * L**n

@@ -62,7 +62,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InputError, check_int, check_rational
+from .errors import InputError, check_int, check_rational, shown
 from .lattice import MENGER_REMOVED
 
 
@@ -89,7 +89,8 @@ REMOVED_CORNERS: tuple[tuple[int, int, int], ...] = tuple(sorted(MENGER_REMOVED)
 
 def _check_wedge(p: PlaneParams) -> None:
     if not (0 <= p.a <= p.b <= 1):
-        raise WedgeError(f"(a, b) = ({p.a}, {p.b}) outside the wedge 0 <= a <= b <= 1")
+        a, b = shown(p.a), shown(p.b)
+        raise WedgeError(f"(a, b) = ({a}, {b}) outside the wedge 0 <= a <= b <= 1")
 
 
 # With slopes A, B > 0 and all coordinates in units of 1/D, the ftilde
@@ -166,7 +167,7 @@ def classify_region(p: PlaneParams) -> str:
     """First analytic certificate covering the point, or "grid"."""
     if not _in_domain(p):
         raise InputError(
-            f"({p.a}, {p.b}, {p.c}) outside the admissible region "
+            f"({shown(p.a)}, {shown(p.b)}, {shown(p.c)}) outside the admissible region "
             "0 <= a <= b <= 1, -(a+b) <= c <= 1"
         )
     return next((tag for tag, holds in _CERTIFICATES if holds(p)), TAG_GRID)
@@ -203,7 +204,9 @@ def _row_knots() -> np.ndarray:
 
 
 _W, _E, _F, _G = _row_knots()
-_BLOCK = 256  # grid rows per kernel call; its reused work arrays take 0.96 MiB
+# grid rows per kernel call: no level's row count has a proven bound, so this
+# caps one call's temporaries (about 1.3 MiB traced at 256 rows)
+_BLOCK = 256
 _INT64_MAX = np.iinfo(np.int64).max
 # int64 range of the kernel.  0 < A, B <= D puts every kappa in [-2D, D], so
 # |K| <= 6D (base knots 3*kappa; removed-cube knots lie in [-4D, 3D]), and every
@@ -218,18 +221,7 @@ _SPLIT = 16  # the first partition cuts each side of the row box into _SPLIT cel
 _Q = tuple(int((np.maximum(_W, 0) * p).sum()) for p in (_F * _F, _F * _G, _G * _G))
 
 
-def _work(rows: int) -> tuple[np.ndarray, ...]:
-    """The kernel's block-sized int64 work arrays for calls of up to ``rows`` rows.
-
-    Rows are each array's second-to-last axis.  A call writes into ``[..., :n, :]``
-    views of them, so a task's blocks reuse the same pages.
-    """
-    knots, pieces = len(_W), len(_W) + 1
-    shapes = [(3, rows, knots), (3, rows, pieces)] + 3 * [(2, rows, pieces)]
-    return tuple(np.empty(shape, np.int64) for shape in shapes)
-
-
-def _row_minima(A: np.ndarray, B: np.ndarray, t: np.ndarray, D: int, S: int, y: int, work):
+def _row_minima(A: np.ndarray, B: np.ndarray, t: np.ndarray, D: int, S: int, y: int):
     """Exact minimum of the htilde numerator over C along the rows (A, B), given as columns.
 
     Row (A, B) takes C = -S*t .. y in steps of S, for a column t >= (A + B - 2y)/S.
@@ -240,58 +232,37 @@ def _row_minima(A: np.ndarray, B: np.ndarray, t: np.ndarray, D: int, S: int, y: 
     piece, a convex quadratic (alpha > 0) is smallest at one of the two points
     around its vertex beta/alpha, any other at the piece's first or last point;
     clipped to the piece, these two candidates hold every smallest-j minimizer.
-    ``work`` is :func:`_work` of at least len(A) rows.  Returns, per row, the
-    minimum of N and the smallest j attaining it.
+    Returns, per row, the minimum of N and the smallest j attaining it.
     """
-    terms, sums, bounds, X, vals = (a[..., : len(A), :] for a in work)
     T = 3 * S
     x0 = -T * t  # X at the row's first grid point
     last = y // S + t  # j of the row's last grid point
     # sort the knots, carrying each one's table index in the low 6 bits
-    K = (_F << 6) * A
-    K += (_G << 6) * B + ((_E * D << 6) + np.arange(len(_W)))
-    K.sort(axis=1)
-    np.take(_W, K & 63, out=terms[0])
+    K = np.sort((_F << 6) * A + (_G << 6) * B + ((_E * D << 6) + np.arange(len(_W))), axis=1)
+    w = _W[K & 63]
     K >>= 6
-    np.multiply(terms[0], K, out=terms[1])
-    np.multiply(terms[1], K, out=terms[2])
     # suffix sums over the knots above each piece; the last piece has none
-    sums[..., -1] = 0
-    np.cumsum(terms[..., ::-1], axis=2, out=sums[..., -2::-1])
-    alpha, beta, gamma = sums
+    sums = np.zeros((3, len(A), len(_W) + 1), np.int64)
+    np.cumsum(np.stack((w, w * K, w * K * K))[..., ::-1], axis=2, out=sums[..., -2::-1])
     # piece i spans knots i-1 .. i; its grid points are j = lo .. hi
     K -= x0
-    lo, hi = bounds
-    lo[:, 0] = 0
-    np.floor_divide(K, T, out=hi[:, :-1])
-    hi[:, -1:] = last
-    np.floor_divide(K + (T - 1), T, out=lo[:, 1:])
+    lo = np.concatenate((np.zeros_like(t), -(-K // T)), axis=1)
+    hi = np.concatenate((K // T, last), axis=1)
     valid = (lo <= hi) & (lo <= last) & (hi >= 0)
     # a piece without grid points gets alpha = beta = 0 and gamma = _INT64_MAX
     sums *= valid
-    gamma += np.multiply(~valid, _INT64_MAX, out=vals[0])
-    np.maximum(bounds, 0, out=bounds)  # keep every candidate on the row
-    np.minimum(bounds, last, out=bounds)
+    alpha, beta, gamma = sums
+    gamma[~valid] = _INT64_MAX
+    lo, hi = np.minimum(np.maximum((lo, hi), 0), last)  # keep every candidate on the row
     # the vertex floor((beta - alpha*x0) / (alpha*T)) in j units: the numerator
     # is within 5440*D < 2^53, so the floor of the float quotient is exact
-    np.subtract(beta, np.multiply(alpha, x0, out=X[0]), out=X[0])
-    np.multiply(np.maximum(alpha, 1, out=X[1]), T, out=X[1])
-    X[0] = np.floor(X[0] / X[1])
-    np.add(X[0], 1, out=X[1])
+    j = np.floor((beta - alpha * x0) / (np.maximum(alpha, 1) * T)).astype(np.int64)
     # a piece that is not convex pushes its candidates out: the clip takes its ends
-    np.multiply(alpha <= 0, 2**62, out=vals[0])
-    X[0] -= vals[0]
-    X[1] += vals[0]
-    np.maximum(X, lo, out=X)
-    np.minimum(X, hi, out=X)
-    X *= T
-    X += x0
-    np.multiply(alpha, X, out=vals)
-    vals -= 2 * beta
-    vals *= X
-    vals += gamma
+    push = (alpha <= 0) * 2**62
+    X = np.minimum(np.maximum((j - push, j + 1 + push), lo), hi) * T + x0
+    vals = (alpha * X - 2 * beta) * X + gamma
     m = vals.min(axis=(0, 2))
-    X += np.multiply(vals != m[:, None], 2**62, out=vals)  # non-minimal X leave the row
+    X += (vals != m[:, None]) * 2**62  # non-minimal X leave the row
     return m, (X.min(axis=(0, 2)) - x0[:, 0]) // T
 
 
@@ -326,7 +297,7 @@ def _cells_min(args):
     c = np.array(cells, dtype=np.int64).reshape(-1, 4).T
     rest = 2 * (np.empty(0, np.int64),)  # rows of finished cells left to evaluate
     seen = 3 * (np.full(1, -1),) + (np.zeros(1, bool),)  # the last level's (key, t, m, settled)
-    best, work = (math.inf,), _work(_BLOCK)
+    best = (math.inf,)
     while c.size or rest[0].size:
         i0, i1, j0, j1 = c
         i, j = np.concatenate((i1, i0, i1, i0, rest[0])), np.concatenate((j1, j1, j0, j0, rest[1]))
@@ -345,7 +316,7 @@ def _cells_min(args):
         A, B = y + S * i, y + S * j
         for r in range(0, len(ev), _BLOCK):
             e = ev[r : r + _BLOCK]
-            m[e], k[e] = _row_minima(*(x[e, None] for x in (A, B, t)), D, S, y, work)
+            m[e], k[e] = _row_minima(*(x[e, None] for x in (A, B, t)), D, S, y)
         k -= t - i - j  # counted from the row's own first grid point
         own = (i <= j) & (k >= 0)
         best = _least(best, m[own], A[own], B[own], k[own])
@@ -400,13 +371,13 @@ def verify_grid(d_hat, workers: int = 1) -> VerificationReport:
     """
     d = check_rational(d_hat, "grid step")
     if not 0 < d <= _THIRD:
-        raise InputError(f"grid step must be in (0, 1/3], got {d}")
+        raise InputError(f"grid step must be in (0, 1/3], got {shown(d)}")
     check_int(workers, "workers (at most os.cpu_count())", 1, (os.cpu_count() or 1) + 1)
     y = d.denominator
     D = 3 * y  # common denominator of all grid coordinates
     if D > _MAX_D:
         raise InputError(
-            f"grid step denominator {y} exceeds {_MAX_D // 3}, the largest the "
+            f"grid step denominator {shown(y)} exceeds {_MAX_D // 3}, the largest the "
             "int64 grid kernel evaluates exactly"
         )
     S = 3 * d.numerator  # grid step in units of 1/D

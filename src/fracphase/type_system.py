@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import reduce
 from operator import or_
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, shown
 from .line_ifs import LineIFS
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -117,7 +117,7 @@ def compute_type_system(ifs: LineIFS) -> TypeSystem:
     entries = L * max(ifs.n_tilde, 1) ** 2
     if entries > _CANDIDATE_BUDGET:
         raise InputError(
-            f"the type system needs {entries} candidate transition entries, "
+            f"the type system needs {shown(entries)} candidate transition entries, "
             f"more than {_CANDIDATE_BUDGET}"
         )
     basic, todo = {0}, [0]

@@ -193,7 +193,7 @@ def cells_min_exact(args):
     rows = cell_rows(cells, S, y)
     A, B = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows))
     t = (A + B - 2 * y) // S
-    m, j = slices._row_minima(A, B, t, D, S, y, slices._work(len(rows)))
+    m, j = slices._row_minima(A, B, t, D, S, y)
     best = None  # (N, A, B, j) with value N / (162*A*B)
     for row in zip(m.tolist(), A[:, 0].tolist(), B[:, 0].tolist(), j.tolist()):
         if best is None or row[0] * best[1] * best[2] < best[0] * row[1] * row[2]:

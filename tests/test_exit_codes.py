@@ -26,7 +26,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fracphase.cli import cli, main
-from fracphase.errors import InputError
+from fracphase.errors import InputError, check_int, check_rational
 from fracphase.lattice import LatticeIFS, make_direction
 from fracphase.line_ifs import LineIFS, normalize, scale
 from fracphase.phase import RootThreshold, extinction_probability, phase_report
@@ -57,7 +57,8 @@ OPTIONS = {
     "simulate": {
         "--ifs": SOURCES,
         "--dir": DIRECTIONS,
-        "--p": st.fractions(-1, 2, max_denominator=12).map(str),
+        # str() refuses an int past 4,300 digits, so messages must not echo one
+        "--p": st.fractions(-1, 2, max_denominator=12).map(str) | st.just("1e10000"),
         "--depth": st.integers(-1, 3).map(str),
         "--replicas": st.integers(-1, 3).map(str),
         "--seed": SEEDS,
@@ -75,7 +76,9 @@ OPTIONS = {
         "--seed": SEEDS,
     },
     "verify-slice": {
-        "--step": st.sampled_from(["1/3", "2/9", "1/7", "1/20", "0", "-1/3", "1/2"]),
+        "--step": st.sampled_from(
+            ["1/3", "2/9", "1/7", "1/20", "0", "-1/3", "1/2", "1e5000", "1e-5000"]
+        ),
         "--threads": st.sampled_from(["-1", "0", "1"]),
     },
 }
@@ -317,6 +320,13 @@ NAMED_BAD_CALLS = {
                                      "--p", "1/2", "--replicas", "0"),
     "cli --p x": lambda: _cli("simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "x"),
     "cli --step 1/0": lambda: _cli("verify-slice", "--step", "1/0"),
+    # these raised ValueError from str() of an int past 4,300 digits in the message
+    "check_int 10**5000": lambda: check_int(10**5000, "n", 0, 10),
+    "check_int hi 10**5000": lambda: check_int(-1, "n", 0, 10**5000),
+    "check_rational 10**5000": lambda: check_rational(10**5000, "p", 0, 1),
+    "check_rational 10**-5000": lambda: check_rational(Fraction(-1, 10**5000), "p", 0, 1),
+    "verify_grid step 10**-5000": lambda: verify_grid(Fraction(1, 10**5000)),
+    "sample_survival p 10**10000": lambda: sample_survival(20, 10**10000, 2, 0),
 }
 
 
@@ -324,3 +334,23 @@ NAMED_BAD_CALLS = {
 def test_named_bad_calls_raise_input_error(call):
     with pytest.raises(InputError):
         call()
+
+
+HUGE_L = 10**4000  # the line below needs L * (t_max / (L-1))^2 = 10^4400 candidate entries
+HUGE_LINE = {"kind": "line", "L": HUGE_L, "translations": [[0, 1], [(HUGE_L - 1) * 10**200, 1]]}
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-slice", "--step", "1e-5000"],
+    ["verify-slice", "--step", "1e5000"],
+    ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1e10000", "--replicas", "1"],
+    ["analyze", "HUGE_LINE"],
+    ["pressure", "--ifs", "HUGE_LINE", "--t", "1", "--n", "2"],
+], ids=["step 1e-5000", "step 1e5000", "p 1e10000", "analyze huge L", "pressure huge L"])
+def test_huge_numbers_exit_2_with_one_short_input_error_line(argv, tmp_path):
+    # each exited 4: the message's str() of an int past 4,300 digits raised ValueError
+    path = tmp_path / "huge_line.json"
+    path.write_text(json.dumps(HUGE_LINE), encoding="utf-8")
+    code, err = run([str(path) if a == "HUGE_LINE" else a for a in argv])
+    assert code == 2, err
+    assert err.startswith("input error:") and err.count("\n") == 1 and len(err) < 200, err

@@ -215,10 +215,7 @@ def test_row_minima_match_brute_force(k, n, data):
     ij = data.draw(st.lists(st.tuples(st.integers(0, M), st.integers(0, M)), min_size=1, max_size=12))
     rows = [(y + S * i, y + S * j, data.draw(st.integers(i + j, 2 * M))) for i, j in ij]
     A, B, t = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows))
-    work = slices._work(len(rows))
-    for a in work:
-        a.fill(12345)  # stale values of an earlier call must not leak in
-    m, j = slices._row_minima(A, B, t, D, S, y, work)
+    m, j = slices._row_minima(A, B, t, D, S, y)
     for (A, B, t), got_m, got_j in zip(rows, m.tolist(), j.tolist()):
         a, b = sorted((Fraction(A, D), Fraction(B, D)))
         N = [162 * A * B * htilde(plane(a, b, Fraction(C, D))) for C in range(-S * t, y + 1, S)]
@@ -511,13 +508,13 @@ def test_cell_bound_is_below_every_row_inside(k, n, i, j, di, dj, w):
     i1, j1 = min(i0 + di, M), min(j0 + dj, M)
     t = min(i1 + j1 + w, 2 * M)
     corners = np.array([(y + S * i, y + S * j, t) for i in (i0, i1) for j in (j0, j1)])[:, :, None]
-    low = min(slices._row_minima(*corners.transpose(1, 0, 2), D, S, y, slices._work(4))[0].tolist())
+    low = min(slices._row_minima(*corners.transpose(1, 0, 2), D, S, y)[0].tolist())
     Q00, Q01, Q11 = slices._Q
     di, dj = i1 - i0, j1 - j0
     slack = S * S * (Q00 * di * di + 2 * Q01 * di * dj + Q11 * dj * dj)
     rows = [(y + S * i, y + S * j, i + j) for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)]
     A, B, t = (np.array(col, dtype=np.int64)[:, None] for col in zip(*rows))
-    m = slices._row_minima(A, B, t, D, S, y, slices._work(len(rows)))[0]
+    m = slices._row_minima(A, B, t, D, S, y)[0]
     assert low - slack <= min(m.tolist())
 
 
@@ -581,6 +578,21 @@ def test_warm_grid_reuses_its_work_arrays():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     verify_grid(Fraction(1, 500))
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 5000
+
+
+def test_one_kernel_block_stays_small():
+    # a kernel call computes into fresh temporaries, so _BLOCK rows are what cap
+    # its memory: 256 rows took about 1.3 MiB traced
+    D, S, y, M = _grid(Fraction(1, 4340344))
+    i = np.linspace(0, M, slices._BLOCK, dtype=np.int64)[:, None]
+    A, B, t = y + S * i, y + S * (M - i), np.full_like(i, 2 * M)
+    tracemalloc.start()
+    try:
+        slices._row_minima(A, B, t, D, S, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 0 < peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("step", ["1/30", "1/37", "1/64", "1/100", "2/75", "2/101"])
