@@ -7,12 +7,17 @@ Every public integer argument goes through :func:`check_int`, which takes only
 an ``int`` that is not a ``bool`` (no float, numpy integer or string) within
 its bounds; every public rational argument goes through
 :func:`check_rational`, which takes whatever ``Fraction`` takes, within its
-closed range when it has one.  Their messages, and every other message that
-can echo a user's number, render it with :func:`shown`.
+closed range when it has one, except a string longer than ``_TEXT_CHARS`` or
+with a decimal exponent past ``_TEXT_EXPONENT`` in size.  Their messages, and
+every other message that can echo a user's number, render it with :func:`shown`.
 """
 
 import math
 from fractions import Fraction
+
+# Fraction("1e-30000000") alone takes tens of seconds, so strings are bounded first
+_TEXT_CHARS = 1000
+_TEXT_EXPONENT = 10**4
 
 
 class FracphaseError(Exception):
@@ -56,7 +61,13 @@ def check_int(x, what: str, lo: int | None = None, hi: int | None = None) -> int
 
 def check_rational(x, what: str, lo: int | None = None, hi: int | None = None) -> Fraction:
     """``Fraction(x)`` if it is a finite rational with lo <= x <= hi (given both); else InputError."""
+    if isinstance(x, str) and len(x) > _TEXT_CHARS:
+        raise InputError(f"{what} must be at most {_TEXT_CHARS} characters, got {len(x)}")
     try:
+        exponent = int(x.lower().partition("e")[2] or 0) if isinstance(x, str) else 0
+        if abs(exponent) > _TEXT_EXPONENT:
+            raise InputError(f"{what} must have a decimal exponent of at most {_TEXT_EXPONENT} "
+                             f"in size, got {shown(exponent)}")
         q = Fraction(x)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise InputError(f"{what} must be a rational number, got {x!r}") from None

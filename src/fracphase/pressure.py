@@ -23,7 +23,8 @@ as in ``Generator.integers``.  A word that reaches Lemire's rejection branch
 ``(u L) mod 2^32 < (2^32 - L) mod L`` (probability about n L / 2^32) is drawn
 again through ``stream``.  Both walks step k digits at a time (``_block_digits``):
 the L^k products of k digit matrices fit a table of at most 4096 entries, each
-an integer below 2^53.
+an integer below 2^53.  The sampled walk renormalizes its float rows once every
+r steps (``_renorm_every``), r as large as keeps every row sum below 2^1000.
 """
 
 from __future__ import annotations
@@ -129,13 +130,26 @@ def _product_tables(mats: np.ndarray, k: int) -> list:
     return tables
 
 
+def _renorm_every(ts: TypeSystem, k: int) -> int:
+    """Steps of k digits between renormalizations: r = (1000 - b(N)) // (k b(R)), at least 1.
+
+    b is the bit length and R the largest row sum of an A_a.  r steps grow a
+    row's sum at most R^(k r)-fold, so rows that start at all-ones or at sum 1
+    stay below 2^1000 whenever that quotient is at least 1.
+    """
+    R = max(max(map(sum, A)) for A in ts.matrices)
+    return max(1, (1000 - ts.N.bit_length()) // (k * R.bit_length()))
+
+
 def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight):
     """log(e^T A_w weight) in floats for the words w = stream(seed, i), i < samples.
 
     Samples walk together in blocks: a block of row vectors starts at all-ones,
-    and each step multiplies every row by the product of its own next k digits
-    and renormalizes it to sum 1, so ceil(n/k) steps of O(N^2) walk a sample.
-    A row that reaches 0 stays 0; its word comes out -inf.
+    and each step multiplies every row by the product of its own next k digits,
+    so ceil(n/k) steps of O(N^2) walk a sample.  The table indices of a block
+    are read off its words once, and its rows are renormalized to sum 1 only
+    every r = ``_renorm_every(ts, k)`` steps.  A row that reaches 0 turns NaN
+    at its next renormalization (0/0); its word comes out -inf either way.
     """
     import numpy as np
 
@@ -148,24 +162,31 @@ def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight)
         tables = _product_tables(np.array(ts.matrices, dtype=float), min(n, k))
     except OverflowError:
         raise InputError("a digit matrix entry is past the float range") from None
-    chunks = [(s, min(k, n - s)) for s in range(0, n, k)]
-    place = L ** np.arange(k - 1, -1, -1, dtype=np.intp)  # chunk digits -> table index
+    r = _renorm_every(ts, k)
     out = np.empty(samples)
     block = max(1, _BLOCK // max(n, ts.N**2))
     for start in range(0, samples, block):
         words = _sampled_words(L, n, seed, start, min(samples, start + block))
+        index = words[:, ::k].astype(np.min_scalar_type(L**k - 1))
+        for d in range(1, k):  # index[:, c] reads digits c k .. c k + k - 1 in base L
+            digits = words[:, d::k]
+            index[:, :digits.shape[1]] *= L
+            index[:, :digits.shape[1]] += digits
         rows = np.ones((len(words), ts.N))
         acc = np.zeros(len(words))
-        for s, j in chunks:
-            index = words[:, s:s + j] @ place[k - j:]
-            rows = np.einsum("si,sij->sj", rows, tables[j - 1][index])
-            total = rows.sum(axis=1)
-            total[total == 0] = 1.0  # a dead row stays 0 and keeps acc finite
-            acc += np.log(total)
-            rows /= total[:, None]
-        # live rows sum to 1 and weight > 0, so only dead rows give log(0)
-        with np.errstate(divide="ignore"):
-            out[start:start + len(words)] = acc + np.log(rows @ weight)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for c in range(1, index.shape[1] + 1):  # the last of ceil(n/k) steps may be short
+                table = tables[-1] if c * k <= n else tables[n % k - 1]
+                rows = np.einsum("si,sij->sj", rows, table.take(index[:, c - 1], axis=0))
+                if c % r == 0:
+                    total = rows.sum(axis=1)
+                    if np.isposinf(total).any():  # r = 1, and one step passed the float range
+                        raise InputError("a product of digit matrices is past the float range")
+                    acc += np.log(total)
+                    rows /= total[:, None]
+            logs = acc + np.log(rows @ weight)  # weight > 0: only dead rows give log(0)
+        logs[np.isnan(logs)] = -np.inf
+        out[start:start + len(words)] = logs
     return out
 
 

@@ -422,9 +422,14 @@ def sampled_words(L: int, n: int, samples: int, seed: int):
 
 def sampled_log_masses(ts, n: int, samples: int, seed: int, weight):
     """log(e^T A_w weight) for w = stream(seed, i), walking one sample at a time."""
+    return log_masses(ts, sampled_words(ts.L, n, samples, seed), weight)
+
+
+def log_masses(ts, words, weight):
+    """log(e^T A_w weight) for each word, renormalizing after every digit."""
     mats = np.array(ts.matrices, dtype=float)
-    out = np.full(samples, -math.inf)
-    for i, word in enumerate(sampled_words(ts.L, n, samples, seed)):
+    out = np.full(len(words), -math.inf)
+    for i, word in enumerate(words):
         row = np.ones(ts.N)
         acc = 0.0
         for a in word:

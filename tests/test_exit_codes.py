@@ -18,6 +18,7 @@ import io
 import json
 import math
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -58,7 +59,8 @@ OPTIONS = {
         "--ifs": SOURCES,
         "--dir": DIRECTIONS,
         # str() refuses an int past 4,300 digits, so messages must not echo one
-        "--p": st.fractions(-1, 2, max_denominator=12).map(str) | st.just("1e10000"),
+        "--p": st.fractions(-1, 2, max_denominator=12).map(str)
+        | st.sampled_from(["1e10000", "1e-30000000"]),
         "--depth": st.integers(-1, 3).map(str),
         "--replicas": st.integers(-1, 3).map(str),
         "--seed": SEEDS,
@@ -77,7 +79,7 @@ OPTIONS = {
     },
     "verify-slice": {
         "--step": st.sampled_from(
-            ["1/3", "2/9", "1/7", "1/20", "0", "-1/3", "1/2", "1e5000", "1e-5000"]
+            ["1/3", "2/9", "1/7", "1/20", "0", "-1/3", "1/2", "1e5000", "1e-5000", "1e-30000000"]
         ),
         "--threads": st.sampled_from(["-1", "0", "1"]),
     },
@@ -327,6 +329,9 @@ NAMED_BAD_CALLS = {
     "check_rational 10**-5000": lambda: check_rational(Fraction(-1, 10**5000), "p", 0, 1),
     "verify_grid step 10**-5000": lambda: verify_grid(Fraction(1, 10**5000)),
     "sample_survival p 10**10000": lambda: sample_survival(20, 10**10000, 2, 0),
+    # Fraction would parse these for tens of seconds
+    "check_rational '1e-30000000'": lambda: check_rational("1e-30000000", "p"),
+    "check_rational 1,001 characters": lambda: check_rational("1" * 999 + "/3", "p"),
 }
 
 
@@ -346,11 +351,17 @@ HUGE_LINE = {"kind": "line", "L": HUGE_L, "translations": [[0, 1], [(HUGE_L - 1)
     ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1e10000", "--replicas", "1"],
     ["analyze", "HUGE_LINE"],
     ["pressure", "--ifs", "HUGE_LINE", "--t", "1", "--n", "2"],
-], ids=["step 1e-5000", "step 1e5000", "p 1e10000", "analyze huge L", "pressure huge L"])
+    ["verify-slice", "--step", "1e-30000000"],
+    ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1e-30000000", "--replicas", "1"],
+], ids=["step 1e-5000", "step 1e5000", "p 1e10000", "analyze huge L", "pressure huge L",
+        "step 1e-30000000", "p 1e-30000000"])
 def test_huge_numbers_exit_2_with_one_short_input_error_line(argv, tmp_path):
-    # each exited 4: the message's str() of an int past 4,300 digits raised ValueError
+    # the first five exited 4: the message's str() of an int past 4,300 digits
+    # raised ValueError; the last two took about 45 s, parsing 10^30000000
     path = tmp_path / "huge_line.json"
     path.write_text(json.dumps(HUGE_LINE), encoding="utf-8")
+    start = time.perf_counter()
     code, err = run([str(path) if a == "HUGE_LINE" else a for a in argv])
+    assert time.perf_counter() - start < 5
     assert code == 2, err
     assert err.startswith("input error:") and err.count("\n") == 1 and len(err) < 200, err

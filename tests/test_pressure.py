@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import exact_masses, sampled_log_masses, sampled_words, word_product
+from oracles import exact_masses, log_masses, sampled_log_masses, sampled_words, word_product
 
 from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
@@ -19,6 +19,7 @@ from fracphase.pressure import (
     _block_digits,
     _masses_exact_dfs,
     _product_tables,
+    _renorm_every,
     _sampled_log_masses,
     _sampled_words,
     lyapunov,
@@ -105,13 +106,26 @@ def test_exact_walk_at_the_word_budget_stays_small(systems):
 
 # R = 2^20 + 1: products of three digits are past 2^53, so k = 2, not 12
 WIDE_ROWS = SimpleNamespace(L=2, N=1, matrices=(((2**20 + 1,),), ((3,),)))
+# R = 2^600: k = 1, and two steps could pass 2^1000, so the walk renormalizes every step
+HUGE_ROWS = SimpleNamespace(L=2, N=1, matrices=(((2**600,),), ((3,),)))
+# L^k - 1 = 69,999 needs uint32 table indices
+MANY_DIGITS = SimpleNamespace(L=70000, N=1, matrices=tuple(((a % 3 + 1,),) for a in range(70000)))
 
 
 def test_block_digits_follow_the_table_and_float_bounds(systems):
     # the largest k with L^k N^2 <= 4096 and R^k < 2^53
     got = {name: _block_digits(ts) for name, ts in systems.items()}
     assert got == {"menger": 5, "menger-137": 3, "carpet-diag": 6, "carpet-axis": 7}
-    assert _block_digits(WIDE_ROWS) == 2
+    assert [_block_digits(ts) for ts in (WIDE_ROWS, HUGE_ROWS, MANY_DIGITS)] == [2, 1, 1]
+    # and r steps of k digits between renormalizations keep N R^(k r) < 2^1000
+    got = {name: _renorm_every(ts, got[name]) for name, ts in systems.items()}
+    assert got == {"menger": 49, "menger-137": 83, "carpet-diag": 55, "carpet-axis": 71}
+    for ts in (*systems.values(), WIDE_ROWS, HUGE_ROWS, MANY_DIGITS):
+        k = _block_digits(ts)
+        r = _renorm_every(ts, k)
+        R = max(max(map(sum, A)) for A in ts.matrices)
+        assert r == 1 or ts.N * R ** (k * r) < 2**1000
+    assert [_renorm_every(ts, _block_digits(ts)) for ts in (WIDE_ROWS, HUGE_ROWS)] == [23, 1]
 
 
 def test_exact_walk_matches_full_products(systems):
@@ -162,10 +176,46 @@ def test_batched_walker_matches_per_sample_loop(systems, name, seed):
     ts = systems[name]
     k = _block_digits(ts)
     for weight in (np.ones(ts.N), np.array([float(x) for x in ts.nu])):
-        for n in (1, k - 1, k, k + 1, 2 * k + 1, 60):
+        # at n = 2000 a block walks 8 full renormalization runs and part of a ninth
+        for n in (1, k - 1, k, k + 1, 2 * k + 1, 60, 2000):
             got = _sampled_log_masses(ts, n, 40, seed, weight)
             want = sampled_log_masses(ts, n, 40, seed, weight)
             assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("ts", [WIDE_ROWS, HUGE_ROWS, MANY_DIGITS], ids=["wide", "huge", "many"])
+def test_walk_matches_per_sample_loop_at_extreme_row_sums_and_digit_counts(ts):
+    # r = 23, then r = 1 (renormalized every step), then uint32 table indices
+    for n in (1, 2, 3, 50, 130):
+        got = _sampled_log_masses(ts, n, 20, 11, np.ones(1))
+        assert got == pytest.approx(sampled_log_masses(ts, n, 20, 11, np.ones(1)), rel=1e-12, abs=0)
+
+
+def test_one_block_holds_its_table_indices_at_two_bytes_a_digit(monkeypatch):
+    # k = 1, so one index a digit; L = 300 needs uint16 for the digits and the indices
+    ts = SimpleNamespace(L=300, N=1, matrices=tuple(((a % 3 + 1,),) for a in range(300)))
+    assert _block_digits(ts) == 1
+    n = 2**14
+    samples = pressure_mod._BLOCK // n  # one block of _BLOCK digits
+    draw = pressure_mod._sampled_words
+
+    def drawn(*args):  # the peak from here on is what the walk holds beside its words
+        words = draw(*args)
+        tracemalloc.reset_peak()
+        return words
+
+    monkeypatch.setattr(pressure_mod, "_sampled_words", drawn)
+    _sampled_log_masses(ts, n, samples, 0, np.ones(1))  # lazy set-up, outside the trace
+    words_bytes = 2 * samples * n  # uint16 digits
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _sampled_log_masses(ts, n, samples, 0, np.ones(1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert samples * n == pressure_mod._BLOCK
+    assert peak < words_bytes + 2 * pressure_mod._BLOCK + 2**16
 
 
 @pytest.mark.parametrize("seed", [0, 2**63 + 5, 2**64 - 1])
@@ -238,7 +288,7 @@ NILPOTENT = SimpleNamespace(
 
 
 @pytest.mark.parametrize("seed", [3, 2**64 - 1])
-def test_batched_walker_keeps_dead_words(seed):
+def test_batched_walker_keeps_dead_words(seed, monkeypatch):
     weight = np.array([1.0, 2.0])
     got = _sampled_log_masses(NILPOTENT, 8, 64, seed, weight)
     want = sampled_log_masses(NILPOTENT, 8, 64, seed, weight)
@@ -252,6 +302,21 @@ def test_batched_walker_keeps_dead_words(seed):
     est = pressure(NILPOTENT, 0.5, 8, mode="mc", samples=64, seed=seed)
     mean = sum(vals) / 64
     assert est.value == pytest.approx(1 + math.log(mean) / (8 * math.log(2)), rel=1e-12)
+    # long words that die (at a digit pair 11) inside the first step, across the
+    # first two, inside a step that renormalizes, between two renormalizations
+    # and after the last one
+    k, n = _block_digits(NILPOTENT), 2000
+    run = k * _renorm_every(NILPOTENT, k)  # 490 digits from one renormalization to the next
+    words = np.zeros((6, n), dtype=np.uint8)
+    words[:, 1::2] = 1  # 0101... lives
+    for row, at in enumerate((3, k - 1, run - 2, run + 100, n - 2), 1):
+        words[row, at:at + 2] = 1
+    monkeypatch.setattr(pressure_mod, "_sampled_words", lambda L, n, seed, start, stop: words[start:stop])
+    got = _sampled_log_masses(NILPOTENT, n, 6, seed, weight)
+    want = log_masses(NILPOTENT, words, weight)
+    assert np.isneginf(want[1:]).all()
+    assert np.isneginf(got[1:]).all()
+    assert got[0] == pytest.approx(want[0], rel=1e-12)
 
 
 # A_1 = 0, so every sampled word with a digit 1 has mass 0
@@ -362,6 +427,12 @@ def test_entries_and_totals_past_the_float_range():
         lyapunov(ts, 2, 10)
     with pytest.raises(InputError, match="past the float range"):
         pressure(ts, 0.5, 2, mode="mc", samples=10)
+    # entries below the float range whose row sums pass it (this gave NaN)
+    ts = compute_type_system(LineIFS(2, ((0, 10**308), (1, 10**308), (2, 1))))
+    with pytest.raises(InputError, match="past the float range"):
+        lyapunov(ts, 3, 10)
+    with pytest.raises(InputError, match="past the float range"):
+        pressure(ts, 0.5, 3, mode="mc", samples=10)
     # the exact mass sum M^n at t = 1 is past the float range; its log is not
     ts = compute_type_system(LineIFS(2, ((0, 10**200), (1, 1))))
     assert pressure(ts, 1, 3).value == pytest.approx(math.log(10**200 + 1) / math.log(2))
