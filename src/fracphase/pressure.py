@@ -14,8 +14,10 @@ The Lyapunov exponent is the almost-sure limit of
 bound) under uniform digits; ``exp(-w)`` estimates the zero-measure threshold
 of the percolation parameter.
 
-Mass sums are exact rationals whenever t is 0 or 1; logs are taken in double
-precision at the end.  Sampled-word scheme: Monte Carlo word i of a seed is
+Exact mass sums are rationals at t = 0, 1 and floats otherwise, refused past
+the float range.  Monte Carlo takes log mean m(w)^t as c + log mean
+exp(t log m(w) - c), c the largest term, and refuses only a t log m(w) past
+the float range.  Sampled-word scheme: Monte Carlo word i of a seed is
 ``simulate.stream(seed, i).integers(0, L, size=n)``.  One Philox, rekeyed to
 key (seed, i), counter 0 and an empty buffer, gives ``random_raw(ceil(n/2))``;
 digit j is Lemire's ``(u L) >> 32`` of the j-th 32-bit half u (low half first),
@@ -54,7 +56,7 @@ class PressureEstimate:
     n: int
     value: float
     method: str  # "exact-enumeration" | "monte-carlo"
-    mass_sum: Fraction | float  # exact for exact mode with t in {0, 1}
+    mass_sum: Fraction | float | None  # exact for exact mode with t in {0, 1}; None in Monte Carlo
     stderr: float | None = None
 
 
@@ -190,12 +192,11 @@ def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight)
     return out
 
 
-def _float_range_error(t: float, n: int, log_l: float) -> InputError:
-    """A sum over m(w)^t (or, in Monte Carlo, their spread) is not a float."""
-    big = sys.float_info.max  # once L^n > big no t helps
+def _float_range_error(t: float, n: int) -> InputError:
+    """An exact float sum of m(w)^t, or in Monte Carlo the largest t log m(w), is not a float."""
     return InputError(
-        f"sums of m(w)^t at t = {t}, n = {n} leave the float range (0, {big:.6g}]; "
-        f"use a smaller {'n' if n * log_l > math.log(big) else '|t|'}"
+        f"sums of m(w)^t at t = {t}, n = {n} leave the float range (0, {sys.float_info.max:.6g}]; "
+        "use a smaller |t|"
     )
 
 
@@ -237,9 +238,9 @@ def pressure(
                         continue
                     total += math.exp(t * math.log(k / den))
             except OverflowError:
-                raise _float_range_error(t, n, log_l) from None
+                raise _float_range_error(t, n) from None
             if not 0 < total < math.inf:
-                raise _float_range_error(t, n, log_l)
+                raise _float_range_error(t, n)
         try:
             value = math.log(total) / (n * log_l)
         except OverflowError:  # an exact total past the float range
@@ -249,26 +250,23 @@ def pressure(
         raise InputError(f"unknown pressure mode {mode!r}")
     import numpy as np
 
-    # Monte Carlo: total ~= L^n * mean(m(w)^t) over uniform words, with 0^0 = 1
+    # Monte Carlo over uniform words, with 0^0 = 1; each m(w)^t is scaled by the largest, e^c
     nu = np.array([float(x) for x in ts.nu])
     logs = _sampled_log_masses(ts, n, samples, seed, nu)
     if t < 0 and np.isneginf(logs).any():
         raise InputError("zero cylinder mass with negative t")
-    try:
-        with np.errstate(over="raise"):
-            vals = np.exp(t * logs) if t else np.ones(samples)
-            mean = float(vals.mean())
-            se = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-        if mean == 0:
-            if np.isneginf(logs).all():
-                raise InputError("every sampled word has mass 0, so the log of the estimate is undefined")
-            raise _float_range_error(t, n, log_l)
-        total = math.exp(n * log_l + math.log(mean))
-    except (OverflowError, FloatingPointError):
-        raise _float_range_error(t, n, log_l) from None
-    value = (n * log_l + math.log(mean)) / (n * log_l)
-    stderr = se / (mean * n * log_l)
-    return PressureEstimate(t, n, value, "monte-carlo", total, stderr)
+    if t > 0 and np.isneginf(logs).all():
+        raise InputError("every sampled word has mass 0, so the log of the estimate is undefined")
+    with np.errstate(over="ignore"):  # an overflowing largest term leaves c infinite
+        x = t * logs if t else np.zeros(samples)
+    c = float(x.max())
+    if not math.isfinite(c):
+        raise _float_range_error(t, n)
+    scaled = np.exp(x - c)
+    mean = float(scaled.mean())
+    rel = float(scaled.std(ddof=1)) / mean / math.sqrt(samples) if samples > 1 else 0.0
+    value = (n * log_l + c + math.log(mean)) / (n * log_l)
+    return PressureEstimate(t, n, value, "monte-carlo", None, rel / (n * log_l))
 
 
 def lyapunov(ts: TypeSystem, n: int, samples: int, seed: int = 0) -> LyapunovEstimate:

@@ -8,7 +8,8 @@ word enumeration for transition-matrix entries, a Fraction nullspace over
 all candidate intervals, a BFS over whole zero-patterns for positive-row
 witnesses, one hash per simulator node, the set of every covered cell of a
 projected realization, one Generator per sampled word, one cocycle walk per
-sampled word, full integer matrix products for every word of exact pressure,
+sampled word, the Monte Carlo pressure of those walks by logaddexp and
+statistics.stdev, full integer matrix products for every word of exact pressure,
 exact rational bisection for the extinction probability, the dense
 Fraction characteristic polynomial, Taylor coefficients from binomial sums and
 a doubling-then-bisection search for Perron-root enclosures, and every phase
@@ -22,6 +23,7 @@ import itertools
 import math
 import operator
 import random
+import statistics
 from collections import deque
 from fractions import Fraction
 from hashlib import blake2b
@@ -442,6 +444,18 @@ def log_masses(ts, words, weight):
         else:
             out[i] = acc + math.log(row @ weight)
     return out
+
+
+def mc_pressure(ts, t, n: int, samples: int, seed: int):
+    """(value, stderr) of Monte Carlo pressure over the per-sample walks, the value in logs."""
+    nu = np.array([float(x) for x in ts.nu])
+    terms = [t * x if t else 0.0 for x in sampled_log_masses(ts, n, samples, seed, nu)]
+    log_mean = float(np.logaddexp.reduce(terms)) - math.log(samples)
+    top = max(terms)
+    scaled = [math.exp(x - top) for x in terms]
+    spread = statistics.stdev(scaled) / statistics.fmean(scaled)
+    scale = n * math.log(ts.L)
+    return (scale + log_mean) / scale, spread / math.sqrt(samples) / scale
 
 
 def word_product(matrices, word):

@@ -2,6 +2,7 @@ import importlib
 import itertools
 import math
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from types import SimpleNamespace
@@ -10,7 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import exact_masses, log_masses, sampled_log_masses, sampled_words, word_product
+from oracles import (
+    exact_masses,
+    log_masses,
+    mc_pressure,
+    sampled_log_masses,
+    sampled_words,
+    word_product,
+)
 
 from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
@@ -354,6 +362,22 @@ def test_monte_carlo_matches_exact(systems):
     assert abs(mc.value - exact) < 5 * mc.stderr + 1e-3
 
 
+@pytest.mark.parametrize("n", [20, 400])
+@pytest.mark.parametrize("name", ["menger", "menger-137"])
+def test_monte_carlo_pressure_matches_a_log_space_oracle(systems, name, n):
+    ts = systems[name]
+    ests = {t: pressure(ts, t, n, mode="mc", samples=200, seed=7) for t in (-3, -0.5, 0.5, 2, 10)}
+    for t, est in ests.items():
+        value, stderr = mc_pressure(ts, t, n, 200, 7)
+        assert est.value == pytest.approx(value, rel=1e-12)
+        assert est.stderr == pytest.approx(stderr, rel=1e-12)
+        assert est.mass_sum is None
+    if (name, n) == ("menger", 400):
+        # a mass sum past the float range, and squares of m(w)^t below it
+        assert ests[0.5].value == pytest.approx(1.8628597529018829, rel=1e-12)
+        assert ests[-0.5].stderr == pytest.approx(0.00013336990192817295, rel=1e-12)
+
+
 def test_pressure_input_errors(systems):
     ts = systems["menger"]
     with pytest.raises(InputError):
@@ -365,9 +389,13 @@ def test_pressure_input_errors(systems):
     for n, samples in ((0, 10), (5, 0)):
         with pytest.raises(InputError, match=">= 1"):
             lyapunov(ts, n, samples)
-    # every m(w)^t underflows, so the sampled mean is 0
-    with pytest.raises(InputError, match="float range"):
-        pressure(ts, -1e6, 5, mode="mc", samples=50)
+    # every m(w)^t underflows, but the mean is taken relative to the largest
+    est = pressure(ts, -1e6, 5, mode="mc", samples=50)
+    assert (est.value, est.stderr) == pytest.approx(mc_pressure(ts, -1e6, 5, 50, 0), rel=1e-12)
+    # only a t log m(w) past the float range is refused; no word is dead
+    for t in (1e308, -1e308):
+        with pytest.raises(InputError, match=re.escape(f"t = {t}, n = 5 leave the float range")):
+            pressure(ts, t, 5, mode="mc", samples=50)
 
 
 @settings(max_examples=40, deadline=None)

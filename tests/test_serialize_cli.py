@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from oracles import mc_pressure
 
 from fracphase.cli import cli
 from fracphase.errors import InputError, check_rational
@@ -370,7 +371,6 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
          "--seed", "18446744073709551616"],
         ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "1000", "--n", "3"],
         ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "-1000", "--n", "3"],
-        [*pressure_argv, "--t", "1000", "--mode", "mc", "--samples", "50"],
         [*pressure_argv, "--t", "0.5", "--mode", "mc", "--samples", "1000000000000"],
         *dead_digit_argvs,
         ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "3/10",
@@ -392,11 +392,22 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
     # one past the int64 range of the grid kernel, the only limit on the step
     exits_with_input_error(["verify-slice", "--step", "1/4340345"],
                            "grid step denominator 4340345 exceeds 4340344")
-    # L^n = 3^700 is past the float range whatever t is, so the message names n
-    for t in ("0", "0.01", "0.5"):
+    # Monte Carlo pressure works in logs: m(w)^1000 and L^n = 3^700 are past the float
+    # range, and the estimate is still finite; only a t log m(w) past it is refused
+    ts = compute_type_system(project(menger(), (1, 1, 1)))
+    for t, n, samples in (("1000", 2, 50), ("0", 700, 10), ("0.01", 700, 10), ("0.5", 700, 10)):
+        monkeypatch.setattr("sys.argv", ["fracphase", "pressure", "--ifs", "menger", "--dir",
+                                         "1,1,1", "--t", t, "--n", str(n), "--mode", "mc",
+                                         "--samples", str(samples)])
+        climod.main()
+        got = json.loads(capsys.readouterr().out)
+        want = mc_pressure(ts, float(t), n, samples, 0)
+        assert (got["value_float"], got["stderr_float"]) == pytest.approx(want, rel=1e-12)
+    for t in ("1e308", "-1e308"):
         exits_with_input_error(["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", t,
-                                "--n", "700", "--mode", "mc", "--samples", "10"],
-                               "n = 700 leave the float range (0, 1.79769e+308]; use a smaller n")
+                                "--n", "5", "--mode", "mc", "--samples", "50"],
+                               f"input error: sums of m(w)^t at t = {float(t)}, n = 5 leave "
+                               "the float range (0, 1.79769e+308]; use a smaller |t|")
     # over the candidate budget the type system is refused before it is built:
     # building either one would allocate far more than 1 MiB
     for k, data in enumerate(OVERSIZED_IFS):
