@@ -14,11 +14,11 @@ The Lyapunov exponent is the almost-sure limit of
 bound) under uniform digits; ``exp(-w)`` estimates the zero-measure threshold
 of the percolation parameter.
 
-Exact mass sums are rationals at t = 0, 1 and floats otherwise, refused past
-the float range.  Monte Carlo takes log mean m(w)^t as c + log mean
-exp(t log m(w) - c), c the largest term, and refuses only a t log m(w) past
-the float range.  Sampled-word scheme: Monte Carlo word i of a seed is
-``simulate.stream(seed, i).integers(0, L, size=n)``.  One Philox, rekeyed to
+Exact mass sums are rationals at t = 0, 1 and floats otherwise; a float sum
+past the float range is redone as c + log sum exp(t log m(w) - c), c the
+largest term, as Monte Carlo takes log mean m(w)^t.  Both refuse only a t log
+m(w) past the float range.  Sampled-word scheme: Monte Carlo word i of a seed
+is ``simulate.stream(seed, i).integers(0, L, size=n)``.  One Philox, rekeyed to
 key (seed, i), counter 0 and an empty buffer, gives ``random_raw(ceil(n/2))``;
 digit j is Lemire's ``(u L) >> 32`` of the j-th 32-bit half u (low half first),
 as in ``Generator.integers``.  A word that reaches Lemire's rejection branch
@@ -56,7 +56,7 @@ class PressureEstimate:
     n: int
     value: float
     method: str  # "exact-enumeration" | "monte-carlo"
-    mass_sum: Fraction | float | None  # exact for exact mode with t in {0, 1}; None in Monte Carlo
+    mass_sum: Fraction | float | None  # exact at t in {0, 1}; None in Monte Carlo or in logs
     stderr: float | None = None
 
 
@@ -193,7 +193,7 @@ def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight)
 
 
 def _float_range_error(t: float, n: int) -> InputError:
-    """An exact float sum of m(w)^t, or in Monte Carlo the largest t log m(w), is not a float."""
+    """The largest t log m(w), over every word or the sampled ones, is not a float."""
     return InputError(
         f"sums of m(w)^t at t = {t}, n = {n} leave the float range (0, {sys.float_info.max:.6g}]; "
         "use a smaller |t|"
@@ -223,24 +223,34 @@ def pressure(
             )
         # m(w) = k / den with integer k, once nu is scaled to integers
         den = math.lcm(*(x.denominator for x in ts.nu))
-        masses = _masses_exact_dfs(ts, n, [int(x * den) for x in ts.nu])
+        scaled = [int(x * den) for x in ts.nu]
+
+        def masses():  # each nonzero k; a zero one is refused at negative t
+            for k in _masses_exact_dfs(ts, n, scaled):
+                if k:
+                    yield k
+                elif t < 0:
+                    raise InputError("zero cylinder mass with negative t")
+
         if t == 0:
             total: Fraction | float = Fraction(L**n)
         elif t == 1:
-            total = Fraction(sum(masses), den)
+            total = Fraction(sum(masses()), den)
         else:
             total = 0.0
             try:
-                for k in masses:
-                    if k == 0:
-                        if t < 0:
-                            raise InputError("zero cylinder mass with negative t")
-                        continue
+                for k in masses():
                     total += math.exp(t * math.log(k / den))
             except OverflowError:
-                raise _float_range_error(t, n) from None
-            if not 0 < total < math.inf:
-                raise _float_range_error(t, n)
+                total = math.inf
+            if not 0 < total < math.inf:  # the same sum in logs, scaled by its largest term e^c
+                log_den = math.log(den)
+                c = max((t * (math.log(k) - log_den) for k in masses()), default=math.inf)
+                if not math.isfinite(c):
+                    raise _float_range_error(t, n)
+                total = math.fsum(math.exp(t * (math.log(k) - log_den) - c) for k in masses())
+                value = (c + math.log(total)) / (n * log_l)
+                return PressureEstimate(t, n, value, "exact-enumeration", None)
         try:
             value = math.log(total) / (n * log_l)
         except OverflowError:  # an exact total past the float range

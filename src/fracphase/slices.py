@@ -44,9 +44,9 @@ into [i0, mid] and [mid, i1].  A level evaluates each distinct corner once,
 over the widest range its cells ask, unless the last level did over one as
 wide.  A corner whose smallest minimizer is in its own c-range is exact; the
 other rows of a cell at most one step a side are evaluated over their own a
-level later.  About 300-500 rows are evaluated at any step.  Floats locate
-each vertex, exactly, and screen out rows and cells above the least value by
-more than their rounding.  Every knot, piece coefficient and piece value fits
+level later.  About 300-500 rows are evaluated at any step.  No float enters:
+numpy runs the row kernel in int64, and every decision after it is one
+comparison of Python ints.  Every knot, piece coefficient and piece value fits
 in int64, all over the box, while ``D <= _MAX_D`` (about 1.3e7; the derivation
 is at ``_MAX_D``); finer steps are rejected.
 """
@@ -254,9 +254,7 @@ def _row_minima(A: np.ndarray, B: np.ndarray, t: np.ndarray, D: int, S: int, y: 
     alpha, beta, gamma = sums
     gamma[~valid] = _INT64_MAX
     lo, hi = np.minimum(np.maximum((lo, hi), 0), last)  # keep every candidate on the row
-    # the vertex floor((beta - alpha*x0) / (alpha*T)) in j units: the numerator
-    # is within 5440*D < 2^53, so the floor of the float quotient is exact
-    j = np.floor((beta - alpha * x0) / (np.maximum(alpha, 1) * T)).astype(np.int64)
+    j = (beta - alpha * x0) // (np.maximum(alpha, 1) * T)  # the vertex, in j units
     # a piece that is not convex pushes its candidates out: the clip takes its ends
     push = (alpha <= 0) * 2**62
     X = np.minimum(np.maximum((j - push, j + 1 + push), lo), hi) * T + x0
@@ -266,20 +264,10 @@ def _row_minima(A: np.ndarray, B: np.ndarray, t: np.ndarray, D: int, S: int, y: 
     return m, (X.min(axis=(0, 2)) - x0[:, 0]) // T
 
 
-def _least(best, m, A, B, j):
-    """``best`` and the rows (N/(A*B), A, B, j) of minima m: the least, ties to the least (A, B, j).
-
-    Screen: A*B <= D^2 < 2^53 is exact in float, and m and the division round once
-    each, so v is within 2^-52 of m/(A*B) relative.  A row above v_min + 2^-50 |v_min|
-    (covering both rows' errors and the sum's rounding) exceeds the least row, and
-    one above b + 2^-49 |b|, b = float(best), exceeds best.
-    """
-    v, b = m / (A * B), float(best[0])
-    low = v.min(initial=math.inf)
-    if low > b + abs(b) * 2.0**-49:  # every row is above the least row so far
-        return best
-    rows = zip(*(x[v <= low + abs(low) * 2.0**-50].tolist() for x in (m, A, B, j)))
-    return min([best, *((Fraction(N, p * q), p, q, i) for N, p, q, i in rows)])
+def _halves(lo: int, hi: int) -> list:
+    """[lo, hi], or its halves [lo, mid] and [mid, hi] if it is longer than one step."""
+    mid = (lo + hi) // 2
+    return [(lo, hi)] if hi - lo <= 1 else [(lo, mid), (mid, hi)]
 
 
 def _cells_min(args):
@@ -287,69 +275,63 @@ def _cells_min(args):
 
     A cell (i0, i1, j0, j1), i0 < j1, holds the rows A = y + S*i, B = y + S*j
     with i0 <= i <= i1, j0 <= j <= j1 and i <= j.  Breadth first, a level
-    evaluates the corners and left-over rows of its cells in one kernel call,
-    then drops each cell whose bound is above the least value for each of its
-    rows, finishes those no side of which is longer than one step, and halves
-    the others.  Returns (value, A, B, C): the least value and its smallest
-    grid point in 1/D units.
+    evaluates the corners and left-over rows of its cells in blocks of _BLOCK
+    rows, then drops each cell whose bound is above the least value for each
+    of its rows, finishes those no side of which is longer than one step, and
+    halves the others.  The least value N0/(A0*B0) is kept as the ints (N0,
+    A0, B0, j), so every decision is one comparison of Python ints.  Returns
+    (value, A, B, C): the least value and its smallest grid point in 1/D units.
     """
     cells, D, S, y = args
-    c = np.array(cells, dtype=np.int64).reshape(-1, 4).T
-    rest = 2 * (np.empty(0, np.int64),)  # rows of finished cells left to evaluate
-    seen = 3 * (np.full(1, -1),) + (np.zeros(1, bool),)  # the last level's (key, t, m, settled)
-    best = (math.inf,)
-    while c.size or rest[0].size:
-        i0, i1, j0, j1 = c
-        i, j = np.concatenate((i1, i0, i1, i0, rest[0])), np.concatenate((j1, j1, j0, j0, rest[1]))
-        t = np.concatenate(4 * [i1 + j1] + [rest[0] + rest[1]])
-        # one entry per distinct row (i, j), over the widest c-range asked of it
-        keys = i * D + j  # i, j <= M < D, so keys stay below D^2 < 2^48
-        order = np.argsort(keys)
-        first = np.flatnonzero(np.concatenate(([True], np.diff(keys[order]) != 0)))
-        key, t = keys[order[first]], np.maximum.reduceat(t[order], first)
-        slot, (i, j) = np.searchsorted(key, keys), np.divmod(key, D)
+    rest = []  # rows (i, j) of finished cells left to evaluate over their own c-range
+    seen = {}  # the last level's rows (i, j): (t, m, settled)
+    # (N, A, B, j): the least N/(A*B), ties to the least (A, B, j).  It starts
+    # at 1/0, above every row, and no cell is dropped before some row is settled
+    best = (1, 0, 0, 0)
+    while cells or rest:
+        ask = {row: sum(row) for row in rest}  # each row's widest c-range asked
+        corners = [((i1, j1), (i0, j1), (i1, j0), (i0, j0)) for i0, i1, j0, j1 in cells]
+        for cell, rows in zip(cells, corners):
+            t = cell[1] + cell[3]
+            for row in rows:
+                if ask.get(row, -1) < t:
+                    ask[row] = t
         # the last level's minimum over a c-range at least as wide still bounds
         # a row, and one asked for its own c-range needs no second look if settled
-        p = np.searchsorted(seen[0], key, side="right") - 1
-        hit = (seen[0][p] == key) & (seen[1][p] >= t) & (seen[3][p] | (t > i + j))
-        ev, t, m, k = np.flatnonzero(~hit), np.where(hit, seen[1][p], t), seen[2][p], np.full(len(key), -1)
-        A, B = y + S * i, y + S * j
-        for r in range(0, len(ev), _BLOCK):
-            e = ev[r : r + _BLOCK]
-            m[e], k[e] = _row_minima(*(x[e, None] for x in (A, B, t)), D, S, y)
-        k -= t - i - j  # counted from the row's own first grid point
-        own = (i <= j) & (k >= 0)
-        best = _least(best, m[own], A[own], B[own], k[own])
-        own |= hit & seen[3][p]
-        seen = key, t, m, own
-        # Drop a cell if low - slack > best*A*B for each of its rows: at its
-        # largest A*B if best > 0, else at its smallest.  In float the
-        # difference is within 8 * 2^-53 (|low| + slack + |R|) of its exact
-        # value, so beyond 2^-46 times that sum it decides; otherwise ints do.
-        corner = slot[: 4 * len(i0)].reshape(4, -1)
-        low, di, dj = m[corner].min(axis=0), i1 - i0, j1 - j0
-        slack = S * S * ((_Q[0] * di + 2 * _Q[1] * dj) * di + _Q[2] * dj * dj)
-        v, (A0, A1, B0, B1) = best[0], y + S * c
-        AB = A1 * B1 if v > 0 else A0 * B0
-        R = float(v) * AB
-        diff, err = low - (slack + R), 2.0**-46 * (abs(low) + (slack + abs(R)))
-        keep = diff <= err
-        for n in np.flatnonzero(keep & (diff >= -err)).tolist():
-            keep[n] = (int(low[n]) - int(slack[n])) * v.denominator <= v.numerator * int(AB[n])
-        # a finished cell's rows are its corners: those not settled above are left over
-        done = keep & (di <= 1) & (dj <= 1)
-        left = done & ~own[corner] & (i[corner] <= j[corner])
-        rest = i[corner][left], j[corner][left]
-        c = c[:, keep & ~done]
-        for a in (0, 2):  # halve the sides [c[a], c[a + 1]] longer than one step
-            cut = c[a + 1] - c[a] > 1
-            upper = c[:, cut]
-            upper[a] = (upper[a] + upper[a + 1]) // 2
-            c[a + 1, cut] = upper[a]
-            c = np.concatenate((c, upper), axis=1)
-        c = c[:, c[0] < c[3]]  # i0 = j1 leaves one grid row, which a sibling holds
-    value, A, B, j = best
-    return value / 162, A, B, 2 * y - A - B + S * j
+        level = {row: old for row, t in ask.items()
+                 if (old := seen.get(row)) and old[0] >= t and (old[2] or t > sum(row))}
+        todo = [(*row, t) for row, t in ask.items() if row not in level]
+        for r in range(0, len(todo), _BLOCK):
+            block = todo[r : r + _BLOCK]
+            i, j, t = np.array(block, dtype=np.int64).T[..., None]
+            minima = _row_minima(y + S * i, y + S * j, t, D, S, y)
+            for (i, j, t), m, k in zip(block, *(x.tolist() for x in minima)):
+                k -= t - i - j  # counted from the row's own first grid point
+                settled = i <= j and k >= 0
+                level[i, j] = t, m, settled
+                if settled:  # compare N/(A*B) cross-multiplied, then (A, B, j)
+                    A, B = y + S * i, y + S * j
+                    d = m * best[1] * best[2] - best[0] * A * B
+                    if d < 0 or d == 0 and (A, B, k) < best[1:]:
+                        best = m, A, B, k
+        seen, kept, rest = level, [], []
+        N0, AB0 = best[0], best[1] * best[2]
+        for (i0, i1, j0, j1), rows in zip(cells, corners):
+            di, dj = i1 - i0, j1 - j0
+            # drop the cell if low - slack > N0/(A0*B0) * A*B for each of its
+            # rows: at its largest A*B if N0 > 0, else at its smallest
+            low = min([level[row][1] for row in rows])
+            slack = S * S * ((_Q[0] * di + 2 * _Q[1] * dj) * di + _Q[2] * dj * dj)
+            AB = (y + S * i1) * (y + S * j1) if N0 > 0 else (y + S * i0) * (y + S * j0)
+            if (low - slack) * AB0 > N0 * AB:
+                continue
+            if di <= 1 and dj <= 1:  # a finished cell's rows are its corners
+                rest += [(i, j) for i, j in rows if i <= j and not level[i, j][2]]
+            else:  # i0 = j1 leaves one grid row, which a sibling holds
+                kept += [(*a, *b) for a in _halves(i0, i1) for b in _halves(j0, j1) if a[0] < b[1]]
+        cells = kept
+    N, A, B, j = best
+    return Fraction(N, 162 * A * B), A, B, 2 * y - A - B + S * j
 
 
 def _first_cells(M: int) -> list:

@@ -127,14 +127,16 @@ def spectral_radius(matrix) -> SpectralEnclosure:
     if not dominates_rho(coeffs, Fraction(bound)):
         raise InvariantError("column/row-sum bound failed to dominate rho")
     lo, up = _bracket(coeffs, bound)
-    while up - lo > _STEP:  # every midpoint stays on the grid
-        mid = (lo + up) / 2
-        if dominates_rho(coeffs, mid):
-            up = mid
-        else:
-            lo = mid
-    # up is the least multiple of _STEP >= rho, and any rational root of a
-    # monic integer polynomial is an integer
-    if up.denominator == 1 and rho_sign(coeffs, up) == 0:
-        return SpectralEnclosure(up, up, coeffs)
+    # any rational root of a monic integer polynomial is an integer, so rho is
+    # exact if it is the integer up: at width 1, which the fallback bracket
+    # reaches with integer ends, and at _STEP, the least multiple of _STEP >= rho
+    for width in (1, _STEP):
+        while up - lo > width:  # every midpoint stays on the grid
+            mid = (lo + up) / 2
+            if dominates_rho(coeffs, mid):
+                up = mid
+            else:
+                lo = mid
+        if up.denominator == 1 and rho_sign(coeffs, up) == 0:
+            return SpectralEnclosure(up, up, coeffs)
     return SpectralEnclosure(lo, up, coeffs)

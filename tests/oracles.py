@@ -185,7 +185,7 @@ def cell_rows(cells, S, y) -> list:
 
 
 def cells_min_exact(args):
-    """slices._cells_min without blocks, the branch and bound or the float screen.
+    """slices._cells_min without blocks or the branch and bound.
 
     The kernel takes every grid row of the cells of the task (cells, D, S, y)
     in one call, over its own c values, in ascending (A, B), and every row's
@@ -456,6 +456,13 @@ def mc_pressure(ts, t, n: int, samples: int, seed: int):
     spread = statistics.stdev(scaled) / statistics.fmean(scaled)
     scale = n * math.log(ts.L)
     return (scale + log_mean) / scale, spread / math.sqrt(samples) / scale
+
+
+def exact_log_pressure(ts, t, n: int) -> float:
+    """Exact-mode P_n(t) from every word's rational mass, its sum taken by np.logaddexp.reduce."""
+    masses = [m for m in exact_masses(ts, n, ts.nu) if m]
+    terms = [t * (math.log(m.numerator) - math.log(m.denominator)) for m in masses]
+    return float(np.logaddexp.reduce(terms)) / (n * math.log(ts.L))
 
 
 def word_product(matrices, word):

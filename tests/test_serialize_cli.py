@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from oracles import mc_pressure
+from oracles import exact_log_pressure, mc_pressure
 
 from fracphase.cli import cli
 from fracphase.errors import InputError, check_rational
@@ -369,8 +369,6 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
         [*pressure_argv, "--t", "0.5", "--mode", "mc", "--seed", "-1"],
         [*pressure_argv, "--t", "0.5", "--mode", "mc",
          "--seed", "18446744073709551616"],
-        ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "1000", "--n", "3"],
-        ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "-1000", "--n", "3"],
         [*pressure_argv, "--t", "0.5", "--mode", "mc", "--samples", "1000000000000"],
         *dead_digit_argvs,
         ["simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "3/10",
@@ -403,11 +401,19 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
         got = json.loads(capsys.readouterr().out)
         want = mc_pressure(ts, float(t), n, samples, 0)
         assert (got["value_float"], got["stderr_float"]) == pytest.approx(want, rel=1e-12)
+    # exact pressure redoes a float sum past the float range in logs, as Monte Carlo does
+    for t in ("1000", "-1000", "-200"):
+        monkeypatch.setattr("sys.argv", ["fracphase", "pressure", "--ifs", "menger", "--dir",
+                                         "1,1,1", "--t", t, "--n", "3"])
+        climod.main()
+        got = json.loads(capsys.readouterr().out)["value_float"]
+        assert got == pytest.approx(exact_log_pressure(ts, float(t), 3), rel=1e-12)
     for t in ("1e308", "-1e308"):
-        exits_with_input_error(["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", t,
-                                "--n", "5", "--mode", "mc", "--samples", "50"],
-                               f"input error: sums of m(w)^t at t = {float(t)}, n = 5 leave "
-                               "the float range (0, 1.79769e+308]; use a smaller |t|")
+        for mode in ("exact", "mc"):
+            exits_with_input_error(["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", t,
+                                    "--n", "5", "--mode", mode, "--samples", "50"],
+                                   f"input error: sums of m(w)^t at t = {float(t)}, n = 5 leave "
+                                   "the float range (0, 1.79769e+308]; use a smaller |t|")
     # over the candidate budget the type system is refused before it is built:
     # building either one would allocate far more than 1 MiB
     for k, data in enumerate(OVERSIZED_IFS):

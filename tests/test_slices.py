@@ -417,13 +417,14 @@ def test_screened_slice_minima_match_the_exact_loop(k, n, block, split, picks):
 
 def test_screen_keeps_exact_ties_whose_floats_differ(monkeypatch):
     # past 2^53 a row minimum m rounds to float: here every row's m / (A*B) is
-    # c/3 exactly, at every c-range, yet the float quotient of the least row
-    # (A, B) = (99, 99) is above the least one.  No cell can be ruled out, so
-    # every row is evaluated, at one first cell and at cells one step a side.
-    # Of the cells [0, 1]^2 and the single row (M - 1, M), a level settles
-    # (102, 102) first and leaves (99, 99) and (99, 102) alone to the next,
-    # where at 2^45 + 36 both float quotients are above float(c/3), the least
-    # value found so far
+    # c/3 exactly, at every c-range, yet in floats the quotient of the least
+    # row (A, B) = (99, 99) is above the least one, so a float comparison would
+    # break the tie against it.  No cell can be ruled out, so every row is
+    # evaluated, at one first cell and at cells one step a side.  Of the cells
+    # [0, 1]^2 and the single row (M - 1, M), a level settles (102, 102) first
+    # and leaves (99, 99) and (99, 102) alone to the next, where at 2^45 + 36
+    # both float quotients are above float(c/3), the least value found so far;
+    # compared as ints, (99, 99) still wins the tie
     D, S, y, M = _grid(Fraction(1, 99))
     A, B = (np.array(col) for col in zip(*cell_rows([(0, M, 0, M)], S, y)))
     for c in (2**45 + 1, 2**45 + 36):
@@ -463,6 +464,31 @@ def test_screen_keeps_a_row_whose_bound_equals_the_least_value(monkeypatch):
     assert slices._Q == (612, 450, 612)
     got = slices._cells_min(([(5, 5, 6, 6), (1, 3, 4, 6)], D, S, y))
     assert got == (Fraction(1, 162), 15, 24, 2 * y - 15 - 24)
+
+
+def test_cell_drop_is_exact_past_2_to_the_53(monkeypatch):
+    # at step 1/10 the cell [0, 2] x [4, 6] has slack S^2 * 8496 and its
+    # largest A*B is 16*28 = 448, coprime to 19*25 = 475 of the single row
+    # (3, 5), whose minimum N0 near 2^60 settles the least value.  The cell's
+    # corners take low = L + slack: with L*475 = 448*N0 + 1 the cell is above
+    # the least value by one part in about 2^69 and is dropped, so no row
+    # inside it is asked for; with L*475 = 448*N0 it is kept and halved
+    D, S, y, M = _grid(Fraction(1, 10))
+    slack = S * S * (612 + 900 + 612) * 2**2
+    for N0, L, dropped in ((2**60 + 62, (448 * (2**60 + 62) + 1) // 475, True),
+                           (475 * 2**51, 448 * 2**51, False)):
+        assert L * 475 - 448 * N0 == dropped
+        asked = set()
+
+        def row_minima(A, B, t, *args):
+            asked.update(zip(((A[:, 0] - y) // S).tolist(), ((B[:, 0] - y) // S).tolist()))
+            m = np.where((A == 19) & (B == 25), N0, L + slack)
+            return m[:, 0], np.zeros(len(A), int)
+
+        monkeypatch.setattr(slices, "_row_minima", row_minima)
+        got = slices._cells_min(([(3, 3, 5, 5), (0, 2, 4, 6)], D, S, y))
+        assert got == (Fraction(N0, 162 * 475), 19, 25, 2 * y - 19 - 25)
+        assert ((1, 5) in asked) == (not dropped)
 
 
 def test_curvature_constant_recomputed_from_the_tables():

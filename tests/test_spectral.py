@@ -204,3 +204,18 @@ def test_enclosure_equals_the_oracle_bisection(matrix):
     assert (enc.lower, enc.upper) == perron_enclosure(matrix, Fraction(1, 10**9))
     assert enc.coeffs == tuple(char_poly_dense(matrix))  # kept for later comparisons
 
+
+
+@pytest.mark.parametrize("matrix", [[[10**400]], [[10**200, 1], [1, 10**200]]])
+def test_fallback_bracket_stops_at_an_integer_rho(matrix, monkeypatch):
+    # a bound or a coefficient past the float range starts the bisection from
+    # [-1, 2^b - 1]; at width 1 its upper end is the integer rho, so it takes
+    # the bound's check and b halvings, not 30 more down to 2^-30
+    import fracphase.spectral as spectral
+
+    calls = []
+    monkeypatch.setattr(spectral, "dominates_rho", lambda *a: calls.append(1) or dominates_rho(*a))
+    enc = spectral_radius(matrix)
+    bound = max(map(sum, matrix))
+    assert enc.lower == enc.upper == bound
+    assert len(calls) == bound.bit_length() + 1
