@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .errors import AmbiguityError, InputError, InvariantError, check_int, check_rational
+from .errors import AmbiguityError, InputError, InvariantError, check_int, check_rational, shown
 from .lattice import LatticeIFS, menger, project as project_lattice, sierpinski
 from .line_ifs import LineIFS, scale as scale_ifs
 from .phase import phase_report
@@ -120,6 +120,9 @@ def simulate(source, direction, p, depth, replicas, seed, out) -> None:
     check_int(replicas, "--replicas", 1)
     ifs = _load_ifs(source, direction, None)
     pf = check_rational(p, "--p")
+    if seed + replicas > 2**64:  # checked before any replica is drawn
+        raise InputError("replica r draws seed --seed + r, so --seed + --replicas must be at most "
+                         f"2^64, got {shown(seed + replicas)}")
     rows = ["replica,retained_count,proj_measure,longest_run,extinct_level"]
     for r in range(replicas):
         s = sample_survival(ifs.M, pf, depth, seed + r)

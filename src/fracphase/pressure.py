@@ -14,19 +14,20 @@ The Lyapunov exponent is the almost-sure limit of
 bound) under uniform digits; ``exp(-w)`` estimates the zero-measure threshold
 of the percolation parameter.
 
-Exact mass sums are rationals at t = 0, 1 and floats otherwise; a float sum
-past the float range is redone as c + log sum exp(t log m(w) - c), c the
-largest term, as Monte Carlo takes log mean m(w)^t.  Both refuse only a t log
-m(w) past the float range.  Sampled-word scheme: Monte Carlo word i of a seed
-is ``simulate.stream(seed, i).integers(0, L, size=n)``.  One Philox, rekeyed to
-key (seed, i), counter 0 and an empty buffer, gives ``random_raw(ceil(n/2))``;
-digit j is Lemire's ``(u L) >> 32`` of the j-th 32-bit half u (low half first),
-as in ``Generator.integers``.  A word that reaches Lemire's rejection branch
-``(u L) mod 2^32 < (2^32 - L) mod L`` (probability about n L / 2^32) is drawn
-again through ``stream``.  Both walks step k digits at a time (``_block_digits``):
-the L^k products of k digit matrices fit a table of at most 4096 entries, each
-an integer below 2^53.  The sampled walk renormalizes its float rows once every
-r steps (``_renorm_every``), r as large as keeps every row sum below 2^1000.
+Exact mass sums are rationals at t = 0, 1.  At any other t one walk keeps the
+sum of m(w)^t as e^c s, c the largest t log m(w) so far and s rescaled whenever
+c grows, as Monte Carlo takes log mean m(w)^t relative to its largest term.
+Both refuse only a t log m(w) past the float range.  Sampled-word scheme: Monte
+Carlo word i of a seed is ``simulate.stream(seed, i).integers(0, L, size=n)``.
+One Philox, rekeyed to key (seed, i), counter 0 and an empty buffer, gives
+``random_raw(ceil(n/2))``; digit j is Lemire's ``(u L) >> 32`` of the j-th
+32-bit half u (low half first), as in ``Generator.integers``.  A word that
+reaches Lemire's rejection branch ``(u L) mod 2^32 < (2^32 - L) mod L``
+(probability about n L / 2^32) is drawn again through ``stream``.  Both walks
+step k digits at a time (``_block_digits``): the L^k products of k digit
+matrices fit a table of at most 4096 entries, each an integer below 2^53.  The
+sampled walk renormalizes its float rows once every r steps
+(``_renorm_every``), r as large as keeps every row sum below 2^1000.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class PressureEstimate:
     n: int
     value: float
     method: str  # "exact-enumeration" | "monte-carlo"
-    mass_sum: Fraction | float | None  # exact at t in {0, 1}; None in Monte Carlo or in logs
+    mass_sum: Fraction | None  # exact at t in {0, 1}; None otherwise
     stderr: float | None = None
 
 
@@ -193,7 +194,7 @@ def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight)
 
 
 def _float_range_error(t: float, n: int) -> InputError:
-    """The largest t log m(w), over every word or the sampled ones, is not a float."""
+    """The largest t log m(w), over every word or the sampled ones, is +inf or -inf."""
     return InputError(
         f"sums of m(w)^t at t = {t}, n = {n} leave the float range (0, {sys.float_info.max:.6g}]; "
         "use a smaller |t|"
@@ -224,38 +225,23 @@ def pressure(
         # m(w) = k / den with integer k, once nu is scaled to integers
         den = math.lcm(*(x.denominator for x in ts.nu))
         scaled = [int(x * den) for x in ts.nu]
-
-        def masses():  # each nonzero k; a zero one is refused at negative t
-            for k in _masses_exact_dfs(ts, n, scaled):
-                if k:
-                    yield k
-                elif t < 0:
-                    raise InputError("zero cylinder mass with negative t")
-
-        if t == 0:
-            total: Fraction | float = Fraction(L**n)
-        elif t == 1:
-            total = Fraction(sum(masses()), den)
-        else:
-            total = 0.0
-            try:
-                for k in masses():
-                    total += math.exp(t * math.log(k / den))
-            except OverflowError:
-                total = math.inf
-            if not 0 < total < math.inf:  # the same sum in logs, scaled by its largest term e^c
-                log_den = math.log(den)
-                c = max((t * (math.log(k) - log_den) for k in masses()), default=math.inf)
-                if not math.isfinite(c):
-                    raise _float_range_error(t, n)
-                total = math.fsum(math.exp(t * (math.log(k) - log_den) - c) for k in masses())
-                value = (c + math.log(total)) / (n * log_l)
-                return PressureEstimate(t, n, value, "exact-enumeration", None)
-        try:
-            value = math.log(total) / (n * log_l)
-        except OverflowError:  # an exact total past the float range
+        if t in (0, 1):  # L^n words, or a mass sum of M^n: an integer, maybe past the floats
+            total = Fraction(sum(_masses_exact_dfs(ts, n, scaled)), den) if t else Fraction(L**n)
             value = (math.log(total.numerator) - math.log(total.denominator)) / (n * log_l)
-        return PressureEstimate(t, n, value, "exact-enumeration", total)
+            return PressureEstimate(t, n, value, "exact-enumeration", total)
+        # one walk: the sum is e^c s, c the largest t log m(w) so far, s rescaled as c grows
+        log_den, c, s = math.log(den), -sys.float_info.max, 0.0
+        for k in _masses_exact_dfs(ts, n, scaled):
+            if not k and t < 0:
+                raise InputError("zero cylinder mass with negative t")
+            x = t * (math.log(k) - log_den) if k else -math.inf
+            if x > c:
+                s, c = s * math.exp(c - x) + 1, x
+            else:
+                s += math.exp(x - c)
+        if c == math.inf or not s:
+            raise _float_range_error(t, n)
+        return PressureEstimate(t, n, (c + math.log(s)) / (n * log_l), "exact-enumeration", None)
     if mode != "mc":
         raise InputError(f"unknown pressure mode {mode!r}")
     import numpy as np

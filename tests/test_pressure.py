@@ -64,38 +64,57 @@ def test_endpoint_identities_exact(systems):
             )
 
 
-# (value.hex(), mass_sum.hex()) of exact pressure at n = 5, captured from an
-# enumeration of full N x N matrix products; the row-vector walk must
+# value.hex() of exact pressure at n = 5, captured from an enumeration of
+# full N x N matrix products summed in lexicographic order as e^c s (c the
+# largest t log m(w) so far, s rescaled as c grows); the row-vector walk must
 # reproduce them bit for bit.
 EXACT_PRESSURE_N5 = {
-    ("menger", 0.5): ("0x1.dce74008a44f2p+0", "0x1.b27c18564dfb9p+14"),
-    ("menger", -0.5): ("0x1.1adfa5b68029cp-3", "0x1.1158d8eca18ddp+1"),
-    ("menger", 2): ("0x1.1d4c327a83639p+2", "0x1.41229786f5c29p+35"),
-    ("menger-137", 0.5): ("0x1.dd08dbecfe46ap+0", "0x1.b3b5de4770d0dp+14"),
-    ("menger-137", -0.5): ("0x1.17b9376635a3cp-3", "0x1.0f0c185177cc5p+1"),
-    ("menger-137", 2): ("0x1.1d08e0350bb02p+2", "0x1.39f7d09f922afp+35"),
+    ("menger", 0.5): "0x1.dce74008a44f2p+0",
+    ("menger", -0.5): "0x1.1adfa5b68029bp-3",
+    ("menger", 2): "0x1.1d4c327a83639p+2",
+    ("menger-137", 0.5): "0x1.dd08dbecfe469p+0",
+    ("menger-137", -0.5): "0x1.17b9376635a3dp-3",
+    ("menger-137", 2): "0x1.1d08e0350bb01p+2",
 }
 
 
 def test_exact_pressure_golden_values(systems):
-    for (name, t), (value, mass_sum) in EXACT_PRESSURE_N5.items():
+    for (name, t), value in EXACT_PRESSURE_N5.items():
         est = pressure(systems[name], t, 5)
-        assert (est.value.hex(), est.mass_sum.hex()) == (value, mass_sum)
+        assert est.value.hex() == value
+        assert est.mass_sum is None  # a float sum is kept only in logs
         assert est.method == "exact-enumeration"
 
 
 def test_exact_walk_memory_does_not_grow_with_the_word_count(systems):
     # the depth-first walk holds one row per level, O(n N); 3^10 = 59,049
-    # words against 3^6 = 729 may add a few rows, not a list of the words
-    peaks = []
-    for n in (6, 10):
-        tracemalloc.start()
-        try:
-            pressure(systems["menger"], 0.5, n)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] < peaks[0] + 2**14
+    # words against 3^6 = 729 may add a few rows, not a list of the words.
+    # At t = 1000 the sum of m(w)^t is past the float range.
+    for t in (0.5, 1000):
+        peaks = []
+        for n in (6, 10):
+            tracemalloc.start()
+            try:
+                pressure(systems["menger"], t, n)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 2**14
+
+
+def test_exact_pressure_walks_the_words_once(systems, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _masses_exact_dfs(*args)
+
+    monkeypatch.setattr(pressure_mod, "_masses_exact_dfs", counted)
+    # at t = 1000 and -200 a linear float sum of m(w)^t would leave the float range
+    for t, walks in ((0.5, 1), (-0.5, 1), (1000, 1), (-200, 1), (1, 1), (0, 0)):
+        calls.clear()
+        pressure(systems["menger"], t, 3)
+        assert len(calls) == walks, t
 
 
 def test_exact_walk_at_the_word_budget_stays_small(systems):

@@ -19,6 +19,7 @@ from fracphase.serialize import (
     phase_report_to_json,
     svg_band_chart,
 )
+from fracphase.simulate import sample_survival
 from fracphase.line_ifs import normalize
 from fracphase.type_system import compute_type_system
 
@@ -256,8 +257,35 @@ def test_cli_simulate_matches_golden_output():
     assert result.stdout_bytes == (DATA / "simulate_menger_1_1_1.csv").read_bytes()
 
 
+def test_cli_simulate_refuses_seeds_past_the_range_before_any_replica(monkeypatch, capsys):
+    import fracphase.cli as climod
+
+    drawn = []
+
+    def counted(*args):
+        drawn.append(args)
+        return sample_survival(*args)
+
+    monkeypatch.setattr(climod, "sample_survival", counted)
+    argv = ["fracphase", "simulate", "--ifs", "menger", "--dir", "1,1,1", "--p", "1/2",
+            "--depth", "2", "--seed", str(2**64 - 1)]
+    # replica 1 would draw seed 2^64, one past the seed range
+    monkeypatch.setattr("sys.argv", [*argv, "--replicas", "2"])
+    with pytest.raises(SystemExit) as exc:
+        climod.main()
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert (out, drawn) == ("", [])
+    assert err == ("input error: replica r draws seed --seed + r, so --seed + --replicas must be "
+                   f"at most 2^64, got {2**64 + 1}\n")
+    monkeypatch.setattr("sys.argv", [*argv, "--replicas", "1"])
+    climod.main()
+    assert len(drawn) == 1
+    assert capsys.readouterr().out.count("\n") == 2  # the header and replica 0
+
+
 def test_cli_pressure_matches_golden_output():
-    # exact enumeration over 3^8 words; the fixture pins the float sum bit for bit
+    # exact enumeration over 3^8 words; the fixture pins the log-space sum bit for bit
     result = CliRunner().invoke(
         cli,
         ["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", "0.5", "--n", "8"],
@@ -401,13 +429,14 @@ def test_main_exit_codes(monkeypatch, capsys, tmp_path):
         got = json.loads(capsys.readouterr().out)
         want = mc_pressure(ts, float(t), n, samples, 0)
         assert (got["value_float"], got["stderr_float"]) == pytest.approx(want, rel=1e-12)
-    # exact pressure redoes a float sum past the float range in logs, as Monte Carlo does
-    for t in ("1000", "-1000", "-200"):
+    # exact pressure keeps its sum in logs, as Monte Carlo does: sums of m(w)^t past the
+    # float range answer, and at t = -200, n = 2 no sum of subnormal terms loses digits
+    for t, n in (("1000", 3), ("-1000", 3), ("-200", 3), ("-200", 2)):
         monkeypatch.setattr("sys.argv", ["fracphase", "pressure", "--ifs", "menger", "--dir",
-                                         "1,1,1", "--t", t, "--n", "3"])
+                                         "1,1,1", "--t", t, "--n", str(n)])
         climod.main()
         got = json.loads(capsys.readouterr().out)["value_float"]
-        assert got == pytest.approx(exact_log_pressure(ts, float(t), 3), rel=1e-12)
+        assert got == pytest.approx(exact_log_pressure(ts, float(t), n), rel=1e-12)
     for t in ("1e308", "-1e308"):
         for mode in ("exact", "mc"):
             exits_with_input_error(["pressure", "--ifs", "menger", "--dir", "1,1,1", "--t", t,
