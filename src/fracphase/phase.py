@@ -226,10 +226,9 @@ def phase_report(ts: TypeSystem) -> PhaseReport:
         if A not in seen:
             seen[A] = seen[tuple(row[::-1] for row in reversed(A))] = spectral_radius(A)
     radii = tuple(seen[A] for A in ts.matrices)
-    best = min(radii, key=lambda e: e.upper)
-    # threshold 1 / min_a rho(A_a), capped at 1 (p never exceeds 1)
-    no_int = SpectralEnclosure(1 / max(best.upper, Fraction(1)),
-                               1 / max(best.lower, Fraction(1)))
+    # threshold 1 / min_a rho(A_a), each end over all digits, capped at 1 (p <= 1)
+    no_int = SpectralEnclosure(1 / max(min(e.upper for e in radii), Fraction(1)),
+                               1 / max(min(e.lower for e in radii), Fraction(1)))
 
     # a strictly positive row leaves no zero column, so every product below
     # (over digits, of the U-th column sums, for each type U) is then > 0

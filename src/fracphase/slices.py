@@ -41,14 +41,14 @@ i0, dj = j1 - j0.  The kernel cuts the box into _SPLIT x _SPLIT closed cells,
 which share their boundary rows; breadth first it drops a cell if min m_c less
 that slack is above the least value for each row in it, and halves the rest
 into [i0, mid] and [mid, i1].  A level evaluates each distinct corner once,
-over the widest range its cells ask, unless the last level did over one as
-wide.  A corner whose smallest minimizer is in its own c-range is exact; the
-other rows of a cell at most one step a side are evaluated over their own a
-level later.  About 300-500 rows are evaluated at any step.  No float enters:
-numpy runs the row kernel in int64, and every decision after it is one
-comparison of Python ints.  Every knot, piece coefficient and piece value fits
-in int64, all over the box, while ``D <= _MAX_D`` (about 1.3e7; the derivation
-is at ``_MAX_D``); finer steps are rejected.
+over the widest range its cells ask, unless the table of rows evaluated so far
+holds it over one as wide.  A corner whose smallest minimizer is in its own
+c-range is exact; a cell at most one step a side puts its other rows back as
+one-row cells (i, i, j, j).  About 300-500 rows are evaluated at any step.  No
+float enters: numpy runs the row kernel in int64, and every decision after it
+is one comparison of Python ints.  Every knot, piece coefficient and piece
+value fits in int64, all over the box, while ``D <= _MAX_D`` (about 1.3e7; the
+derivation is at ``_MAX_D``); finer steps are rejected.
 """
 
 from __future__ import annotations
@@ -273,34 +273,32 @@ def _halves(lo: int, hi: int) -> list:
 def _cells_min(args):
     """Exact minimum of htilde over the grid rows in the cells of one task (cells, D, S, y).
 
-    A cell (i0, i1, j0, j1), i0 < j1, holds the rows A = y + S*i, B = y + S*j
+    A cell (i0, i1, j0, j1), i0 <= j1, holds the rows A = y + S*i, B = y + S*j
     with i0 <= i <= i1, j0 <= j <= j1 and i <= j.  Breadth first, a level
-    evaluates the corners and left-over rows of its cells in blocks of _BLOCK
-    rows, then drops each cell whose bound is above the least value for each
-    of its rows, finishes those no side of which is longer than one step, and
-    halves the others.  The least value N0/(A0*B0) is kept as the ints (N0,
-    A0, B0, j), so every decision is one comparison of Python ints.  Returns
-    (value, A, B, C): the least value and its smallest grid point in 1/D units.
+    evaluates its cells' corners in blocks of _BLOCK rows, drops each cell whose
+    bound is above the least value for each of its rows, halves those with a
+    side longer than one step and puts the others' unsettled rows back as
+    one-row cells.  The least value N0/(A0*B0) is kept as the ints (N0, A0, B0,
+    j), so every decision is one comparison of Python ints.  Returns (value, A,
+    B, C): the least value and its smallest grid point in 1/D units.
     """
     cells, D, S, y = args
-    rest = []  # rows (i, j) of finished cells left to evaluate over their own c-range
-    seen = {}  # the last level's rows (i, j): (t, m, settled)
+    seen = {}  # every row evaluated so far (i, j): (t, m, settled)
     # (N, A, B, j): the least N/(A*B), ties to the least (A, B, j).  It starts
     # at 1/0, above every row, and no cell is dropped before some row is settled
     best = (1, 0, 0, 0)
-    while cells or rest:
-        ask = {row: sum(row) for row in rest}  # each row's widest c-range asked
+    while cells:
+        ask = {}  # each row's widest c-range asked
         corners = [((i1, j1), (i0, j1), (i1, j0), (i0, j0)) for i0, i1, j0, j1 in cells]
         for cell, rows in zip(cells, corners):
             t = cell[1] + cell[3]
             for row in rows:
                 if ask.get(row, -1) < t:
                     ask[row] = t
-        # the last level's minimum over a c-range at least as wide still bounds
-        # a row, and one asked for its own c-range needs no second look if settled
-        level = {row: old for row, t in ask.items()
-                 if (old := seen.get(row)) and old[0] >= t and (old[2] or t > sum(row))}
-        todo = [(*row, t) for row, t in ask.items() if row not in level]
+        # a minimum over a c-range at least as wide still bounds a row, and one
+        # asked for its own c-range needs no second look if settled
+        todo = [(*row, t) for row, t in ask.items()
+                if not ((old := seen.get(row)) and old[0] >= t and (old[2] or t > sum(row)))]
         for r in range(0, len(todo), _BLOCK):
             block = todo[r : r + _BLOCK]
             i, j, t = np.array(block, dtype=np.int64).T[..., None]
@@ -308,25 +306,24 @@ def _cells_min(args):
             for (i, j, t), m, k in zip(block, *(x.tolist() for x in minima)):
                 k -= t - i - j  # counted from the row's own first grid point
                 settled = i <= j and k >= 0
-                level[i, j] = t, m, settled
+                seen[i, j] = t, m, settled
                 if settled:  # compare N/(A*B) cross-multiplied, then (A, B, j)
                     A, B = y + S * i, y + S * j
                     d = m * best[1] * best[2] - best[0] * A * B
                     if d < 0 or d == 0 and (A, B, k) < best[1:]:
                         best = m, A, B, k
-        seen, kept, rest = level, [], []
-        N0, AB0 = best[0], best[1] * best[2]
+        kept, N0, AB0 = [], best[0], best[1] * best[2]
         for (i0, i1, j0, j1), rows in zip(cells, corners):
             di, dj = i1 - i0, j1 - j0
             # drop the cell if low - slack > N0/(A0*B0) * A*B for each of its
             # rows: at its largest A*B if N0 > 0, else at its smallest
-            low = min([level[row][1] for row in rows])
+            low = min([seen[row][1] for row in rows])
             slack = S * S * ((_Q[0] * di + 2 * _Q[1] * dj) * di + _Q[2] * dj * dj)
             AB = (y + S * i1) * (y + S * j1) if N0 > 0 else (y + S * i0) * (y + S * j0)
             if (low - slack) * AB0 > N0 * AB:
                 continue
             if di <= 1 and dj <= 1:  # a finished cell's rows are its corners
-                rest += [(i, j) for i, j in rows if i <= j and not level[i, j][2]]
+                kept += [(i, i, j, j) for i, j in rows if i <= j and not seen[i, j][2]]
             else:  # i0 = j1 leaves one grid row, which a sibling holds
                 kept += [(*a, *b) for a in _halves(i0, i1) for b in _halves(j0, j1) if a[0] < b[1]]
         cells = kept

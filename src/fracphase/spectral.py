@@ -118,10 +118,14 @@ def _bracket(coeffs, bound: int) -> tuple[Fraction, Fraction]:
 
 def spectral_radius(matrix) -> SpectralEnclosure:
     """Certified enclosure of the Perron root of a nonnegative integer matrix."""
-    coeffs = tuple(char_poly(matrix))  # an InputError unless matrix is square
-    rows = [[check_int(x, "matrix entry", 0) for x in row] for row in matrix]
+    # the entries are checked before the exact work, which grows fast with the size
+    try:
+        rows = [[check_int(x, "matrix entry", 0) for x in row] for row in matrix]
+    except TypeError:
+        raise InputError("matrix must be a sequence of rows of numbers") from None
     if not rows:
         raise InputError("matrix must be nonempty")
+    coeffs = tuple(char_poly(rows))  # an InputError unless matrix is square
     # rho is at most the largest row or column sum
     bound = min(max(map(sum, rows)), max(map(sum, zip(*rows))))
     if not dominates_rho(coeffs, Fraction(bound)):

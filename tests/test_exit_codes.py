@@ -23,10 +23,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from fracphase.cli import cli, main
+from fracphase.cli import _load_ifs, cli, main
 from fracphase.errors import InputError, check_int, check_rational
 from fracphase.lattice import LatticeIFS, make_direction
 from fracphase.line_ifs import LineIFS, normalize, scale
@@ -367,3 +368,21 @@ def test_huge_numbers_exit_2_with_one_short_input_error_line(argv, tmp_path):
     assert time.perf_counter() - start < 5
     assert code == 2, err
     assert err.startswith("input error:") and err.count("\n") == 1 and len(err) < 200, err
+
+
+@pytest.mark.parametrize("translations, direction, message", [
+    ([], None, "translation set is empty"),
+    ([[0, 1], [2, 1], [2, 1]], None, "translations must be strictly increasing"),
+    ([[0, 1], [2, 1]], "1,1", "--dir only applies to lattice inputs"),
+], ids=["empty translation set", "repeated translation", "--dir on a line input"])
+def test_line_input_rules_exit_2_with_one_input_error_line(translations, direction, message,
+                                                           tmp_path):
+    path = tmp_path / "line.json"
+    path.write_text(json.dumps({"kind": "line", "L": 3, "translations": translations}))
+    with pytest.raises(InputError) as exc:
+        _load_ifs(str(path), direction, None)
+    assert str(exc.value) == message
+    argv = ["analyze", str(path), *([] if direction is None else ["--dir", direction])]
+    assert run(argv) == (2, f"input error: {message}\n")
+    result = CliRunner().invoke(cli, argv)
+    assert isinstance(result.exception, InputError) and str(result.exception) == message

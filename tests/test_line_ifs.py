@@ -73,3 +73,7 @@ def test_direct_construction_validates():
         LineIFS(L=3, translations=((1, 1), (2, 1)))  # t_0 != 0
     with pytest.raises(InputError):
         LineIFS(L=3, translations=((0, 1), (1, 1)))  # (L-1) does not divide 1
+    with pytest.raises(InputError, match="^translation set is empty$"):
+        LineIFS(L=3, translations=())
+    with pytest.raises(InputError, match="^translations must be strictly increasing$"):
+        LineIFS(L=3, translations=((0, 1), (2, 1), (2, 1)))

@@ -12,7 +12,7 @@ from test_type_system import line_systems
 from fracphase import phase
 from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
-from fracphase.line_ifs import normalize, scale
+from fracphase.line_ifs import LineIFS, normalize, scale
 from fracphase.phase import (
     RootThreshold,
     extinction_probability,
@@ -20,8 +20,9 @@ from fracphase.phase import (
     phase_report,
     positive_row_witness,
 )
-from fracphase.spectral import SpectralEnclosure, char_poly, spectral_radius
-from fracphase.type_system import compute_type_system
+from fracphase.serialize import phase_report_to_json
+from fracphase.spectral import SpectralEnclosure, char_poly, rho_sign, spectral_radius
+from fracphase.type_system import TypeSystem, compute_type_system
 
 
 @pytest.fixture(scope="module")
@@ -182,6 +183,25 @@ def test_no_interval_check_exact_for_irrational_radius():
     above = (1 + eps) / min(lo for lo, _ in encs)
     assert rep.verdict("no-interval", below) == "holds"
     assert rep.verdict("no-interval", above) == "fails"
+
+
+@pytest.mark.parametrize("k_first", [False, True], ids=["2I first", "K first"])
+def test_no_interval_threshold_takes_each_end_over_all_digits(k_first):
+    # rho(2I) = 2 and the 32-bonacci rho(K) = 1.99999999907 both have upper end
+    # 2, so the lower end must come from K whichever digit is first
+    n = 32
+    two = tuple(tuple(2 * (i == j) for j in range(n)) for i in range(n))
+    K = ((1,) * n, *(tuple(int(j == i - 1) for j in range(n)) for i in range(1, n)))
+    mats = (K, two) if k_first else (two, K)
+    ts = TypeSystem(LineIFS(2, ((0, 1), (1, 1))), tuple(range(n)), mats, (Fraction(1, n),) * n)
+    rep = phase_report(ts)
+    enc = rep.no_interval_threshold
+    assert (enc.lower, enc.upper) == (Fraction(1, 2), Fraction(2**30, 2**31 - 1))
+    coeffs = char_poly(K)  # 1/upper <= rho(K) <= 1/lower, and rho(K) < 2
+    assert rho_sign(coeffs, 1 / enc.upper) <= 0 <= rho_sign(coeffs, 1 / enc.lower)
+    assert rho_sign(coeffs, Fraction(2)) == 1
+    rows = phase_report_to_json(rep)["thresholds"]
+    assert [r["value_exact"] for r in rows if r["name"] == "no-interval"] == [None]
 
 
 @settings(max_examples=50, deadline=None)

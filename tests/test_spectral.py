@@ -1,11 +1,13 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import char_poly_dense, perron_enclosure, taylor_shift
 
+from fracphase import spectral
 from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import scale
@@ -83,10 +85,24 @@ def test_rejects_bad_matrices():
         spectral_radius([[1, -1], [0, 1]])
     with pytest.raises(InputError):
         spectral_radius([])
+    for matrix in (7, np.array([[1, 2], [3, 4]])):  # not a sequence of int rows
+        with pytest.raises(InputError):
+            spectral_radius(matrix)
     # the integer bound and the exact-hit argument need integer entries
     for matrix in ([[1.5]], [[Fraction(3, 2)]]):
         with pytest.raises(InputError):
             spectral_radius(matrix)
+
+
+def test_bad_entries_are_refused_before_the_exact_work(monkeypatch):
+    # the Fraction characteristic polynomial's cost grows fast with the size
+    calls = []
+    monkeypatch.setattr(spectral, "char_poly", lambda m: calls.append(m) or char_poly(m))
+    for matrix in ([[0.5] * 60] * 60, [[1] * 60] * 59 + [[1] * 59 + [-1]]):
+        with pytest.raises(InputError, match="matrix entry must be an integer >= 0"):
+            spectral_radius(matrix)
+    assert calls == []
+    assert spectral_radius([[2, 1], [1, 2]]).lower == 3 and len(calls) == 1
 
 
 @settings(max_examples=60, deadline=None)
