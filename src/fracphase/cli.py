@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 ok, 2 input error, 3 analysis ambiguity, 4 internal invariant
-failure or any other unexpected exception.
+Exit codes: 0 ok, 2 usage error, a package error's own code (the table is in ``errors``),
+and 4 with one ``internal error:`` line for any other unexpected exception.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import sys
 
 import click
 
-from .errors import AmbiguityError, InputError, InvariantError, check_int, check_rational, shown
+from .errors import FracphaseError, InputError, check_int, check_rational, shown
 from .lattice import LatticeIFS, menger, project as project_lattice, sierpinski
 from .line_ifs import LineIFS, scale as scale_ifs
 from .phase import phase_report
@@ -182,26 +182,20 @@ def verify_slice(step, threads, out) -> None:
 
 def main() -> None:
     try:
-        cli(standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        sys.exit(exc.exit_code)
+        code = cli(standalone_mode=False)  # a ctx.exit(code)'s code; commands return None
     except click.ClickException as exc:
         exc.show()
         sys.exit(2)
     except click.Abort:
         sys.exit(1)
-    except InputError as exc:
-        click.echo(f"input error: {exc}", file=sys.stderr)
-        sys.exit(2)
-    except AmbiguityError as exc:
-        click.echo(f"ambiguous analysis: {exc}", file=sys.stderr)
-        sys.exit(3)
-    except InvariantError as exc:
-        click.echo(f"internal invariant failure: {exc}", file=sys.stderr)
-        sys.exit(4)
+    except FracphaseError as exc:
+        click.echo(f"{exc.label}: {exc}", file=sys.stderr)
+        sys.exit(exc.code)
     except Exception as exc:  # a bug: report it on one line, like an invariant
         click.echo(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         sys.exit(4)
+    if code:
+        sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package, and the two argument checks.
 
-The CLI maps these onto exit codes: InputError -> 2, AmbiguityError -> 3,
-InvariantError -> 4.
+Each error class carries its CLI exit ``code`` and the ``label`` that starts its
+one line on stderr; ``cli.main`` reads both, so this is the one table of them.
 
 Every public integer argument goes through :func:`check_int`, which takes only
 an ``int`` that is not a ``bool`` (no float, numpy integer or string) within
@@ -21,19 +21,22 @@ _TEXT_EXPONENT = 10**4
 
 
 class FracphaseError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; each one raised is of one of the classes below."""
 
 
 class InputError(FracphaseError):
     """Invalid user-supplied data (bad IFS, bad schema, bad parameters)."""
+    code, label = 2, "input error"
 
 
 class AmbiguityError(FracphaseError):
     """An analysis could not be decided."""
+    code, label = 3, "ambiguous analysis"
 
 
 class InvariantError(FracphaseError):
     """An internal consistency check failed; indicates a bug."""
+    code, label = 4, "internal invariant failure"
 
 
 def shown(x) -> str:

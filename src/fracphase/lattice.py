@@ -28,7 +28,8 @@ class LatticeIFS:
             raise InputError("cell set is empty")
         for cell in self.cells:
             if len(cell) != self.d:
-                raise InputError(f"cell ({', '.join(map(shown, cell))}) has wrong dimension")
+                raise InputError(f"cell ({', '.join(map(shown, cell))}) has {len(cell)} "
+                                 f"coordinates, lattice dimension {self.d}")
             for x in cell:
                 check_int(x, "cell coordinate", 0, self.L)
 

@@ -111,7 +111,7 @@ def extinction_probability(M: int, p: float) -> float:
     two terms of h nearly cancel close to q = 1, so h is evaluated from
     x = 1 - q as expm1(M log1p(-p x)) + x, which keeps its accuracy there.
     """
-    check_int(M, "M", 1)
+    check_int(M, "M", 1, 2**1024 - 2**970)  # the least int whose float() overflows
     p = float(check_rational(p, "p", 0, 1))
     if M * p <= 1:
         return 1.0

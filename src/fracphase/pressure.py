@@ -24,10 +24,10 @@ One Philox, rekeyed to key (seed, i), counter 0 and an empty buffer, gives
 32-bit half u (low half first), as in ``Generator.integers``.  A word that
 reaches Lemire's rejection branch ``(u L) mod 2^32 < (2^32 - L) mod L``
 (probability about n L / 2^32) is drawn again through ``stream``.  Both walks
-step k digits at a time (``_block_digits``): the L^k products of k digit
-matrices fit a table of at most 4096 entries, each an integer below 2^53.  The
-sampled walk renormalizes its float rows once every r steps
-(``_renorm_every``), r as large as keeps every row sum below 2^1000.
+step k digits at a time: the L^k products of k digit matrices fit a table of
+at most 4096 entries, each an integer below 2^53.  The sampled walk
+renormalizes its float rows once every r steps, r as large as keeps every row
+sum below 2^1000; ``_walk_plan`` gives both k and r.
 """
 
 from __future__ import annotations
@@ -73,13 +73,19 @@ class LyapunovEstimate:
     first_level_mean: float  # E log||A_a||, a subadditivity proxy
 
 
-def _block_digits(ts: TypeSystem) -> int:
-    """Largest k >= 1 with L^k N^2 <= 4096 and R^k < 2^53, R the largest row sum of an A_a."""
+def _walk_plan(ts: TypeSystem) -> tuple[int, int]:
+    """k digits a step and r steps between renormalizations of the sampled walk.
+
+    k is the largest with L^k N^2 <= 4096 and R^k < 2^53, R the largest row sum
+    of an A_a; r = (1000 - b(N)) // (k b(R)), at least 1, b the bit length.  r
+    steps grow a row's sum at most R^(k r)-fold, so rows that start at all-ones
+    or at sum 1 stay below 2^1000 whenever that quotient is at least 1.
+    """
     R = max(max(map(sum, A)) for A in ts.matrices)
     k = 1
     while ts.L ** (k + 1) * ts.N**2 <= 4096 and R ** (k + 1) < 2**53:
         k += 1
-    return k
+    return k, max(1, (1000 - ts.N.bit_length()) // (k * R.bit_length()))
 
 
 def _masses_exact_dfs(ts: TypeSystem, n: int, nu: list[int]):
@@ -89,7 +95,7 @@ def _masses_exact_dfs(ts: TypeSystem, n: int, nu: list[int]):
     precomputed, and the prefixes are walked depth first on an explicit stack
     of rows e^T A_u in Python integers; memory is O(n L N + L^j N).
     """
-    j = min(n, _block_digits(ts))
+    j = min(n, _walk_plan(ts)[0])
     ends = [nu]
     for _ in range(j):
         ends = [[sum(map(mul, r, v)) for r in A] for A in ts.matrices for v in ends]
@@ -133,17 +139,6 @@ def _product_tables(mats: np.ndarray, k: int) -> list:
     return tables
 
 
-def _renorm_every(ts: TypeSystem, k: int) -> int:
-    """Steps of k digits between renormalizations: r = (1000 - b(N)) // (k b(R)), at least 1.
-
-    b is the bit length and R the largest row sum of an A_a.  r steps grow a
-    row's sum at most R^(k r)-fold, so rows that start at all-ones or at sum 1
-    stay below 2^1000 whenever that quotient is at least 1.
-    """
-    R = max(max(map(sum, A)) for A in ts.matrices)
-    return max(1, (1000 - ts.N.bit_length()) // (k * R.bit_length()))
-
-
 def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight):
     """log(e^T A_w weight) in floats for the words w = stream(seed, i), i < samples.
 
@@ -151,7 +146,7 @@ def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight)
     and each step multiplies every row by the product of its own next k digits,
     so ceil(n/k) steps of O(N^2) walk a sample.  The table indices of a block
     are read off its words once, and its rows are renormalized to sum 1 only
-    every r = ``_renorm_every(ts, k)`` steps.  A row that reaches 0 turns NaN
+    every r steps, (k, r) = ``_walk_plan(ts)``.  A row that reaches 0 turns NaN
     at its next renormalization (0/0); its word comes out -inf either way.
     """
     import numpy as np
@@ -160,12 +155,11 @@ def _sampled_log_masses(ts: TypeSystem, n: int, samples: int, seed: int, weight)
         raise InputError(
             f"{shown(samples)} samples of {shown(n)} digits exceed the budget {_DRAW_BUDGET}"
         )
-    L, k = ts.L, _block_digits(ts)
+    L, (k, r) = ts.L, _walk_plan(ts)
     try:
         tables = _product_tables(np.array(ts.matrices, dtype=float), min(n, k))
     except OverflowError:
         raise InputError("a digit matrix entry is past the float range") from None
-    r = _renorm_every(ts, k)
     out = np.empty(samples)
     block = max(1, _BLOCK // max(n, ts.N**2))
     for start in range(0, samples, block):

@@ -66,10 +66,6 @@ from .errors import InputError, check_int, check_rational, shown
 from .lattice import MENGER_REMOVED
 
 
-class WedgeError(InputError):
-    """Parameters outside the wedge 0 <= a <= b <= 1."""
-
-
 @dataclass(frozen=True)
 class PlaneParams:
     """The plane z = a*x + b*y + c, with exact rational coefficients."""
@@ -90,7 +86,7 @@ REMOVED_CORNERS: tuple[tuple[int, int, int], ...] = tuple(sorted(MENGER_REMOVED)
 def _check_wedge(p: PlaneParams) -> None:
     if not (0 <= p.a <= p.b <= 1):
         a, b = shown(p.a), shown(p.b)
-        raise WedgeError(f"(a, b) = ({a}, {b}) outside the wedge 0 <= a <= b <= 1")
+        raise InputError(f"(a, b) = ({a}, {b}) outside the wedge 0 <= a <= b <= 1")
 
 
 # With slopes A, B > 0 and all coordinates in units of 1/D, the ftilde

@@ -21,6 +21,7 @@ import sys
 import time
 from fractions import Fraction
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -28,7 +29,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from fracphase.cli import _load_ifs, cli, main
-from fracphase.errors import InputError, check_int, check_rational
+from fracphase.errors import AmbiguityError, InputError, InvariantError, check_int, check_rational
 from fracphase.lattice import LatticeIFS, make_direction
 from fracphase.line_ifs import LineIFS, normalize, scale
 from fracphase.phase import RootThreshold, extinction_probability, phase_report
@@ -303,6 +304,10 @@ NAMED_BAD_CALLS = {
     "plane a x": lambda: plane("x", 0, 0),
     "RootThreshold.sign p x": lambda: RootThreshold(8, 2).sign("x"),
     "extinction_probability M 2.5": lambda: extinction_probability(2.5, 0.9),
+    # these raised OverflowError at M * p: M is past the float range
+    "extinction_probability M 10**400": lambda: extinction_probability(10**400, 0.5),
+    "extinction_probability M 2**1024 - 2**970":
+        lambda: extinction_probability(2**1024 - 2**970, 0.0),
     "LatticeIFS L 3.0": lambda: LatticeIFS(d=2, L=3.0, cells=frozenset({(0, 0)})),
     "LatticeIFS cell np.int64": lambda: LatticeIFS(d=1, L=3, cells=frozenset({(np.int64(1),)})),
     "scale factor 2.0": lambda: scale(CANTOR, 2.0),
@@ -370,15 +375,19 @@ def test_huge_numbers_exit_2_with_one_short_input_error_line(argv, tmp_path):
     assert err.startswith("input error:") and err.count("\n") == 1 and len(err) < 200, err
 
 
-@pytest.mark.parametrize("translations, direction, message", [
-    ([], None, "translation set is empty"),
-    ([[0, 1], [2, 1], [2, 1]], None, "translations must be strictly increasing"),
-    ([[0, 1], [2, 1]], "1,1", "--dir only applies to lattice inputs"),
-], ids=["empty translation set", "repeated translation", "--dir on a line input"])
-def test_line_input_rules_exit_2_with_one_input_error_line(translations, direction, message,
-                                                           tmp_path):
-    path = tmp_path / "line.json"
-    path.write_text(json.dumps({"kind": "line", "L": 3, "translations": translations}))
+@pytest.mark.parametrize("data, direction, message", [
+    ({"kind": "line", "L": 3, "translations": []}, None, "translation set is empty"),
+    ({"kind": "line", "L": 3, "translations": [[0, 1], [2, 1], [2, 1]]}, None,
+     "translations must be strictly increasing"),
+    ({"kind": "line", "L": 3, "translations": [[0, 1], [2, 1]]}, "1,1",
+     "--dir only applies to lattice inputs"),
+    ({"kind": "lattice", "d": 2, "L": 3, "cells": [[0, 0], [1]]}, "1,1",
+     "cell (1) has 1 coordinates, lattice dimension 2"),
+], ids=["empty translation set", "repeated translation", "--dir on a line input",
+        "lattice cell of the wrong dimension"])
+def test_line_input_rules_exit_2_with_one_input_error_line(data, direction, message, tmp_path):
+    path = tmp_path / "ifs.json"
+    path.write_text(json.dumps(data))
     with pytest.raises(InputError) as exc:
         _load_ifs(str(path), direction, None)
     assert str(exc.value) == message
@@ -386,3 +395,27 @@ def test_line_input_rules_exit_2_with_one_input_error_line(translations, directi
     assert run(argv) == (2, f"input error: {message}\n")
     result = CliRunner().invoke(cli, argv)
     assert isinstance(result.exception, InputError) and str(result.exception) == message
+
+
+@pytest.mark.parametrize("error, code, label", [
+    (InputError, 2, "input error"),
+    (AmbiguityError, 3, "ambiguous analysis"),
+    (InvariantError, 4, "internal invariant failure"),
+], ids=["input", "ambiguity", "invariant"])
+def test_package_errors_exit_with_their_code_and_one_label_line(monkeypatch, error, code, label):
+    def fail(ts):
+        raise error("no report")
+
+    monkeypatch.setattr("fracphase.cli.phase_report", fail)
+    assert run(["analyze", "sierpinski", "--dir", "1,1"]) == (code, f"{label}: no report\n")
+
+
+def test_a_command_exit_code_reaches_the_process(monkeypatch):
+    # main() dropped the code that click returns for ctx.exit(3), and exited 0
+    @click.command()
+    @click.pass_context
+    def exit3(ctx):
+        ctx.exit(3)
+
+    monkeypatch.setitem(cli.commands, "exit3", exit3)
+    assert run(["exit3"]) == (3, "")

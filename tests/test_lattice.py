@@ -83,5 +83,7 @@ def test_bad_lattice_rejected():
         LatticeIFS(d=2, L=3, cells=frozenset({(0, 3)}))
     with pytest.raises(InputError):
         LatticeIFS(d=2, L=3, cells=frozenset())
+    with pytest.raises(InputError, match=r"^cell \(1\) has 1 coordinates, lattice dimension 2$"):
+        LatticeIFS(d=2, L=3, cells=frozenset({(0, 0), (1,)}))
     with pytest.raises(InputError):
         project(menger(), (1, 1))

@@ -356,6 +356,8 @@ def test_extinction_probability():
     assert abs((1 - 0.1 + 0.1 * q) ** 20 - q) < 1e-9
     # deeper supercritical regime pushes extinction towards 0
     assert extinction_probability(20, 0.5) < 1e-4
+    # the largest M whose float is finite still answers
+    assert extinction_probability(2**1024 - 2**970 - 1, 0.9) < 1e-12
     with pytest.raises(InputError):
         extinction_probability(8, 1.5)
 

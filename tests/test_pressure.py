@@ -24,12 +24,11 @@ from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import LineIFS, normalize
 from fracphase.pressure import (
-    _block_digits,
     _masses_exact_dfs,
     _product_tables,
-    _renorm_every,
     _sampled_log_masses,
     _sampled_words,
+    _walk_plan,
     lyapunov,
     pressure,
 )
@@ -140,19 +139,20 @@ MANY_DIGITS = SimpleNamespace(L=70000, N=1, matrices=tuple(((a % 3 + 1,),) for a
 
 
 def test_block_digits_follow_the_table_and_float_bounds(systems):
-    # the largest k with L^k N^2 <= 4096 and R^k < 2^53
-    got = {name: _block_digits(ts) for name, ts in systems.items()}
+    # k is the largest with L^k N^2 <= 4096 and R^k < 2^53
+    plans = {name: _walk_plan(ts) for name, ts in systems.items()}
+    got = {name: k for name, (k, r) in plans.items()}
     assert got == {"menger": 5, "menger-137": 3, "carpet-diag": 6, "carpet-axis": 7}
-    assert [_block_digits(ts) for ts in (WIDE_ROWS, HUGE_ROWS, MANY_DIGITS)] == [2, 1, 1]
+    extremes = [_walk_plan(ts) for ts in (WIDE_ROWS, HUGE_ROWS, MANY_DIGITS)]
+    assert [k for k, r in extremes] == [2, 1, 1]
     # and r steps of k digits between renormalizations keep N R^(k r) < 2^1000
-    got = {name: _renorm_every(ts, got[name]) for name, ts in systems.items()}
+    got = {name: r for name, (k, r) in plans.items()}
     assert got == {"menger": 49, "menger-137": 83, "carpet-diag": 55, "carpet-axis": 71}
     for ts in (*systems.values(), WIDE_ROWS, HUGE_ROWS, MANY_DIGITS):
-        k = _block_digits(ts)
-        r = _renorm_every(ts, k)
+        k, r = _walk_plan(ts)
         R = max(max(map(sum, A)) for A in ts.matrices)
         assert r == 1 or ts.N * R ** (k * r) < 2**1000
-    assert [_renorm_every(ts, _block_digits(ts)) for ts in (WIDE_ROWS, HUGE_ROWS)] == [23, 1]
+    assert [r for k, r in extremes[:2]] == [23, 1]
 
 
 def test_exact_walk_matches_full_products(systems):
@@ -160,13 +160,13 @@ def test_exact_walk_matches_full_products(systems):
     for ts in systems.values():
         den = math.lcm(*(x.denominator for x in ts.nu))
         nu = [int(x * den) for x in ts.nu]
-        for n in range(1, _block_digits(ts) + 4):
+        for n in range(1, _walk_plan(ts)[0] + 4):
             assert list(_masses_exact_dfs(ts, n, nu)) == exact_masses(ts, n, nu)
 
 
 def test_product_tables_hold_exact_integer_products(systems):
     for ts in (*systems.values(), WIDE_ROWS):
-        k = _block_digits(ts)
+        k = _walk_plan(ts)[0]
         tables = _product_tables(np.array(ts.matrices, dtype=float), k)
         assert [len(table) for table in tables] == [ts.L**j for j in range(1, k + 1)]
         for j, table in enumerate(tables, 1):
@@ -201,7 +201,7 @@ def test_float_walker_matches_exact_products(systems, seed, n, name):
 @pytest.mark.parametrize("name", ["menger", "menger-137"])
 def test_batched_walker_matches_per_sample_loop(systems, name, seed):
     ts = systems[name]
-    k = _block_digits(ts)
+    k = _walk_plan(ts)[0]
     for weight in (np.ones(ts.N), np.array([float(x) for x in ts.nu])):
         # at n = 2000 a block walks 8 full renormalization runs and part of a ninth
         for n in (1, k - 1, k, k + 1, 2 * k + 1, 60, 2000):
@@ -221,7 +221,7 @@ def test_walk_matches_per_sample_loop_at_extreme_row_sums_and_digit_counts(ts):
 def test_one_block_holds_its_table_indices_at_two_bytes_a_digit(monkeypatch):
     # k = 1, so one index a digit; L = 300 needs uint16 for the digits and the indices
     ts = SimpleNamespace(L=300, N=1, matrices=tuple(((a % 3 + 1,),) for a in range(300)))
-    assert _block_digits(ts) == 1
+    assert _walk_plan(ts)[0] == 1
     n = 2**14
     samples = pressure_mod._BLOCK // n  # one block of _BLOCK digits
     draw = pressure_mod._sampled_words
@@ -332,8 +332,8 @@ def test_batched_walker_keeps_dead_words(seed, monkeypatch):
     # long words that die (at a digit pair 11) inside the first step, across the
     # first two, inside a step that renormalizes, between two renormalizations
     # and after the last one
-    k, n = _block_digits(NILPOTENT), 2000
-    run = k * _renorm_every(NILPOTENT, k)  # 490 digits from one renormalization to the next
+    (k, r), n = _walk_plan(NILPOTENT), 2000
+    run = k * r  # 490 digits from one renormalization to the next
     words = np.zeros((6, n), dtype=np.uint8)
     words[:, 1::2] = 1  # 0101... lives
     for row, at in enumerate((3, k - 1, run - 2, run + 100, n - 2), 1):

@@ -20,7 +20,6 @@ from fracphase.slices import (
     TAG_SMALL_A,
     TAG_SMALL_SUM,
     REMOVED_CORNERS,
-    WedgeError,
     _SLICE_KNOTS,
     _row_knots,
     classify_region,
@@ -99,9 +98,9 @@ def test_ftilde_matches_oracle_with_degenerate_slopes(a, b, c):
 
 
 def test_ftilde_rejects_outside_wedge():
-    with pytest.raises(WedgeError):
+    with pytest.raises(InputError, match="outside the wedge"):
         ftilde(plane(Fraction(3, 4), Fraction(1, 4), 0))  # a > b
-    with pytest.raises(WedgeError):
+    with pytest.raises(InputError, match="outside the wedge"):
         ftilde(plane(Fraction(-1, 4), Fraction(1, 4), 0))
 
 
