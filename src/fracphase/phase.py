@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import InputError, check_int, check_rational
 from .spectral import SpectralEnclosure, rho_sign, spectral_radius
-from .type_system import TypeSystem, pattern, row_mul
+from .type_system import _CANDIDATE_BUDGET, TypeSystem, pattern, row_mul
 
 _ROW_BUDGET = 10**6  # distinct zero-pattern rows the witness BFS may visit
 
@@ -45,7 +45,9 @@ class RootThreshold:
 
     def __post_init__(self) -> None:
         check_int(self.base, "base", 1)
-        check_int(self.root, "root", 1)
+        # a report's root is L, which the candidate budget keeps at most 10^5;
+        # a larger root would make ``sign`` raise p to it for seconds
+        check_int(self.root, "root", 1, _CANDIDATE_BUDGET + 1)
 
     @property
     def value_float(self) -> float:
@@ -100,44 +102,6 @@ def positive_row_witness(ts: TypeSystem):
         history.append((parents, digits))
         level = nxt
     return None, False
-
-
-def extinction_probability(M: int, p: float) -> float:
-    """Smallest root in [0, 1] of q = (1 - p + p*q)^M, to within 1e-12.
-
-    For M p <= 1 it is exactly 1.  Otherwise h(q) = (1 - p + p q)^M - q is
-    convex with h(0) > 0 > h(q_m) at its minimizer q_m, so bisection on
-    [0, q_m] down to adjacent floats brackets the root.  Near criticality the
-    two terms of h nearly cancel close to q = 1, so h is evaluated from
-    x = 1 - q as expm1(M log1p(-p x)) + x, which keeps its accuracy there.
-    """
-    check_int(M, "M", 1, 2**1024 - 2**970)  # the least int whose float() overflows
-    p = float(check_rational(p, "p", 0, 1))
-    if M * p <= 1:
-        return 1.0
-    if p == 1:  # h(q) = q^M - q
-        return 0.0
-
-    def h(q: float) -> float:
-        x = 1 - q
-        return math.expm1(M * math.log1p(-p * x)) + x
-
-    # 1 - p + p q_m = (M p)^(-1/(M-1)), where h'(q_m) = 0
-    lo, hi = 0.0, 1 + math.expm1(-math.log(M * p) / (M - 1)) / p
-    while True:
-        mid = (lo + hi) / 2
-        if not lo < mid < hi:
-            return lo
-        if h(mid) < 0:
-            hi = mid
-        else:
-            lo = mid
-
-
-def menger_disconnection_threshold() -> RootThreshold:
-    """Face-interface subcriticality threshold 1/sqrt(8) for the sponge:
-    ``sign(p) < 0`` is the exact test 8 * p^2 < 1."""
-    return RootThreshold(8, 2)
 
 
 @dataclass(frozen=True)
@@ -218,7 +182,8 @@ def phase_report(ts: TypeSystem) -> PhaseReport:
     M, L = ts.M, ts.L
     cs = [tuple(map(sum, zip(*A))) for A in ts.matrices]
     min_cs = min(map(min, cs))
-    witness, inconclusive = positive_row_witness(ts)
+    # with a zero column no output reads the witness, so the search is skipped
+    witness, inconclusive = positive_row_witness(ts) if min_cs > 0 else (None, False)
     interval_threshold = Fraction(1, min_cs) if min_cs > 0 else None
 
     seen = {}  # A and its mirror J A J (J the reversal) are similar: one enclosure

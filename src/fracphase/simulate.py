@@ -3,8 +3,8 @@
 Each node of the M-ary address tree keeps its children independently with
 probability p.  The coin for a child is derived from a keyed hash of the
 child's address, so a realization is a pure function of (seed, parameters):
-identical across runs and worker counts, and monotone in p when the seed is
-shared (child kept iff its uniform draw is below p).
+identical across runs, and monotone in p when the seed is shared (child kept
+iff its uniform draw is below p).
 
 Address-hash scheme: the child with address ``(a_1, ..., a_k)`` hashes the
 message ``"a_1,...,a_k"`` (decimal digits, comma-joined, ASCII) with
@@ -24,13 +24,11 @@ from typing import TYPE_CHECKING
 
 from .errors import InputError, check_int, check_rational, shown
 from .line_ifs import LineIFS
-from .phase import extinction_probability
 
 if TYPE_CHECKING:
     import numpy as np
 
 _TWO64 = 2**64
-_INTERFACE_CAP = 10**7  # population at which a replica counts as surviving
 _NODE_BUDGET = 10**6  # most nodes one realization hashes, at 1-3 us a node
 
 
@@ -180,46 +178,4 @@ def project_survival(ifs: LineIFS, s: SurvivalSet) -> CoverageStats:
         measure=measure,
         longest_run=longest,
         full_cover=count == total_cells and total_cells > 0,
-    )
-
-
-@dataclass(frozen=True)
-class InterfaceStats:
-    p: float
-    mean_offspring: float  # 8 * p^2
-    depth: int
-    replicas: int
-    extinction_frequency: float
-    analytic_fixed_point: float  # smallest root of q = (1 - p^2 + p^2 q)^8
-
-
-def interface_process(
-    p: float, depth: int, replicas: int, seed: int = 0
-) -> InterfaceStats:
-    """Galton-Watson process with Binomial(8, p^2) offspring per individual.
-
-    Models the count of face-adjacent retained cube pairs across a shared
-    face of the level-n sponge approximations; subcritical iff 8 p^2 < 1.
-    """
-    p = float(check_rational(p, "p", 0, 1))
-    check_int(depth, "depth", 0)
-    check_int(replicas, "replicas", 1)
-    pp = p * p
-    extinct = 0
-    for i in range(replicas):
-        rng = stream(seed, i)
-        z = 1
-        for _ in range(depth):
-            if z == 0 or z > _INTERFACE_CAP:
-                break
-            z = int(rng.binomial(8 * z, pp))
-        if z == 0:
-            extinct += 1
-    return InterfaceStats(
-        p=p,
-        mean_offspring=8 * pp,
-        depth=depth,
-        replicas=replicas,
-        extinction_frequency=extinct / replicas,
-        analytic_fixed_point=extinction_probability(8, pp),
     )

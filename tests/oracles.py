@@ -10,10 +10,9 @@ witnesses, one hash per simulator node, the set of every covered cell of a
 projected realization, one Generator per sampled word, one cocycle walk per
 sampled word, the Monte Carlo pressure of those walks by logaddexp and
 statistics.stdev, full integer matrix products for every word of exact pressure,
-exact rational bisection for the extinction probability, the dense
-Fraction characteristic polynomial, Taylor coefficients from binomial sums and
-a doubling-then-bisection search for Perron-root enclosures, and every phase
-verdict read off its definition.
+the dense Fraction characteristic polynomial, Taylor coefficients from binomial
+sums and a doubling-then-bisection search for Perron-root enclosures, and every
+phase verdict read off its definition.
 """
 
 from __future__ import annotations
@@ -478,31 +477,6 @@ def exact_masses(ts, n: int, nu):
     """e^T A_w nu for every word |w| = n, in lexicographic order."""
     return [sum(sum(map(operator.mul, row, nu)) for row in word_product(ts.matrices, w))
             for w in itertools.product(range(ts.L), repeat=n)]
-
-
-def extinction_root(M: int, p) -> Fraction:
-    """Smallest root in [0, 1] of q = (1 - p + p q)^M by exact rational bisection.
-
-    For M p > 1, h(q) = (1 - p + p q)^M - q has h(0) > 0, and since
-    h(1) = 0, h'(1) = M p - 1 and h'' <= M (M - 1) p^2, h(1 - eps) < 0 at
-    eps = (M p - 1) / (M (M - 1) p^2).  The result is within 2^-60.
-    """
-    p = Fraction(p)
-    if M * p <= 1:
-        return Fraction(1)
-
-    def h(q):
-        return (1 - p + p * q) ** M - q
-
-    lo, hi = Fraction(0), 1 - (M * p - 1) / (M * (M - 1) * p * p)
-    assert h(lo) >= 0 > h(hi)
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if h(mid) < 0:
-            hi = mid
-        else:
-            lo = mid
-    return (lo + hi) / 2
 
 
 def char_poly_dense(matrix) -> list[Fraction]:

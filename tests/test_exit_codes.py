@@ -32,9 +32,9 @@ from fracphase.cli import _load_ifs, cli, main
 from fracphase.errors import AmbiguityError, InputError, InvariantError, check_int, check_rational
 from fracphase.lattice import LatticeIFS, make_direction
 from fracphase.line_ifs import LineIFS, normalize, scale
-from fracphase.phase import RootThreshold, extinction_probability, phase_report
+from fracphase.phase import RootThreshold, phase_report
 from fracphase.pressure import lyapunov, pressure
-from fracphase.simulate import _check_seed, interface_process, sample_survival, stream
+from fracphase.simulate import _check_seed, sample_survival, stream
 from fracphase.slices import plane, verify_grid
 from fracphase.spectral import char_poly, spectral_radius
 from fracphase.type_system import compute_type_system
@@ -228,16 +228,12 @@ INT_ARGS = {
     "make_direction": (lambda v: make_direction([1, v]), False),
     "RootThreshold base": (lambda v: RootThreshold(v, 2), True),
     "RootThreshold root": (lambda v: RootThreshold(8, v), True),
-    "extinction_probability M": (lambda v: extinction_probability(v, 0.9), True),
     "sample_survival M": (lambda v: sample_survival(v, Fraction(1, 2), 2, 0), True),
     "sample_survival depth": (lambda v: sample_survival(20, Fraction(1, 2), v, 0), True),
     "sample_survival seed": (lambda v: sample_survival(20, Fraction(1, 2), 2, v), True),
     "stream seed": (lambda v: stream(v, 0), True),
     "stream index": (lambda v: stream(0, v), True),
     "_check_seed": (_check_seed, True),
-    "interface_process depth": (lambda v: interface_process(0.5, v, 3), True),
-    "interface_process replicas": (lambda v: interface_process(0.5, 2, v), True),
-    "interface_process seed": (lambda v: interface_process(0.5, 2, 3, v), True),
     "pressure n": (lambda v: pressure(CANTOR_TS, 0.5, v), True),
     "pressure samples": (lambda v: pressure(CANTOR_TS, 0.5, 2, samples=v), True),
     "pressure seed": (lambda v: pressure(CANTOR_TS, 0.5, 2, seed=v), True),
@@ -253,8 +249,6 @@ RATIONAL_ARGS = {
     "verify_grid step": lambda v: verify_grid(v),
     "RootThreshold.sign p": lambda v: RootThreshold(8, 2).sign(v),
     "plane a": lambda v: plane(v, 0, 0),
-    "extinction_probability p": lambda v: extinction_probability(3, v),
-    "interface_process p": lambda v: interface_process(v, 2, 3),
 }
 BAD_INTS = [2.5, 3.0, math.nan, math.inf, None, True, "3", np.int64(3)]
 BAD_RATIONALS = [math.nan, math.inf, None, "x"]
@@ -296,18 +290,14 @@ NAMED_BAD_CALLS = {
     "sample_survival p nan": lambda: sample_survival(20, float("nan"), 2, 0),
     "stream index -1": lambda: stream(0, -1),
     "stream index 2**64": lambda: stream(0, 2**64),
-    "interface_process depth 2.5": lambda: interface_process(0.5, 2.5, 3),
     "verify_grid workers 1.0": lambda: verify_grid(Fraction(1, 30), 1.0),
     "verify_grid step x": lambda: verify_grid("x"),
-    "interface_process p x": lambda: interface_process("x", 2, 3),
-    "extinction_probability p None": lambda: extinction_probability(3, None),
     "plane a x": lambda: plane("x", 0, 0),
     "RootThreshold.sign p x": lambda: RootThreshold(8, 2).sign("x"),
-    "extinction_probability M 2.5": lambda: extinction_probability(2.5, 0.9),
-    # these raised OverflowError at M * p: M is past the float range
-    "extinction_probability M 10**400": lambda: extinction_probability(10**400, 0.5),
-    "extinction_probability M 2**1024 - 2**970":
-        lambda: extinction_probability(2**1024 - 2**970, 0.0),
+    # a report's root is L <= 10^5: 10**400 raised OverflowError in value_float,
+    # and sign at 10**7 took seconds
+    "RootThreshold root 10**400": lambda: RootThreshold(8, 10**400),
+    "RootThreshold root 10**7": lambda: RootThreshold(8, 10**7),
     "LatticeIFS L 3.0": lambda: LatticeIFS(d=2, L=3.0, cells=frozenset({(0, 0)})),
     "LatticeIFS cell np.int64": lambda: LatticeIFS(d=1, L=3, cells=frozenset({(np.int64(1),)})),
     "scale factor 2.0": lambda: scale(CANTOR, 2.0),

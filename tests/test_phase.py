@@ -6,7 +6,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import extinction_root, pattern_witness, perron_enclosure, phase_verdict
+from oracles import pattern_witness, perron_enclosure, phase_verdict
 from test_type_system import line_systems
 
 from fracphase import phase
@@ -15,8 +15,6 @@ from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import LineIFS, normalize, scale
 from fracphase.phase import (
     RootThreshold,
-    extinction_probability,
-    menger_disconnection_threshold,
     phase_report,
     positive_row_witness,
 )
@@ -93,6 +91,11 @@ def test_root_threshold_predicates():
     assert RootThreshold(3**1000, 1000).value_float == pytest.approx(1 / 3, rel=1e-12)
     assert RootThreshold(10**400, 1).value_float == 0.0
     assert RootThreshold(6, 1).exact_str() == "1/6"
+    # the largest root a report can hold (L <= 10^5 by the candidate budget)
+    # still answers, and quickly
+    top = RootThreshold(8, 10**5)
+    assert top.sign(Fraction(1, 3)) < 0 < top.sign(1)
+    assert top.value_float == pytest.approx(8 ** -1e-5, rel=1e-12)
     for base, root in ((0, 3), (-2, 1), (6, 0)):
         with pytest.raises(InputError):
             RootThreshold(base, root)
@@ -288,6 +291,19 @@ def test_positive_row_witness_is_shortest(menger_ts):
     assert peak < 4 * 2**20
 
 
+def test_witness_search_runs_only_where_every_column_sum_is_positive(monkeypatch, menger_ts):
+    # with a zero column no output reads the witness: at the row budget the
+    # search took about 1 s on this system (N = 22)
+    calls = []
+    search = phase.positive_row_witness
+    monkeypatch.setattr(phase, "positive_row_witness", lambda ts: calls.append(ts) or search(ts))
+    rep = phase_report(compute_type_system(normalize(4, [0, 10, 35, 70, 72])))
+    assert rep.interval_threshold is None and not calls
+    assert rep.verdict("interval-sufficient", 1) == "fails"
+    phase_report(menger_ts)
+    assert calls == [menger_ts]
+
+
 def test_row_budget_leaves_the_interval_verdict_open(monkeypatch):
     ts = compute_type_system(project(menger(), (3, 2, 0)))
     assert positive_row_witness(ts) == ((0, 0), False)
@@ -346,42 +362,6 @@ def test_verdicts_agree_across_theorems(ifs):
         assert not v["interval-sufficient"] == v["no-interval"] == "holds", p
         assert not v["positive-measure"] == v["extinction"] == "holds", p
         assert v["positive-measure"] != "holds" or v["dimension-one"] == "holds", p
-
-
-def test_extinction_probability():
-    assert extinction_probability(20, 0.05) == 1.0
-    assert extinction_probability(20, 0.02) == 1.0
-    q = extinction_probability(20, 0.1)
-    assert 0 < q < 1
-    assert abs((1 - 0.1 + 0.1 * q) ** 20 - q) < 1e-9
-    # deeper supercritical regime pushes extinction towards 0
-    assert extinction_probability(20, 0.5) < 1e-4
-    # the largest M whose float is finite still answers
-    assert extinction_probability(2**1024 - 2**970 - 1, 0.9) < 1e-12
-    with pytest.raises(InputError):
-        extinction_probability(8, 1.5)
-
-
-@pytest.mark.parametrize(
-    "M, p",
-    [
-        (20, 0.050001),  # M p - 1 = 2e-5: the fixed-point iteration stalled here
-        (20, 0.05 * (1 + 1e-9)),
-        (8, 0.125 * (1 + 1e-7)),
-        (20, 0.1), (20, 0.15), (8, 0.2),  # acceptance 6(b)
-        (8, 0.36),  # interface_process at p = 0.6
-        (2, 0.75), (20, 0.5), (20, 0.9), (20, 1.0),
-    ],
-)
-def test_extinction_probability_matches_exact_root(M, p):
-    assert abs(Fraction(extinction_probability(M, p)) - extinction_root(M, p)) <= 1e-12
-
-
-def test_disconnection_threshold():
-    thr = menger_disconnection_threshold()
-    assert thr.sign(Fraction(3, 10)) < 0
-    assert not thr.sign(Fraction(4, 10)) < 0
-    assert thr == RootThreshold(8, 2)
 
 
 def test_degenerate_single_type_report():

@@ -132,6 +132,8 @@ def test_analyze_matches_golden_outputs(tmp_path):
         (["menger", "--dir", "1,0,0", "--scale", "3"], "menger_1_0_0_scale3.json"),
         # no digit matrix repeats or mirrors another
         ([str(DATA / "line_2_0_1_3_5.ifs.json")], "line_2_0_1_3_5.json"),
+        # a zero column: no interval row, so no witness search
+        ([str(DATA / "line_4_0_10_35_70_72.ifs.json")], "line_4_0_10_35_70_72.json"),
     ):
         result = runner.invoke(cli, ["analyze", *args])
         assert result.exit_code == 0

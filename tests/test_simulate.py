@@ -12,7 +12,7 @@ from fracphase import simulate
 from fracphase.errors import InputError
 from fracphase.lattice import menger, project, sierpinski
 from fracphase.line_ifs import LineIFS, normalize
-from fracphase.simulate import interface_process, project_survival, sample_survival
+from fracphase.simulate import project_survival, sample_survival
 
 MENGER_111 = normalize(
     3, [0] * 1 + [1] * 3 + [2] * 3 + [3] * 6 + [4] * 3 + [5] * 3 + [6] * 1
@@ -109,10 +109,6 @@ def test_input_validation():
         sample_survival(8, 1.5, 2, seed=0)
     with pytest.raises(InputError):
         sample_survival(8, 0.5, -1, seed=0)
-    with pytest.raises(InputError):
-        interface_process(0.5, 3, 0)
-    with pytest.raises(InputError):
-        interface_process(0.5, -3, 10)
 
 
 def test_project_survival_full_tree_covers_hull():
@@ -216,18 +212,3 @@ def test_project_survival_arity_mismatch():
     s = sample_survival(8, Fraction(1, 2), 2, seed=0)
     with pytest.raises(InputError):
         project_survival(MENGER_111, s)
-
-
-def test_interface_process_trivial_and_subcritical():
-    zero = interface_process(0.0, 10, 50, seed=0)
-    assert zero.extinction_frequency == 1.0
-    assert zero.analytic_fixed_point == 1.0
-    sub = interface_process(0.3, 40, 200, seed=1)
-    assert sub.mean_offspring == pytest.approx(0.72)
-    assert sub.analytic_fixed_point == 1.0
-    assert sub.extinction_frequency == 1.0  # subcritical dies out fast
-    sup = interface_process(0.6, 40, 300, seed=2)
-    q = sup.analytic_fixed_point
-    assert 0 < q < 1
-    se = math.sqrt(q * (1 - q) / 300)
-    assert abs(sup.extinction_frequency - q) <= 3 * se + 0.02
